@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,8 +99,9 @@ def _pair(value, field: str) -> complex:
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
+        or not all(map(math.isfinite, value))
     ):
-        raise DocumentError(f"{field}: expected [re, im], got {value!r}")
+        raise DocumentError(f"{field}: expected finite [re, im], got {value!r}")
     return complex(float(value[0]), float(value[1]))
 
 
@@ -111,8 +113,10 @@ def _check_document(doc) -> None:
     lattice = doc.get("lattice")
     if not isinstance(lattice, dict):
         raise DocumentError("lattice: expected an object")
-    _pair(lattice.get("alpha"), "lattice.alpha")
-    _pair(lattice.get("beta"), "lattice.beta")
+    alpha = _pair(lattice.get("alpha"), "lattice.alpha")
+    beta = _pair(lattice.get("beta"), "lattice.beta")
+    if not alpha.real * beta.imag - alpha.imag * beta.real > 0:
+        raise DocumentError("lattice: covolume must be positive (Im(beta/alpha) > 0)")
     tiles = doc.get("tiles")
     if not isinstance(tiles, list) or not tiles:
         raise DocumentError("tiles: expected a non-empty array")
@@ -126,7 +130,9 @@ def _check_document(doc) -> None:
             _pair(c, f"tiles[{i}].corners[{j}]")
         labels = tile.get("labels")
         if labels is not None and (
-            not isinstance(labels, list) or sorted(labels) != [0, 1, 2, 3, 4, 5]
+            not isinstance(labels, list)
+            or not all(type(k) is int for k in labels)
+            or sorted(labels) != [0, 1, 2, 3, 4, 5]
         ):
             raise DocumentError(f"tiles[{i}].labels: expected a permutation of 0..5")
     if not isinstance(doc.get("provenance"), dict):

@@ -29,6 +29,12 @@ OMEGA3 = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 ROT120 = cmath.exp(2j * math.pi / 3.0)
 
+# anchor vertices of the three-tile construction on Z + Z*omega3
+R_POINT = cmath.exp(1j * math.pi / 3.0) / 3.0
+G_POINT = complex(-1.0 / 3.0, 0.0)
+B_POINT = cmath.exp(-1j * math.pi / 3.0) / 3.0
+G_PRIME = G_POINT + 1.0
+
 
 class ModuliViolation(ValueError):
     """Parameters fall outside the moduli space of the construction."""
@@ -113,6 +119,34 @@ class PlanarPatch:
         object.__setattr__(self, "tiles", tuple(self.tiles))
 
 
+def _glide_ii(y: float) -> Isometry:
+    return Isometry(-1.0 + 0j, 0.5 + 0.5j * y, True)  # glide along x = 1/4
+
+
+def hexagon_corners(kind: str, fixed, free) -> tuple:
+    """The six prototile corners of a family, affine in its free parameter.
+
+    ``fixed`` is (tau, i) for "i", (y, i) for "ii", () for "iii", (alpha,
+    beta) for "cs" and (u, v, i) for "strip"; ``free`` is t (P for "iii", u
+    for "cs"), a complex scalar or array, and the corners follow suit.
+    """
+    if kind in ("i", "strip"):
+        u, v, i = (1.0, *fixed) if kind == "i" else fixed
+        return (v, i - u, 0j, i - free, free, i - free + v)
+    if kind == "ii":
+        y, i = fixed
+        gamma_inv = _glide_ii(y).inverse()
+        return (free, -free, gamma_inv(i), gamma_inv(free), 1.0 - i, i)
+    if kind == "iii":
+        p_r = R_POINT + ROT120 * (free - R_POINT)
+        p_b = B_POINT + ROT120.conjugate() * (free - B_POINT)
+        return (free, R_POINT, p_r, G_PRIME, p_b, B_POINT)
+    if kind == "cs":
+        alpha, beta = fixed
+        return (free, beta - free, free - alpha, -free, free - beta, alpha - free)
+    raise ValueError(f"unknown family {kind!r}")
+
+
 def _hexagon(corners, labels=()) -> Polygon:
     """Build a simple hexagon, counterclockwise, or raise ModuliViolation."""
     violation = first_violation(corners)
@@ -158,7 +192,7 @@ def type_i_minimal(tau: complex, sigma) -> TorusTiling:
     tau = check_modulus(tau)
     sigma = _free_vector(sigma)
     i, t = sigma.i, sigma.t
-    t1 = _hexagon((tau, i - 1.0, 0j, i - t, t, i - t + tau))
+    t1 = _hexagon(hexagon_corners("i", (tau, i), t))
     t2 = _oriented(t1.transformed(rotation(math.pi, i / 2.0)))
     tiling = TorusTiling(
         1.0 + 0j,
@@ -183,9 +217,8 @@ def type_ii_minimal(y: float, sigma) -> TorusTiling:
     sigma = _free_vector(sigma)
     i, t = sigma.i, sigma.t
     rho = rotation(math.pi)  # z -> -z
-    gamma = Isometry(-1.0 + 0j, 0.5 + 0.5j * y, True)  # glide along x = 1/4
-    gamma_inv = gamma.inverse()
-    t2 = _hexagon((t, -t, gamma_inv(i), gamma_inv(t), 1.0 - i, i))
+    gamma = _glide_ii(y)
+    t2 = _hexagon(hexagon_corners("ii", (y, i), t))
     tiles = tuple(
         _oriented(t2.transformed(g))
         for g in (Isometry(), rho, gamma, rho.compose(gamma))
@@ -200,13 +233,6 @@ def type_ii_minimal(y: float, sigma) -> TorusTiling:
     return tiling
 
 
-# anchor vertices of the three-tile construction on Z + Z*omega3
-R_POINT = cmath.exp(1j * math.pi / 3.0) / 3.0
-G_POINT = complex(-1.0 / 3.0, 0.0)
-B_POINT = cmath.exp(-1j * math.pi / 3.0) / 3.0
-G_PRIME = G_POINT + 1.0
-
-
 def type_iii_minimal(P: complex) -> TorusTiling:
     """Three-tile minimal tiling of the hexagonal torus C/(Z + Z*omega3).
 
@@ -215,9 +241,7 @@ def type_iii_minimal(P: complex) -> TorusTiling:
     its rotations by +-120 degrees about R.
     """
     P = complex(P)
-    p_r = R_POINT + ROT120 * (P - R_POINT)
-    p_b = B_POINT + ROT120.conjugate() * (P - B_POINT)
-    hexagon = _hexagon((P, R_POINT, p_r, G_PRIME, p_b, B_POINT))
+    hexagon = _hexagon(hexagon_corners("iii", (), P))
     tiles = (
         hexagon,
         _oriented(hexagon.transformed(rotation(2.0 * math.pi / 3.0, R_POINT))),
@@ -238,7 +262,7 @@ def central_minimal(alpha: complex, beta: complex, u: complex) -> TorusTiling:
     alpha, beta, u = complex(alpha), complex(beta), complex(u)
     if alpha.real * beta.imag - alpha.imag * beta.real <= 0:
         raise ValueError("lattice generators must satisfy Im(beta/alpha) > 0")
-    hexagon = _hexagon((u, beta - u, u - alpha, -u, u - beta, alpha - u))
+    hexagon = _hexagon(hexagon_corners("cs", (alpha, beta), u))
     tiling = TorusTiling(
         alpha,
         beta,
@@ -302,7 +326,7 @@ def strip_tiling(
             "strip prototile needs equal boundary sides: Im(2t - i) = h/2",
             "strip-boundary",
         )
-    t1 = _hexagon((v, i - u, 0j, i - t, t, i - t + v))
+    t1 = _hexagon(hexagon_corners("strip", (u, v, i), t))
     t2 = _oriented(t1.transformed(rotation(math.pi, i / 2.0)))
     base = (t1, t2.translated(-u))
     # flipping a strip reflects it across the horizontal line through the

@@ -298,6 +298,14 @@ def _rect_v_samples(a: float, nv: int) -> np.ndarray:
     return (a * phi / (2.0 * np.pi))[::-1]
 
 
+def _rect_surface(a: float, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex grid of rect_embed over one fundamental rectangle and its (u, v)."""
+    u = np.linspace(0.0, 1.0, nu + 1)
+    v = _rect_v_samples(a, nv)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    return rect_embed(a, uu, vv), np.stack([uu, vv], axis=-1)
+
+
 def rect_torus_mesh(a: float, nu: int, nv: int) -> Mesh3:
     """Quad mesh of rect_embed over one fundamental rectangle of T_ia.
 
@@ -306,13 +314,19 @@ def rect_torus_mesh(a: float, nu: int, nv: int) -> Mesh3:
     """
     if nu < 8 or nv < 8:
         raise ValueError("resolutions must be at least 8")
-    a = float(a)
-    u = np.linspace(0.0, 1.0, nu + 1)
-    v = _rect_v_samples(a, nv)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    points = rect_embed(a, uu, vv)
-    uv = np.stack([uu, vv], axis=-1)
-    return _grid_mesh(points, uv)
+    return _grid_mesh(*_rect_surface(float(a), nu, nv))
+
+
+def _hopf_surface(
+    chart: _HopfChart, n_theta: int, n_phi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex grid of the Hopf torus over (theta, t) and its flat zeta as (re, im)."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n_theta + 1)
+    t = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
+    tt_theta, tt_t = np.meshgrid(theta, t, indexing="ij")
+    points = chart.project(tt_theta, tt_t)
+    zeta = chart.zeta(tt_theta, tt_t)
+    return points, np.stack([zeta.real, zeta.imag], axis=-1)
 
 
 def hopf_torus_mesh(
@@ -326,13 +340,7 @@ def hopf_torus_mesh(
     if n_theta < 8 or n_phi < 8:
         raise ValueError("resolutions must be at least 8")
     chart = _chart(curve)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta + 1)
-    t = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
-    tt_theta, tt_t = np.meshgrid(theta, t, indexing="ij")
-    points = chart.project(tt_theta, tt_t)
-    zeta = chart.zeta(tt_theta, tt_t)
-    uv = np.stack([zeta.real, zeta.imag], axis=-1)
-    return _grid_mesh(points, uv), chart.modulus
+    return _grid_mesh(*_hopf_surface(chart, n_theta, n_phi)), chart.modulus
 
 
 def conformality(mesh: Mesh3) -> float:
@@ -547,31 +555,20 @@ def drape_tiling(
     def to_flat(z: np.ndarray) -> np.ndarray:
         return lam * (np.asarray(z, dtype=complex) / tiling.alpha)
 
+    n = int(surface_res)
     if isinstance(target, RectEmbedding):
         a = target.a
-        n = int(surface_res)
-        u = np.linspace(0.0, 1.0, n + 1)
-        v = _rect_v_samples(a, n)
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        points = rect_embed(a, uu, vv)
-        uv = np.stack([uu, vv], axis=-1)
-        centers = (uu[:-1, :-1] + uu[1:, 1:]) / 2.0 + 1j * (
-            (vv[:-1, :-1] + vv[1:, 1:]) / 2.0
-        )
-        flat_centers = centers.ravel()
+        points, uv = _rect_surface(a, n, n)
+        centers = (uv[:-1, :-1] + uv[1:, 1:]) / 2.0
+        flat_centers = (centers[..., 0] + 1j * centers[..., 1]).ravel()
 
         def chart_points(w: np.ndarray) -> np.ndarray:
             return rect_embed(a, w.real, w.imag)
 
     elif isinstance(target, HopfEmbedding):
         chart = _chart(target.curve)
-        n = int(surface_res)
-        theta = np.linspace(0.0, 2.0 * np.pi, n + 1)
-        t = np.linspace(0.0, 2.0 * np.pi, n + 1)
-        tt_theta, tt_t = np.meshgrid(theta, t, indexing="ij")
-        points = chart.project(tt_theta, tt_t)
-        zeta = chart.zeta(tt_theta, tt_t)
-        uv = np.stack([zeta.real, zeta.imag], axis=-1)
+        points, uv = _hopf_surface(chart, n, n)
+        zeta = uv[..., 0] + 1j * uv[..., 1]
         flat_centers = (
             zeta[:-1, :-1] + zeta[1:, 1:] + zeta[:-1, 1:] + zeta[1:, :-1]
         ).ravel() / (4.0 * 2.0 * np.pi)

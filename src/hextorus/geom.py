@@ -189,26 +189,53 @@ def corner_angle(p, k: int) -> float:
     return math.pi + turn
 
 
-def seg_point_dist(a: Point2, b: Point2, p: Point2) -> float:
+def seg_point_dist(a, b, p):
+    """Distance from p to the segment ab: a float for complex scalars, a
+    float array for complex arrays (mixed with scalars) that broadcast."""
     ab = b - a
     denom = _dot(ab, ab)
-    t = 0.0 if denom == 0.0 else min(1.0, max(0.0, _dot(p - a, ab) / denom))
+    t = _dot(p - a, ab)
+    if isinstance(t, float):
+        t = 0.0 if denom == 0.0 else min(1.0, max(0.0, t / denom))
+    else:
+        t = np.clip(t / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
     return abs(a + t * ab - p)
 
 
-def seg_seg_dist(a: Point2, b: Point2, c: Point2, d: Point2) -> float:
+def seg_seg_dist(a, b, c, d):
+    """Distance between the segments ab and cd, 0 where they cross."""
     d1 = _cross(b - a, c - a)
     d2 = _cross(b - a, d - a)
     d3 = _cross(d - c, a - c)
     d4 = _cross(d - c, b - c)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+    crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    if crossing is True:
         return 0.0
-    return min(
-        seg_point_dist(a, b, c),
-        seg_point_dist(a, b, d),
-        seg_point_dist(c, d, a),
-        seg_point_dist(c, d, b),
+    least = min if crossing is False else np.minimum
+    nearest = least(
+        least(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
+        least(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
     )
+    return nearest if crossing is False else np.where(crossing, 0.0, nearest)
+
+
+def _gaps(c):
+    """(kind, i, j, distance) per test, in reporting order, lazily: the
+    corner loop is simple iff every distance exceeds the tolerance."""
+    n = len(c)
+    ends = [c[(k + 1) % n] for k in range(n)]  # side k runs from c[k] to ends[k]
+    for k in range(n):
+        yield "degenerate", k, (k + 1) % n, abs(ends[k] - c[k])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j - i == 1 or (i == 0 and j == n - 1):
+                s, t = (n - 1, 0) if (i == 0 and j == n - 1) else (i, j)
+                # adjacent sides share corner t; only the far endpoints may
+                # come near the other side
+                yield "touch", s, t, seg_point_dist(c[t], ends[t], c[s])
+                yield "touch", s, t, seg_point_dist(c[s], ends[s], ends[t])
+            else:
+                yield "cross", i, j, seg_seg_dist(c[i], ends[i], c[j], ends[j])
 
 
 def first_violation(corners, tol: float = MERGE_TOL):
@@ -218,25 +245,22 @@ def first_violation(corners, tol: float = MERGE_TOL):
     side indices. Unlike :func:`is_simple` this never raises, so callers can
     treat degeneracy as plain rejection.
     """
-    c = tuple(complex(z) for z in corners)
-    n = len(c)
-    for k in range(n):
-        if abs(c[(k + 1) % n] - c[k]) <= tol:
-            return ("degenerate", k, (k + 1) % n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j - i == 1 or (i == 0 and j == n - 1):
-                s, t = (n - 1, 0) if (i == 0 and j == n - 1) else (i, j)
-                # adjacent sides share corner t; only the far endpoints may
-                # come near the other side
-                if seg_point_dist(c[t], c[(t + 1) % n], c[s]) <= tol:
-                    return ("touch", s, t)
-                if seg_point_dist(c[s], c[(s + 1) % n], c[(t + 1) % n]) <= tol:
-                    return ("touch", s, t)
-            else:
-                if seg_seg_dist(c[i], c[(i + 1) % n], c[j], c[(j + 1) % n]) <= tol:
-                    return ("cross", i, j)
+    for kind, i, j, gap in _gaps(tuple(complex(z) for z in corners)):
+        if not gap > tol:  # a NaN distance fails, as in simple_mask
+            return (kind, i, j)
     return None
+
+
+def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
+    """Array form of :func:`first_violation`: True where the loop is simple.
+
+    The corners are complex arrays or scalars that broadcast to one shape.
+    """
+    ok = np.ones(np.broadcast_shapes(*map(np.shape, corners)), dtype=bool)
+    for _, _, _, gap in _gaps(corners):
+        ok &= gap > tol
+        del gap  # free it before the next distance array is built
+    return ok
 
 
 def is_simple(p, tol: float = MERGE_TOL) -> bool:

@@ -9,6 +9,7 @@ minimal moduli.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -195,17 +196,22 @@ def lattices_isometric(tau1: complex, tau2: complex, tol: float = TOL) -> bool:
     return abs(r1 - r2) <= tol
 
 
-def _coprime_pairs(bound: int):
-    """Coprime (a, b), one per sign class, ordered small entries first."""
-    pairs = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if gcd(a, b) != 1:
-                continue
-            if a < 0 or (a == 0 and b < 0):
-                continue
-            pairs.append((a, b))
-    return sorted(pairs, key=lambda p: (max(abs(p[0]), abs(p[1])), abs(p[1]), p[1]))
+@functools.lru_cache(maxsize=8)
+def _search_maps(bound: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(a, b, d0, c0) with a*d0 - b*c0 = 1, one per sign class of coprime
+    (a, b) with entries up to bound, ordered small entries first."""
+    pairs = [
+        (a, b)
+        for a in range(bound + 1)
+        for b in range(-bound, bound + 1)
+        if gcd(a, b) == 1 and (a > 0 or b > 0)
+    ]
+    pairs.sort(key=lambda p: (max(abs(p[0]), abs(p[1])), abs(p[1]), p[1]))
+    maps = []
+    for a, b in pairs:
+        _, x, y = _egcd(a, b)
+        maps.append((a, b, x, -y))
+    return tuple(maps)
 
 
 def rectangular_solve(
@@ -219,9 +225,7 @@ def rectangular_solve(
     """
     target = check_modulus(target)
     m, n, l = h.m, h.n, h.l
-    for a, b in _coprime_pairs(bound):
-        _, x, y = _egcd(a, b)
-        d0, c0 = x, -y  # a*d0 - b*c0 = 1
+    for a, b, d0, c0 in _search_maps(bound):
         tau0 = (c0 + d0 * target) / (a + b * target)
         # adding t to (c, d) along (a, b) shifts the image by t; pick the one
         # shot at Re = l/m

@@ -1,10 +1,9 @@
 """Moduli spaces of the minimal tilings: membership, sampling, components.
 
 A free parameter is admissible exactly when the corresponding constructor
-succeeds, i.e. its hexagon is simple. Membership is evaluated through a
-vectorized twin of the constructors' corner formulas (the hexagon corners are
-affine in the free parameter), so whole grids sample fast; agreement with the
-scalar constructors is a tested property.
+succeeds, i.e. its hexagon is simple. Membership applies the constructors' own
+corner formulas (:func:`hextorus.construct.hexagon_corners`) and simplicity
+test (:mod:`hextorus.geom`), to one parameter or to a whole grid at once.
 """
 
 from __future__ import annotations
@@ -14,17 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .construct import B_POINT, G_PRIME, OMEGA3, R_POINT, ROT120
-from .geom import MERGE_TOL
+from .construct import B_POINT, OMEGA3, R_POINT, hexagon_corners
+from .geom import MERGE_TOL, first_violation, simple_mask
 from .lattice import check_modulus
 
 KINDS = ("i", "ii", "iii", "cs")
-
-_NON_ADJACENT = (
-    (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5),
-)
 
 
 @dataclass(frozen=True)
@@ -85,91 +79,16 @@ def _normalize_fixed(kind: str, fixed):
     return key, (alpha, beta)
 
 
-def _corner_grids(key: str, fixed, free: np.ndarray) -> list[np.ndarray]:
-    """The six hexagon corners as arrays over the free parameter."""
-    T = np.asarray(free, dtype=complex)
-    ones = np.ones_like(T)
-    if key == "i":
-        tau, i = fixed
-        return [tau * ones, (i - 1.0) * ones, 0.0 * ones, i - T, T, i - T + tau]
-    if key == "ii":
-        y, i = fixed
-        gamma_inv_i = 0.5 - i.conjugate() - 0.5j * y
-        return [
-            T,
-            -T,
-            gamma_inv_i * ones,
-            0.5 - np.conj(T) - 0.5j * y,
-            (1.0 - i) * ones,
-            i * ones,
-        ]
-    if key == "iii":
-        return [
-            T,
-            R_POINT * ones,
-            R_POINT + ROT120 * (T - R_POINT),
-            G_PRIME * ones,
-            B_POINT + ROT120.conjugate() * (T - B_POINT),
-            B_POINT * ones,
-        ]
-    alpha, beta = fixed
-    return [T, beta - T, T - alpha, -T, T - beta, alpha - T]
-
-
-def _cross_arr(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u.real * v.imag - u.imag * v.real
-
-
-def _point_seg_dist_arr(a, b, p) -> np.ndarray:
-    ab = b - a
-    denom = ab.real**2 + ab.imag**2
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag)
-    t = np.clip(t / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-    return np.abs(a + t * ab - p)
-
-
-def _seg_seg_dist_arr(a, b, c, d) -> np.ndarray:
-    d1 = _cross_arr(b - a, c - a)
-    d2 = _cross_arr(b - a, d - a)
-    d3 = _cross_arr(d - c, a - c)
-    d4 = _cross_arr(d - c, b - c)
-    crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-    m = np.minimum(
-        np.minimum(_point_seg_dist_arr(a, b, c), _point_seg_dist_arr(a, b, d)),
-        np.minimum(_point_seg_dist_arr(c, d, a), _point_seg_dist_arr(c, d, b)),
-    )
-    return np.where(crossing, 0.0, m)
-
-
-def _simple_mask(corners: list[np.ndarray], tol: float) -> np.ndarray:
-    """Vectorized twin of geom.first_violation: True where the hexagon is simple."""
-    ok = np.ones(corners[0].shape, dtype=bool)
-    for k in range(6):
-        ok &= np.abs(corners[(k + 1) % 6] - corners[k]) > tol
-    for i, j in _NON_ADJACENT:
-        ok &= (
-            _seg_seg_dist_arr(
-                corners[i], corners[(i + 1) % 6], corners[j], corners[(j + 1) % 6]
-            )
-            > tol
-        )
-    for s in range(6):
-        t = (s + 1) % 6
-        ok &= _point_seg_dist_arr(corners[t], corners[(t + 1) % 6], corners[s]) > tol
-        ok &= _point_seg_dist_arr(corners[s], corners[t], corners[(t + 1) % 6]) > tol
-    return ok
-
-
 def membership_mask(kind: str, fixed, free, tol: float = MERGE_TOL) -> np.ndarray:
     """Vectorized membership over an array of free parameters."""
     key, fixed = _normalize_fixed(kind, fixed)
-    free = np.asarray(free, dtype=complex)
-    return _simple_mask(_corner_grids(key, fixed, free), tol)
+    return simple_mask(hexagon_corners(key, fixed, np.asarray(free, complex)), tol)
 
 
 def membership(kind: str, fixed, free: complex, tol: float = MERGE_TOL) -> bool:
     """True iff the constructor of the given kind succeeds at this parameter."""
-    return bool(membership_mask(kind, fixed, np.array([complex(free)]), tol)[0])
+    key, fixed = _normalize_fixed(kind, fixed)
+    return first_violation(hexagon_corners(key, fixed, complex(free)), tol) is None
 
 
 def _default_bbox(key: str, fixed) -> tuple[float, float, float, float]:
@@ -202,14 +121,38 @@ def sample_region(
     if bbox is None:
         bbox = _default_bbox(key, norm)
     grid = RegionGrid(tuple(bbox), int(nx), int(ny), np.zeros((ny, nx), dtype=bool))
-    bits = _simple_mask(_corner_grids(key, norm, grid.cell_centers()), tol)
+    bits = simple_mask(hexagon_corners(key, norm, grid.cell_centers()), tol)
     return RegionGrid(grid.bbox, grid.nx, grid.ny, bits)
 
 
 def connected_components(g: RegionGrid) -> tuple[int, np.ndarray]:
-    """4-connectivity component count and per-cell labels of the true cells."""
-    labels, count = ndimage.label(g.bits)
-    return int(count), labels
+    """4-connectivity component count and per-cell labels of the true cells.
+
+    Labels 1..count number the components in raster order of their first
+    cell, as scipy.ndimage.label does; 0 marks the other cells.
+    """
+    bits = g.bits
+    # number the horizontal runs of true cells in raster order, from 1
+    starts = bits & ~np.pad(bits[:, :-1], ((0, 0), (1, 0)))
+    run_of = np.cumsum(starts).reshape(bits.shape) * bits
+    # runs in adjacent rows touch along a stretch of columns true in both
+    # rows; the first column of each stretch names the touching pair once
+    both = bits[:-1] & bits[1:]
+    first = both & ~np.pad(both[:, :-1], ((0, 0), (1, 0)))
+    upper, lower = run_of[:-1][first] - 1, run_of[1:][first] - 1
+    # hook each root onto the smaller root it touches, then flatten, until
+    # touching runs share a root: the first run of their component
+    root = np.arange(int(starts.sum()))
+    while not np.array_equal(root[upper], root[lower]):
+        ru, rl = root[upper], root[lower]
+        np.minimum.at(root, ru, rl)
+        np.minimum.at(root, rl, ru)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    roots, run_label = np.unique(root, return_inverse=True)
+    labels = np.zeros(bits.shape, dtype=np.int32)
+    labels[bits] = run_label[run_of[bits] - 1] + 1
+    return len(roots), labels
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,31 @@ class TestDocumentRoundTrip:
         assert main(["validate", str(tmp_path / "labels.json")]) == 1
         assert "tiles[0].labels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("beta", [2.0, 0.0], "lattice: covolume"),  # beta parallel to alpha
+            ("beta", [float("nan"), 0.6], "lattice.beta"),
+            ("labels", [0.0, 1, 2, 3, 4, 5.0], "tiles[0].labels"),
+        ],
+        ids=["zero-covolume", "nan-generator", "float-labels"],
+    )
+    def test_malformed_document_is_one_error_line(
+        self, tmp_path, capsys, field, value, where
+    ):
+        path = construct_doc(tmp_path, "i")
+        doc = json.loads(open(path).read())
+        if field == "labels":
+            doc["tiles"][0]["labels"] = value
+        else:
+            doc["lattice"][field] = value
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert main(["validate", str(tmp_path / "bad.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}")
+
     def test_missing_file_is_an_error_not_a_crash(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -49,6 +53,14 @@ def star_oracle(z: complex) -> bool:
     return False
 
 
+FIXED = {
+    "i": (0.6j, 0.2 + 0.2j),
+    "ii": (1.0, 0.35 + 0.05j),
+    "iii": None,
+    "cs": (1.4 + 0.5j, 0.2 + 0.8j),
+}
+
+
 def constructor_succeeds(kind, fixed, free) -> bool:
     builders = {
         "i": lambda: type_i_minimal(fixed[0], (fixed[1], free)),
@@ -70,27 +82,31 @@ class TestMembership:
 
     def test_matches_constructor_success(self):
         rng = np.random.default_rng(20260814)
-        fixed = {
-            "i": (0.6j, 0.2 + 0.2j),
-            "ii": (1.0, 0.35 + 0.05j),
-            "iii": None,
-            "cs": (1.4 + 0.5j, 0.2 + 0.8j),
-        }
         for kind in KINDS:
             for _ in range(300):
                 free = complex(rng.uniform(-1.2, 1.8), rng.uniform(-1.2, 1.2))
-                assert membership(kind, fixed[kind], free) == constructor_succeeds(
-                    kind, fixed[kind], free
+                assert membership(kind, FIXED[kind], free) == constructor_succeeds(
+                    kind, FIXED[kind], free
                 ), (kind, free)
 
-    def test_mask_matches_scalar_membership(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mask_matches_scalar_membership(self, kind):
+        """The array and the scalar simplicity paths agree cell for cell."""
         xs = np.linspace(-0.8, 1.4, 23)
         ys = np.linspace(-0.7, 0.9, 17)
         grid = xs[None, :] + 1j * ys[:, None]
-        mask = membership_mask("iii", None, grid)
-        for k in range(0, grid.size, 7):
+        mask = membership_mask(kind, FIXED[kind], grid)
+        assert mask.any() and not mask.all()
+        for k in range(grid.size):
             z = grid.flat[k]
-            assert mask.flat[k] == membership("iii", None, z)
+            assert mask.flat[k] == membership(kind, FIXED[kind], z), z
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_parameter_is_not_a_member(self, kind):
+        for z in (complex(math.nan, 0.1), complex(0.1, math.inf)):
+            assert not membership(kind, FIXED[kind], z)
+            with np.errstate(invalid="ignore"):
+                assert not membership_mask(kind, FIXED[kind], np.array([z]))[0]
 
     def test_flip_equivariance_on_rectangular_torus(self):
         rng = np.random.default_rng(5)
@@ -180,6 +196,27 @@ class TestConnectedComponents:
         g = sample_region("iii", None, nx=256, ny=256)
         assert connected_components(g)[0] == 1
 
+    def test_labels_match_scipy_reference(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(42)
+        grids = [
+            sample_region("ii", (1.0, 0.2 + 0.2j), nx=512, ny=512).bits,
+            sample_region("ii", (1.0, 0.35 - 0.1j), nx=512, ny=512).bits,
+        ]
+        for density in (0.3, 0.5, 0.6):
+            grids += [rng.random((97, 131)) < density, rng.random((256, 256)) < density]
+        checker = np.indices((9, 12)).sum(axis=0) % 2 == 0
+        grids += [np.zeros((7, 5), bool), np.ones((7, 5), bool), checker]
+        for bits in grids:
+            ny, nx = bits.shape
+            count, labels = connected_components(RegionGrid((0, 1, 0, 1), nx, ny, bits))
+            ref_labels, ref_count = ndimage.label(bits)
+            assert count == ref_count
+            assert np.array_equal(labels, ref_labels)
+        # diagonal neighbours of a checkerboard stay separate
+        count, _ = connected_components(RegionGrid((0, 1, 0, 1), 12, 9, checker))
+        assert count == int(checker.sum())
+
 
 class TestTypeIiiBoundary:
     def test_three_arcs_with_shared_radius(self):
@@ -226,3 +263,14 @@ class TestTypeIiiBoundary:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             type_iii_boundary(1)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, hextorus; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
