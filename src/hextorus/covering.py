@@ -8,10 +8,14 @@ tile count, list the sublattice triples whose minimal tiling exists.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .construct import OMEGA3, TorusTiling
 from .lattice import (
     HnfTriple,
     IntBasis,
+    LatticeFrame,
+    NearPairs,
     check_modulus,
     covering_modulus,
     enumerate_hnf,
@@ -40,62 +44,51 @@ def build_cover(t: TorusTiling, h: HnfTriple) -> TorusTiling:
     )
 
 
-def _cross(a: complex, b: complex) -> float:
-    return a.real * b.imag - a.imag * b.real
-
-
-def _quotient_dist(d: complex, alpha: complex, beta: complex) -> float:
-    """Distance from d to the nearest lattice point (for near-zero tests)."""
-    det = _cross(alpha, beta)
-    x = _cross(d, beta) / det
-    y = _cross(alpha, d) / det
-    x -= round(x)
-    y -= round(y)
-    return abs(x * alpha + y * beta)
-
-
-def _maps_tiles_to_tiles(t: TorusTiling, delta: complex, tol: float) -> bool:
-    """Does translation by delta permute the tile set modulo the lattice?"""
-    for tile in t.tiles:
-        shifted = tuple(z + delta for z in tile.corners)
-        n = len(shifted)
-        hit = False
-        for other in t.tiles:
-            if len(other.corners) != n:
-                continue
-            for start in range(n):
-                if all(
-                    _quotient_dist(
-                        shifted[k] - other.corners[(start + k) % n],
-                        t.alpha,
-                        t.beta,
-                    )
-                    <= tol
-                    for k in range(n)
-                ):
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            return False
-    return True
-
-
 def is_minimal(t: TorusTiling, tol: float = 1e-9) -> bool:
     """True iff no translation outside the lattice preserves the tile set.
 
     Any such translation must send tile 0 to some tile j, so the centroid
-    differences are a complete candidate list.
+    differences are a complete candidate list. A candidate preserves the tile
+    set when every shifted tile meets a tile of its corner count corner by
+    corner from some cyclic start, each corner within tol modulo the lattice.
+    The corners that a shifted corner 0 meets are looked up in a hash of all
+    corners; a candidate under which corner 0 of tile 1 meets no corner is
+    dropped before the full test.
     """
-    centroids = [
-        sum(tile.corners) / len(tile.corners) for tile in t.tiles
-    ]
-    for j in range(1, len(t.tiles)):
-        delta = centroids[j] - centroids[0]
-        if _quotient_dist(delta, t.alpha, t.beta) <= tol:
-            continue  # lattice translation, not a proper symmetry
-        if _maps_tiles_to_tiles(t, delta, tol):
+    tiles = t.tiles
+    if len(tiles) < 2:
+        return True
+    frame = LatticeFrame(t.alpha, t.beta)
+    sizes = np.array([len(tile.corners) for tile in tiles])
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(tiles)), sizes)
+    corners = np.array([z for tile in tiles for z in tile.corners], dtype=complex)
+    index = NearPairs(frame, corners, tol)
+
+    def meets(a, b):
+        d = frame.frac(a - b)
+        return frame.norm(d - np.round(d)) <= tol
+
+    centroids = [sum(tile.corners) / len(tile.corners) for tile in tiles]
+    deltas = np.array(centroids[1:], dtype=complex) - centroids[0]
+    deltas = deltas[~meets(deltas, 0.0)]  # lattice translations are no symmetry
+    q, r = index.pairs(corners[first[1]] + deltas)
+    q = q[meets(corners[first[1]] + deltas[q], corners[r])]
+    for delta in deltas[np.bincount(q, minlength=len(deltas)) > 0]:
+        tile, r = index.pairs(corners[first] + delta)
+        other = owner[r]
+        keep = sizes[other] == sizes[tile]
+        tile, other, start = tile[keep], other[keep], (r - first[other])[keep]
+        # every corner of each (tile, other tile, cyclic start) candidate
+        n = sizes[tile]
+        cand = np.repeat(np.arange(len(tile)), n)
+        k = np.arange(len(cand)) - np.repeat(np.cumsum(n) - n, n)
+        ok = meets(
+            corners[first[tile][cand] + k] + delta,
+            corners[first[other][cand] + (start[cand] + k) % n[cand]],
+        )
+        fits = np.bincount(cand[~ok], minlength=len(tile)) == 0
+        if np.bincount(tile[fits], minlength=len(tiles)).all():
             return False
     return True
 

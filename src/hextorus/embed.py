@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Polygon
-from .lattice import UnimodularMap, sl2_reduce
+from .lattice import LatticeFrame, UnimodularMap, sl2_reduce
 from .validate import validate
 
 
@@ -488,12 +488,7 @@ def _point_in_polygon(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
     """Tile index containing each flat point of the tiling's plane."""
     alpha, beta = tiling.alpha, tiling.beta
-    basis = np.array([[alpha.real, alpha.imag], [beta.real, beta.imag]])
-    inv = np.linalg.inv(basis)
-    xy = np.stack([centers.real, centers.imag], axis=-1)
-    frac = xy @ inv
-    frac -= np.floor(frac)
-    reduced = frac[..., 0] * alpha + frac[..., 1] * beta
+    reduced = LatticeFrame(alpha, beta).reduce(centers)
     labels = np.full(centers.shape, -1, dtype=int)
     for index, tile in enumerate(tiling.tiles):
         corners = np.array(tile.corners, dtype=complex)
@@ -538,6 +533,8 @@ def drape_tiling(
     """
     if subdivisions < 32:
         raise ValueError("need at least 32 subdivisions per edge")
+    if surface_res < 1:
+        raise ValueError(f"surface resolution must be positive, got {surface_res}")
     report = validate(tiling)
     if not report.passed:
         raise ValueError(f"tiling does not validate: {report.failures[:3]}")

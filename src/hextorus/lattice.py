@@ -3,8 +3,9 @@
 A torus modulus is a complex number tau with Im(tau) > 0, standing for the
 lattice Z + Z*tau. This module provides the SL(2,Z) action and reduction,
 Hermite normal form for finite-index sublattices, sublattice enumeration,
-covering moduli, lattice isometry tests, and a bounded search for rectangular
-minimal moduli.
+covering moduli, lattice isometry tests, a bounded search for rectangular
+minimal moduli, and the lattice frame that reduces points modulo a lattice
+and finds the pairs of points that lie close modulo it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import functools
 import math
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 TOL = 1e-9
 
@@ -237,3 +240,130 @@ def rectangular_solve(
             continue
         return 1j * (m * tau0.imag / n)
     return None
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (np.unique would import numpy.ma on first use)."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+class LatticeFrame:
+    """The lattice Z*alpha + Z*beta in coordinates.
+
+    ``frac`` gives the coordinates of points in the basis (alpha, beta) as a
+    trailing axis of length 2, ``norm`` the Euclidean length of such a
+    coordinate vector, and ``reduce`` moves points into the fundamental
+    parallelogram [0, 1) alpha + [0, 1) beta.
+    """
+
+    def __init__(self, alpha: complex, beta: complex):
+        self.alpha, self.beta = complex(alpha), complex(beta)
+        self.basis = np.array(
+            [[self.alpha.real, self.alpha.imag], [self.beta.real, self.beta.imag]]
+        )
+        self.inv_basis = np.linalg.inv(self.basis)
+
+    def frac(self, pts) -> np.ndarray:
+        pts = np.asarray(pts, dtype=complex)
+        return np.stack([pts.real, pts.imag], axis=-1) @ self.inv_basis
+
+    def norm(self, frac_delta: np.ndarray) -> np.ndarray:
+        xy = frac_delta @ self.basis
+        return np.hypot(xy[..., 0], xy[..., 1])
+
+    def reduce(self, pts) -> np.ndarray:
+        frac = self.frac(pts)
+        frac -= np.floor(frac)
+        return frac[..., 0] * self.alpha + frac[..., 1] * self.beta
+
+
+class NearPairs:
+    """Candidate pairs of points that lie within a radius modulo a lattice.
+
+    A sort-based spatial hash (Teschner et al., "Optimized Spatial Hashing for
+    Collision Detection of Deformable Objects", VMV 2003). The reference
+    points are reduced into the fundamental parallelogram of a reduced basis,
+    copied across its edges as far as the radius reaches, and sorted by
+    square grid cell of side the radius; a query point reads the 3 x 3 cells
+    around its own reduced position with ``searchsorted``. The radius is
+    widened by a margin for the rounding of the reduction, so every pair
+    within the radius is found; callers decide each candidate themselves.
+    """
+
+    def __init__(self, frame: LatticeFrame, ref, radius: float):
+        tau = frame.beta / frame.alpha
+        sign = 1.0 if tau.imag >= 0.0 else -1.0
+        try:
+            _, mu = sl2_reduce(sign * tau)
+        except ValueError:
+            pass  # a non-finite lattice: no point reduces to a finite one
+        else:
+            alpha, beta = frame.alpha, sign * frame.beta
+            frame = LatticeFrame(mu.a * alpha + mu.b * beta, mu.c * alpha + mu.d * beta)
+        self.frame = frame
+        ref = np.asarray(ref, dtype=complex).ravel()
+        self.n_ref = len(ref)
+        frac = frame.frac(ref)
+        index = np.flatnonzero(np.isfinite(frac).all(axis=-1))
+        ref, frac = ref[index], frac[index] - np.floor(frac[index])
+        scale = max(abs(frame.alpha), abs(frame.beta))
+        self.reach = radius + 1e-9 * scale + 1e-12 * np.abs(ref).max(initial=0.0)
+        if not self.reach > 0.0:  # a negative or NaN radius admits no pair
+            index, ref, frac = index[:0], ref[:0], frac[:0]
+        # the copy of a point shifted by k*alpha + j*beta lies within reach of
+        # the parallelogram only if (k, j) plus its coordinates lies within
+        # margin of [0, 1]^2; in a reduced basis the nearest copy of any point
+        # has |k|, |j| <= 1 (2 allows for rounding), whatever the radius
+        margin = self.reach * np.hypot(frame.inv_basis[0], frame.inv_basis[1])
+        lo = np.maximum(np.ceil(-margin - frac), -2.0).astype(np.int64)
+        hi = np.minimum(np.floor(1.0 + margin - frac), 2.0).astype(np.int64)
+        span = hi - lo + 1
+        copies = span[:, 0] * span[:, 1]
+        src = np.repeat(np.arange(len(ref)), copies)
+        j = np.arange(len(src)) - np.repeat(np.cumsum(copies) - copies, copies)
+        k0 = lo[src, 0] + j // span[src, 1]
+        k1 = lo[src, 1] + j % span[src, 1]
+        pts = (frac[src, 0] + k0) * frame.alpha + (frac[src, 1] + k1) * frame.beta
+        cx, cy = self._cells(pts)
+        # a cell is keyed by the ranks of its two coordinates, which stay below
+        # the point count whatever the ratio of the coordinates to the radius
+        self.xs, self.ys = _distinct(cx), _distinct(cy)
+        key = np.searchsorted(self.xs, cx) * len(self.ys) + np.searchsorted(self.ys, cy)
+        order = np.argsort(key, kind="stable")
+        self.key, self.pts, self.src = key[order], pts[order], index[src[order]]
+
+    def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.floor(pts.real / self.reach).astype(np.int64),
+            np.floor(pts.imag / self.reach).astype(np.int64),
+        )
+
+    def pairs(self, query) -> tuple[np.ndarray, np.ndarray]:
+        """(query index, reference index) of every pair of points within the
+        radius of each other modulo the lattice, each pair once, sorted."""
+        z = self.frame.reduce(np.asarray(query, dtype=complex).ravel())
+        index = np.flatnonzero(np.isfinite(z))
+        if not len(index) or not len(self.key):
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        z = z[index]
+        cx, cy = self._cells(z)
+        # the cells (cx + dx, cy - 1 .. cy + 1) of the three columns dx are
+        # one run of keys each
+        ny = len(self.ys)
+        cx = np.concatenate([cx - 1, cx, cx + 1])
+        cy = np.concatenate([cy, cy, cy])
+        row = np.searchsorted(self.xs, cx)
+        found = self.xs[np.minimum(row, len(self.xs) - 1)] == cx
+        lo = row * ny + np.searchsorted(self.ys, cy - 1, side="left")
+        hi = row * ny + np.searchsorted(self.ys, cy + 1, side="right")
+        start = np.where(found, np.searchsorted(self.key, lo), 0)
+        count = np.where(found, np.searchsorted(self.key, hi), 0) - start
+        q = np.repeat(np.tile(np.arange(len(z)), 3), count)
+        r = np.arange(len(q)) - np.repeat(np.cumsum(count) - count - start, count)
+        near = np.abs(z[q] - self.pts[r]) <= self.reach
+        keys = _distinct(index[q[near]] * self.n_ref + self.src[r[near]])
+        return keys // self.n_ref, keys % self.n_ref

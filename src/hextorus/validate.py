@@ -5,6 +5,21 @@ matched by exactly one reversed side modulo the lattice, every vertex is a
 full vertex of degree 3 with angles summing to 2pi, all tiles are congruent,
 and the areas fill one fundamental domain. The checks work directly on corner
 coordinates and share no code with the constructors' corner formulas.
+
+Two points meet modulo the lattice when the difference of their lattice
+coordinates, less its rounding, is at most tol long. The pairs worth testing
+come from a spatial hash modulo the lattice (``lattice.NearPairs``), which
+returns every pair of points within a given radius of each other:
+- corner pairs within 3*tol, for clustering, for the ambiguity band
+  (tol, 3*tol], and for side matching, since side k can match side j only
+  if the start of k meets the end of j;
+- cluster and side-midpoint pairs within half the longest side plus tol,
+  for half vertices.
+Every pair the formulas could accept is among these candidates, and each
+candidate is accepted or rejected by the same formulas an all-pairs
+comparison applies. So verdicts, censuses and failure lists are those of
+the all-pairs check, while time and memory grow with the corner count
+instead of its square.
 """
 
 from __future__ import annotations
@@ -14,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import congruent, corner_angle, is_simple
+from .geom import congruent, corner_angle, is_simple, seg_point_dist
+from .lattice import LatticeFrame, NearPairs
 
 ANGLE_TOL = 1e-9
 
@@ -56,6 +72,20 @@ class ValidationReport:
     failures: tuple[tuple[str, str], ...]
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least member index of the connected component of each of n nodes
+    under the edges (a[k], b[k])."""
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        np.minimum.at(low, b, label[a])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 class _Analysis:
     """Corner clustering and side matching of one tiling, modulo the lattice."""
 
@@ -63,132 +93,111 @@ class _Analysis:
         self.tol = tol
         tiles = tiling.tiles
         self.f = len(tiles)
-        alpha, beta = complex(tiling.alpha), complex(tiling.beta)
-        self.basis = np.array(
-            [[alpha.real, alpha.imag], [beta.real, beta.imag]]
-        )
-        self.inv_basis = np.linalg.inv(self.basis)
+        self.frame = LatticeFrame(tiling.alpha, tiling.beta)
 
         corners = []
+        nxt = []  # corner index of the next corner around the same tile
         self.owner = []  # (tile index, corner position)
         for ti, tile in enumerate(tiles):
+            n = len(tile.corners)
             for ci, z in enumerate(tile.corners):
+                nxt.append(len(corners) - ci + (ci + 1) % n)
                 corners.append(z)
                 self.owner.append((ti, ci))
         self.corners = np.array(corners, dtype=complex)
         self.angles = np.array(
             [corner_angle(tiles[ti], ci) for ti, ci in self.owner]
         )
+        # side k runs from corner k to corner nxt[k], so side prev[k] ends at
+        # corner k, and side k belongs to owner[k]
+        nxt = np.array(nxt, dtype=np.int64)
+        self.side_p = self.corners
+        self.side_q = self.corners[nxt]
+        self.prev = np.empty_like(nxt)
+        self.prev[nxt] = np.arange(len(nxt))
 
-        starts, ends = [], []
-        self.side_owner = []
-        for ti, tile in enumerate(tiles):
-            n = len(tile.corners)
-            for ci in range(n):
-                starts.append(tile.corners[ci])
-                ends.append(tile.corners[(ci + 1) % n])
-                self.side_owner.append((ti, ci))
-        self.side_p = np.array(starts, dtype=complex)
-        self.side_q = np.array(ends, dtype=complex)
-
-        self._cluster()
-        self._match_sides()
+        self._match_sides(*self._cluster())
         self._find_half_vertices()
 
-    def _frac(self, pts: np.ndarray) -> np.ndarray:
-        xy = np.stack([pts.real, pts.imag], axis=-1)
-        return xy @ self.inv_basis
-
-    def _embed_norm(self, frac_delta: np.ndarray) -> np.ndarray:
-        xy = frac_delta @ self.basis
-        return np.hypot(xy[..., 0], xy[..., 1])
-
-    def _cluster(self) -> None:
+    def _cluster(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cluster the corners; return the corner pairs within 3*tol."""
         tol = self.tol
-        frac = self._frac(self.corners)
-        diff = frac[:, None, :] - frac[None, :, :]
-        dist = self._embed_norm(diff - np.round(diff))
-        n = len(self.corners)
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        close = np.argwhere(dist <= tol)
-        for a, b in close:
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[rb] = ra
-        roots = [find(k) for k in range(n)]
-        ambiguous = np.argwhere((dist > tol) & (dist <= 3.0 * tol))
-        for a, b in ambiguous:
-            if roots[int(a)] != roots[int(b)]:
-                raise ToleranceAmbiguityError(
-                    f"corners {int(a)} and {int(b)} are {dist[a, b]:.3e} apart, "
-                    f"inside the ambiguous band ({tol:.1e}, {3 * tol:.1e}]"
-                )
-        index_of_root: dict[int, int] = {}
-        self.cluster_of = []
-        for k in range(n):
-            r = roots[k]
-            if r not in index_of_root:
-                index_of_root[r] = len(index_of_root)
-            self.cluster_of.append(index_of_root[r])
-        self.n_clusters = len(index_of_root)
-        self.members: list[list[int]] = [[] for _ in range(self.n_clusters)]
-        for k, c in enumerate(self.cluster_of):
-            self.members[c].append(k)
-        self.reps = np.array(
-            [self.corners[m[0]] for m in self.members], dtype=complex
+        frac = self.frame.frac(self.corners)
+        a, b = NearPairs(self.frame, self.corners, 3.0 * tol).pairs(self.corners)
+        diff = frac[a] - frac[b]
+        dist = self.frame.norm(diff - np.round(diff))
+        close = dist <= tol
+        roots = _components(len(self.corners), a[close], b[close])
+        ambiguous = np.flatnonzero(
+            (dist > tol) & (dist <= 3.0 * tol) & (roots[a] != roots[b])
         )
+        if len(ambiguous):
+            k = ambiguous[0]
+            raise ToleranceAmbiguityError(
+                f"corners {int(a[k])} and {int(b[k])} are {dist[k]:.3e} apart, "
+                f"inside the ambiguous band ({tol:.1e}, {3 * tol:.1e}]"
+            )
+        # a root is the least corner index of its cluster, so clusters are
+        # numbered in order of their first corner
+        is_root = roots == np.arange(len(roots))
+        first = np.flatnonzero(is_root)
+        self.cluster_of = (np.cumsum(is_root) - 1)[roots]
+        self.n_clusters = len(first)
+        order = np.argsort(self.cluster_of, kind="stable")
+        sizes = np.bincount(self.cluster_of, minlength=self.n_clusters)
+        self.members = np.split(order, np.cumsum(sizes))[:-1]
+        self.reps = self.corners[first]
+        return a, b
 
-    def _match_sides(self) -> None:
+    def _match_sides(self, a: np.ndarray, b: np.ndarray) -> None:
+        # sides k and j can match only if the start of k lies within tol of
+        # the end of j, so the corner pairs (k, end of j) are the candidates
         tol = self.tol
-        pf = self._frac(self.side_p)
-        qf = self._frac(self.side_q)
-        d1 = pf[:, None, :] - qf[None, :, :]
+        k, j = a, self.prev[b]
+        pf = self.frame.frac(self.side_p)
+        qf = self.frame.frac(self.side_q)
+        d1 = pf[k] - qf[j]
         offsets = np.round(d1)
-        r1 = self._embed_norm(d1 - offsets)
-        d2 = qf[:, None, :] - pf[None, :, :]
-        r2 = self._embed_norm(d2 - offsets)
-        self.matches = (r1 <= tol) & (r2 <= tol)
-        self.partner_count = self.matches.sum(axis=1)
+        r1 = self.frame.norm(d1 - offsets)
+        d2 = qf[k] - pf[j]
+        r2 = self.frame.norm(d2 - offsets)
+        matched = (r1 <= tol) & (r2 <= tol)
+        self.partner_count = np.bincount(k[matched], minlength=len(self.side_p))
+        # the match relation is symmetric, so pairs with k <= j (k == j for
+        # torus-wrapping self-matches) count unordered pairs
+        self.pairs = int(np.count_nonzero(k[matched] <= j[matched]))
 
     def _find_half_vertices(self) -> None:
+        # a cluster on side s lies within half its length plus tol of the
+        # side's midpoint, so those pairs are the candidates
         tol = self.tol
-        mid_f = self._frac((self.side_p + self.side_q) / 2.0)
-        rep_f = self._frac(self.reps)
-        base = np.round(rep_f[:, None, :] - mid_f[None, :, :])
-        z = self.reps[:, None]
-        through = np.zeros((self.n_clusters, len(self.side_p)), dtype=bool)
+        mids = (self.side_p + self.side_q) / 2.0
+        half = np.fmax.reduce(np.abs(self.side_q - self.side_p), initial=0.0) / 2.0
+        c, s = NearPairs(self.frame, mids, half + tol).pairs(self.reps)
+        mid_f = self.frame.frac(mids)
+        rep_f = self.frame.frac(self.reps)
+        base = np.round(rep_f[c] - mid_f[s])
+        z, p, q = self.reps[c], self.side_p[s], self.side_q[s]
+        through = np.zeros(len(c), dtype=bool)
         for ox in (-1.0, 0.0, 1.0):
             for oy in (-1.0, 0.0, 1.0):
                 k = base + np.array([ox, oy])
-                shift_xy = k @ self.basis
+                shift_xy = k @ self.frame.basis
                 shift = shift_xy[..., 0] + 1j * shift_xy[..., 1]
-                a = self.side_p[None, :] + shift
-                b = self.side_q[None, :] + shift
-                ab = b - a
-                denom = ab.real**2 + ab.imag**2
-                t = ((z - a).real * ab.real + (z - a).imag * ab.imag)
-                t = np.clip(t / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-                seg_d = np.abs(a + t * ab - z)
+                a = p + shift
+                b = q + shift
                 on_interior = (
-                    (seg_d <= tol) & (np.abs(z - a) > tol) & (np.abs(z - b) > tol)
+                    (seg_point_dist(a, b, z) <= tol)
+                    & (np.abs(z - a) > tol)
+                    & (np.abs(z - b) > tol)
                 )
                 through |= on_interior
-        self.through_count = through.sum(axis=1)
+        self.through_count = np.bincount(c[through], minlength=self.n_clusters)
         self.is_half = self.through_count > 0
 
     def census(self) -> TilingCensus:
-        # the match relation is symmetric, so the upper triangle (with the
-        # diagonal for torus-wrapping self-matches) counts unordered pairs
-        pairs = int(np.triu(self.matches).sum())
         unmatched = int((self.partner_count == 0).sum())
-        e = pairs + unmatched
+        e = self.pairs + unmatched
         v_k: Counter = Counter()
         h_l: Counter = Counter()
         for c in range(self.n_clusters):
@@ -223,7 +232,7 @@ def validate(tiling, tol: float = 1e-9) -> ValidationReport:
     cen = analysis.census()
 
     for k, count in enumerate(analysis.partner_count):
-        ti, ci = analysis.side_owner[k]
+        ti, ci = analysis.owner[k]
         if count == 0:
             failures.append(("unmatched-side", f"side {ci} of tile {ti}"))
         elif count > 1:

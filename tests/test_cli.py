@@ -288,3 +288,21 @@ class TestRenderObj:
             ["render", "obj", path, "--embed", "rect:2", "--res", "48"]
         ) == 1
         assert "reduces to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("res", ["0", "-3"])
+    @pytest.mark.parametrize("kind,embed", [("i", "rect"), ("iii", "hopf:w3")])
+    def test_non_positive_resolution_is_one_error_line(
+        self, tmp_path, capsys, kind, embed, res
+    ):
+        path = construct_doc(tmp_path, kind)
+        out_path = tmp_path / "mesh.obj"
+        capsys.readouterr()
+        assert main(
+            ["render", "obj", path, f"--embed={embed}", f"--res={res}", "-o", str(out_path)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "resolution" in lines[0]
+        assert not out_path.exists()

@@ -19,6 +19,8 @@ from hextorus.lattice import (
     IDENTITY_MAP,
     HnfTriple,
     IntBasis,
+    LatticeFrame,
+    NearPairs,
     SingularBasisError,
     UnimodularMap,
     check_modulus,
@@ -378,3 +380,60 @@ def test_window_oracle_random_bases():
         h = hnf_of_basis((a, b, c, d))
         half = min(h.index, 25) + max(h.m, h.n, h.l)
         assert same_sublattice((a, b, c, d), triple_basis(h), half)
+
+
+class TestNearPairs:
+    """The hashed query against distances to every lattice translate."""
+
+    def gaps(self, alpha, beta, query, ref):
+        """Distance from each query point to the nearest translate of each
+        reference point, over translates up to 25 basis steps away."""
+        basis = np.array([[alpha.real, beta.real], [alpha.imag, beta.imag]])
+
+        def reduced(z):
+            frac = np.linalg.solve(basis, np.stack([z.real, z.imag]))
+            frac -= np.floor(frac)
+            return frac[0] * alpha + frac[1] * beta
+
+        k = np.arange(-25, 26)
+        shifts = (k[:, None] * alpha + k[None, :] * beta).ravel()
+        ref = reduced(ref)
+        return np.array(
+            [np.abs(z - ref[:, None] - shifts).min(axis=1) for z in reduced(query)]
+        )
+
+    @pytest.mark.parametrize(
+        "alpha,beta,radius",
+        [
+            (1.0, 0.3 + 0.8j, 0.05),
+            (1.0, 0.3 + 0.8j, 0.0),
+            (1.0, 0.3 + 0.8j, 2.5),  # beyond the width of the parallelogram
+            (2.0 + 0.5j, 1.9 + 0.7j, 0.2),  # a long thin parallelogram
+            (1.0, 10.0 + 0.1j, 0.03),  # a basis far from reduced
+            (0.5j, -3.0 + 0.1j, 0.3),  # negatively oriented basis
+        ],
+    )
+    def test_pairs_are_every_pair_within_radius(self, alpha, beta, radius):
+        rng = np.random.default_rng(7)
+        ref = rng.uniform(-3, 3, 60) + 1j * rng.uniform(-3, 3, 60)
+        query = np.concatenate(
+            [ref[:20] + 3 * alpha - beta, rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)]
+        )
+        q, r = NearPairs(LatticeFrame(alpha, beta), ref, radius).pairs(query)
+        gap = self.gaps(complex(alpha), complex(beta), query, ref)
+        found = set(zip(q.tolist(), r.tolist()))
+        assert len(found) == len(q)
+        assert list(zip(q.tolist(), r.tolist())) == sorted(found)
+        assert set(zip(*np.nonzero(gap <= radius))) <= found
+        assert all(gap[i, j] <= radius + 1e-6 for i, j in found)
+
+    def test_non_finite_and_empty_inputs_give_no_pairs(self):
+        frame = LatticeFrame(1.0, 1j)
+        q, r = NearPairs(frame, np.array([0.2, np.nan, 0.2 + np.inf * 1j]), 0.1).pairs(
+            np.array([0.2 + 1j, np.nan])
+        )
+        assert q.tolist() == [0] and r.tolist() == [0]
+        q, r = NearPairs(frame, np.zeros(0, dtype=complex), 0.1).pairs(np.array([0.2]))
+        assert len(q) == len(r) == 0
+        q, r = NearPairs(frame, np.array([0.2]), -1.0).pairs(np.array([0.2]))
+        assert len(q) == 0
