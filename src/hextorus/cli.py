@@ -348,22 +348,22 @@ def write_svg(tiling, extent: int = 1) -> str:
 
 def write_obj(mesh) -> str:
     """ASCII OBJ: v/vt/f records grouped as tile_<i>, l records for edges."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    for uv in mesh.uv:
-        lines.append(f"vt {uv[0]:.9g} {uv[1]:.9g}")
-    for gid in sorted(set(int(g) for g in mesh.groups)):
-        lines.append(f"g tile_{gid}")
-        for quad, group in zip(mesh.quads, mesh.groups):
-            if int(group) != gid:
-                continue
-            lines.append("f " + " ".join(f"{i + 1}/{i + 1}" for i in quad))
+    vertex = "v {:.9g} {:.9g} {:.9g}".format
+    lines = [vertex(*v) for v in mesh.vertices.tolist()]
+    lines += ["vt {:.9g} {:.9g}".format(*uv) for uv in mesh.uv.tolist()]
+    # faces by group, in mesh order within each group
+    by_group = np.argsort(mesh.groups, kind="stable")
+    face = "f {0}/{0} {1}/{1} {2}/{2} {3}/{3}".format
+    gid = None
+    for group, quad in zip(mesh.groups[by_group].tolist(), (mesh.quads[by_group] + 1).tolist()):
+        if group != gid:
+            gid = group
+            lines.append(f"g tile_{gid}")
+        lines.append(face(*quad))
     base = len(mesh.vertices)
     for i, polyline in enumerate(mesh.polylines):
         lines.append(f"g tile_{i}_edges")
-        for p in polyline:
-            lines.append(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
+        lines += [vertex(*p) for p in polyline.tolist()]
         lines.append("l " + " ".join(str(base + k + 1) for k in range(len(polyline))))
         base += len(polyline)
     return "\n".join(lines) + "\n"

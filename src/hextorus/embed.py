@@ -343,6 +343,71 @@ def hopf_torus_mesh(
     return _grid_mesh(*_hopf_surface(chart, n_theta, n_phi)), chart.modulus
 
 
+def _stars(quads: np.ndarray, nv: int) -> np.ndarray:
+    """Stencil rows (v, p1, m1, p1', m1', p2, m2, p2', m2') of a quad mesh.
+
+    A vertex qualifies when it has exactly four distinct neighbours. Its
+    first neighbour is the one whose directed edge comes first in the walk
+    over quads, then corners, forward edge before reverse; the opposite of
+    it is the one other neighbour that shares no quad with it through the
+    vertex, and the remaining two, in walk order, form the second axis.
+    Each axis is extended one step through its neighbour's own axis that
+    contains the vertex, and a row is kept only if all four steps exist.
+    """
+    nq = len(quads)
+    ahead = np.roll(quads, -1, axis=1)
+    # directed edges in walk order, at position 8 * quad + 2 * corner + (0
+    # forward, 1 reverse); the stable sort keeps each (src, dst) run in
+    # walk order, so a run starts at its first edge
+    src = np.stack([quads, ahead], axis=2).ravel()
+    dst = np.stack([ahead, quads], axis=2).ravel()
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    run = np.cumsum(starts) - 1  # (src, dst) run of each sorted edge
+    head = np.flatnonzero(starts)  # first sorted edge of each run
+    # the runs of one vertex are consecutive; keep the vertices with four
+    runs4 = np.flatnonzero(np.bincount(src[head], minlength=nv)[src[head]] == 4)
+    runs4 = runs4.reshape(-1, 4)
+    runs4 = np.take_along_axis(runs4, np.argsort(order[head][runs4], axis=1), axis=1)
+    verts = src[head[runs4[:, 0]]]
+    # a neighbour touches the first one when some quad holds both edges
+    first = np.full(nv, -1)
+    first[verts] = runs4[:, 0]
+    in_first = run == first[src]
+    key = src * nq + order // 8  # (vertex, quad) of each sorted edge, packed
+    first_keys = np.sort(key[in_first])
+    other = np.flatnonzero((first[src] >= 0) & ~in_first)
+    at = np.minimum(np.searchsorted(first_keys, key[other]), len(first_keys) - 1)
+    touches = np.zeros(len(head), dtype=bool)
+    touches[run[other[first_keys[at] == key[other]]]] = True
+    apart = ~touches[runs4[:, 1:]]
+    one = apart.sum(axis=1) == 1
+    verts, runs4, apart = verts[one], runs4[one], apart[one]
+    # columns of runs4 in axis order: first, its opposite, the other two
+    cols = np.column_stack([
+        np.zeros(len(verts), dtype=int),
+        1 + np.argmax(apart, axis=1),
+        1 + np.flatnonzero(~apart).reshape(-1, 2) % 3,
+    ])
+    axes = np.full((nv, 4), -1)
+    axes[verts] = dst[head[np.take_along_axis(runs4, cols, axis=1)]]
+
+    def extend(n: np.ndarray) -> np.ndarray:
+        """Step past neighbour n along n's first axis that contains v."""
+        a = axes[n]
+        return np.select(
+            [a[:, k] == verts for k in range(4)], [a[:, 1], a[:, 0], a[:, 3], a[:, 2]], -1
+        )
+
+    p1, m1, p2, m2 = axes[verts].T
+    rows = np.column_stack(
+        [verts, p1, m1, extend(p1), extend(m1), p2, m2, extend(p2), extend(m2)]
+    )
+    return rows[(rows >= 0).all(axis=1)]
+
+
 def conformality(mesh: Mesh3) -> float:
     """Worst anisotropy of the uv -> R3 map over interior vertices.
 
@@ -353,58 +418,12 @@ def conformality(mesh: Mesh3) -> float:
     far below the anisotropy of any genuinely non-conformal map. The
     return value is the max over vertices of sqrt(lambda_max/lambda_min)
     - 1 for the pullback metric J^T J (0 for an exactly conformal map).
+    The stencils come from sorting the quads' directed edges (see _stars),
+    with no per-edge Python.
     """
-    edge: dict[int, dict[int, set[int]]] = {}
-    for qi, quad in enumerate(mesh.quads):
-        q = [int(i) for i in quad]
-        for k in range(4):
-            i, j = q[k], q[(k + 1) % 4]
-            edge.setdefault(i, {}).setdefault(j, set()).add(qi)
-            edge.setdefault(j, {}).setdefault(i, set()).add(qi)
-    # Opposite neighbors share no quad with each other through the center;
-    # that pairs each full 4-star into two grid axes, and repeating the
-    # pairing at a neighbor walks one more step along the same axis.
-    pairs: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    for v, nbrs in edge.items():
-        if len(nbrs) != 4:
-            continue
-        names = list(nbrs)
-        first = names[0]
-        opposite = [n for n in names[1:] if not (nbrs[first] & nbrs[n])]
-        if len(opposite) != 1:
-            continue
-        rest = [n for n in names[1:] if n != opposite[0]]
-        pairs[v] = ((first, opposite[0]), (rest[0], rest[1]))
-
-    def _extend(v: int, n: int) -> int:
-        got = pairs.get(n)
-        if got is None:
-            return -1
-        for a, b in got:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        return -1
-
-    stars: list[list[int]] = []
-    for v, ((p1, m1), (p2, m2)) in pairs.items():
-        row = [
-            v,
-            p1,
-            m1,
-            _extend(v, p1),
-            _extend(v, m1),
-            p2,
-            m2,
-            _extend(v, p2),
-            _extend(v, m2),
-        ]
-        if -1 not in row:
-            stars.append(row)
-    if not stars:
+    idx = _stars(mesh.quads, len(mesh.vertices))
+    if not len(idx):
         raise ValueError("mesh has no interior vertices")
-    idx = np.array(stars)
 
     def _deriv(values: np.ndarray, base: int) -> np.ndarray:
         plus1 = values[idx[:, base]]

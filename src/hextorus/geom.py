@@ -6,7 +6,9 @@ Points of the plane are represented as complex numbers ``x + 1j*y``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,18 +177,28 @@ def signed_area(p) -> float:
     return 0.5 * sum(_cross(c[k], c[(k + 1) % n]) for k in range(n))
 
 
-def corner_angle(p, k: int) -> float:
-    """Interior angle at corner ``k`` of a simple polygon, in (0, 2pi)."""
-    c = _corners(p)
+def _angle_at(c, k: int, ccw: bool) -> float:
     n = len(c)
     e_in = c[k % n] - c[(k - 1) % n]
     e_out = c[(k + 1) % n] - c[k % n]
     if abs(e_in) <= MERGE_TOL or abs(e_out) <= MERGE_TOL:
         raise DegenerateError(f"zero-length side at corner {k}")
     turn = math.atan2(_cross(e_in, e_out), _dot(e_in, e_out))
-    if signed_area(c) >= 0.0:
-        return math.pi - turn
-    return math.pi + turn
+    return math.pi - turn if ccw else math.pi + turn
+
+
+def corner_angle(p, k: int) -> float:
+    """Interior angle at corner ``k`` of a simple polygon, in (0, 2pi)."""
+    c = _corners(p)
+    return _angle_at(c, k, signed_area(c) >= 0.0)
+
+
+def corner_angles(p) -> tuple[float, ...]:
+    """Interior angles at all corners of a simple polygon, in corner order:
+    :func:`corner_angle` for every k, with one orientation test."""
+    c = _corners(p)
+    ccw = signed_area(c) >= 0.0
+    return tuple(_angle_at(c, k, ccw) for k in range(len(c)))
 
 
 def seg_point_dist(a, b, p):
@@ -203,39 +215,57 @@ def seg_point_dist(a, b, p):
 
 
 def seg_seg_dist(a, b, c, d):
-    """Distance between the segments ab and cd, 0 where they cross."""
+    """Distance between the segments ab and cd, 0 where they cross.
+
+    For arrays the four point-segment distances are taken only where the
+    segments do not cross.
+    """
     d1 = _cross(b - a, c - a)
     d2 = _cross(b - a, d - a)
     d3 = _cross(d - c, a - c)
     d4 = _cross(d - c, b - c)
     crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    del d1, d2, d3, d4  # free them before the gathers below
     if crossing is True:
         return 0.0
-    least = min if crossing is False else np.minimum
-    nearest = least(
-        least(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
-        least(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
+    if crossing is False:
+        return min(
+            min(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
+            min(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
+        )
+    apart = np.flatnonzero(~crossing)
+    a, b, c, d = (_gather(z, crossing.shape, apart) for z in (a, b, c, d))
+    out = np.zeros(crossing.shape)
+    out.flat[apart] = np.minimum(
+        np.minimum(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
+        np.minimum(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
     )
-    return nearest if crossing is False else np.where(crossing, 0.0, nearest)
+    return out
 
 
-def _gaps(c):
-    """(kind, i, j, distance) per test, in reporting order, lazily: the
-    corner loop is simple iff every distance exceeds the tolerance."""
-    n = len(c)
-    ends = [c[(k + 1) % n] for k in range(n)]  # side k runs from c[k] to ends[k]
-    for k in range(n):
-        yield "degenerate", k, (k + 1) % n, abs(ends[k] - c[k])
+def _side_length(a, b):
+    return abs(b - a)
+
+
+@functools.lru_cache(maxsize=8)
+def _tests(n: int) -> tuple:
+    """The simplicity tests of an n-corner loop in reporting order, as
+    (kind, i, j, distance, picker of its corner arguments): the loop is
+    simple iff every distance exceeds the tolerance."""
+    nxt = [(k + 1) % n for k in range(n)]  # side k runs from corner k to nxt[k]
+    pick = operator.itemgetter
+    tests = [("degenerate", k, nxt[k], _side_length, pick(k, nxt[k])) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if j - i == 1 or (i == 0 and j == n - 1):
                 s, t = (n - 1, 0) if (i == 0 and j == n - 1) else (i, j)
                 # adjacent sides share corner t; only the far endpoints may
                 # come near the other side
-                yield "touch", s, t, seg_point_dist(c[t], ends[t], c[s])
-                yield "touch", s, t, seg_point_dist(c[s], ends[s], ends[t])
+                tests.append(("touch", s, t, seg_point_dist, pick(t, nxt[t], s)))
+                tests.append(("touch", s, t, seg_point_dist, pick(s, nxt[s], nxt[t])))
             else:
-                yield "cross", i, j, seg_seg_dist(c[i], ends[i], c[j], ends[j])
+                tests.append(("cross", i, j, seg_seg_dist, pick(i, nxt[i], j, nxt[j])))
+    return tuple(tests)
 
 
 def first_violation(corners, tol: float = MERGE_TOL):
@@ -245,22 +275,53 @@ def first_violation(corners, tol: float = MERGE_TOL):
     side indices. Unlike :func:`is_simple` this never raises, so callers can
     treat degeneracy as plain rejection.
     """
-    for kind, i, j, gap in _gaps(tuple(complex(z) for z in corners)):
-        if not gap > tol:  # a NaN distance fails, as in simple_mask
+    c = tuple(complex(z) for z in corners)
+    for kind, i, j, dist, pick in _tests(len(c)):
+        if not dist(*pick(c)) > tol:  # a NaN distance fails, as in simple_mask
             return (kind, i, j)
     return None
+
+
+# crossing sides reject most non-simple loops, so the mask tests them first
+_MASK_ORDER = {"cross": 0, "touch": 1, "degenerate": 2}
 
 
 def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     """Array form of :func:`first_violation`: True where the loop is simple.
 
     The corners are complex arrays or scalars that broadcast to one shape.
+    The tests run crossings first, each only on the cells that passed every
+    earlier one: array corners are gathered down to those cells whenever a
+    test rejects some, while scalar corners stay scalars.
     """
-    ok = np.ones(np.broadcast_shapes(*map(np.shape, corners)), dtype=bool)
-    for _, _, _, gap in _gaps(corners):
-        ok &= gap > tol
-        del gap  # free it before the next distance array is built
-    return ok
+    corners = tuple(corners)
+    shape = np.broadcast_shapes(*map(np.shape, corners))
+    tests = sorted(_tests(len(corners)), key=lambda test: _MASK_ORDER[test[0]])
+    live = None  # flat indices of the cells still live, None while all are
+    for _, _, _, dist, pick in tests:
+        ok = np.broadcast_to(dist(*pick(corners)) > tol, shape if live is None else live.shape)
+        keep = np.flatnonzero(ok)
+        if len(keep) == ok.size:
+            continue
+        live = keep if live is None else live[keep]
+        corners = tuple(_gather(z, ok.shape, keep) for z in corners)
+        if not len(live):
+            break
+    if live is None:
+        return np.ones(shape, dtype=bool)
+    bits = np.zeros(math.prod(shape), dtype=bool)
+    bits[live] = True
+    return bits.reshape(shape)
+
+
+def _gather(z, shape, at):
+    """A corner broadcast to ``shape``, at the flat indices ``at``; a scalar
+    stays a scalar."""
+    if np.ndim(z) == 0:
+        return z
+    if np.shape(z) == shape:
+        return np.ravel(z)[at]
+    return np.broadcast_to(z, shape).flat[at]
 
 
 def is_simple(p, tol: float = MERGE_TOL) -> bool:

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .geom import MERGE_TOL, Polygon, corner_angle, is_simple
+from .geom import MERGE_TOL, Polygon, corner_angles, is_simple
 
 TWO_PI = 2.0 * math.pi
 TWO_THIRDS_PI = TWO_PI / 3.0
@@ -79,12 +79,13 @@ def spec_from_polygon(p: Polygon) -> HexagonSpec:
     pos = {label: k for k, label in enumerate(p.labels)}
     if sorted(pos) != [0, 1, 2, 3, 4, 5]:
         raise ValueError("corner labels must be a permutation of 0..5")
+    corner = corner_angles(p)
     angles, lengths = [], []
     for i in range(6):
         j, j_next = pos[i], pos[(i + 1) % 6]
         if (j_next - j) % 6 not in (1, 5):
             raise ValueError("labels must run cyclically around the hexagon")
-        angles.append(corner_angle(p, j))
+        angles.append(corner[j])
         lengths.append(abs(p.corners[j_next] - p.corners[j]))
     return HexagonSpec(tuple(angles), tuple(lengths))
 

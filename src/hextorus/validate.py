@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import congruent, corner_angle, is_simple, seg_point_dist
+from .geom import congruent, corner_angles, is_simple, seg_point_dist
 from .lattice import LatticeFrame, NearPairs
 
 ANGLE_TOL = 1e-9
@@ -105,9 +105,7 @@ class _Analysis:
                 corners.append(z)
                 self.owner.append((ti, ci))
         self.corners = np.array(corners, dtype=complex)
-        self.angles = np.array(
-            [corner_angle(tiles[ti], ci) for ti, ci in self.owner]
-        )
+        self.angles = np.array([a for tile in tiles for a in corner_angles(tile)])
         # side k runs from corner k to corner nxt[k], so side prev[k] ends at
         # corner k, and side k belongs to owner[k]
         nxt = np.array(nxt, dtype=np.int64)
