@@ -94,6 +94,10 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+# squares of coordinate differences stay finite below this magnitude
+_MAX_COORDINATE = 1e150
+
+
 def _pair(value, field: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -102,6 +106,11 @@ def _pair(value, field: str) -> complex:
         or not all(map(math.isfinite, value))
     ):
         raise DocumentError(f"{field}: expected finite [re, im], got {value!r}")
+    if not all(abs(c) <= _MAX_COORDINATE for c in value):
+        raise DocumentError(
+            f"{field}: coordinates must not exceed {_MAX_COORDINATE:g} in magnitude, "
+            f"got {value!r}"
+        )
     return complex(float(value[0]), float(value[1]))
 
 

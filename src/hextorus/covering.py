@@ -66,8 +66,7 @@ def is_minimal(t: TorusTiling, tol: float = 1e-9) -> bool:
     index = NearPairs(frame, corners, tol)
 
     def meets(a, b):
-        d = frame.frac(a - b)
-        return frame.norm(d - np.round(d)) <= tol
+        return frame.residual(frame.frac(a - b)) <= tol
 
     centroids = [sum(tile.corners) / len(tile.corners) for tile in tiles]
     deltas = np.array(centroids[1:], dtype=complex) - centroids[0]
@@ -117,6 +116,13 @@ def enumerate_coverings(
     bound; iii fixes the hexagonal lattice, so triples are canonicalized over
     its rotation symmetry and kept when the covering is isometric to the
     target.
+
+    ``bound`` (at least 1, for every kind) is used by family ii only: it
+    bounds the entries of the unimodular maps ``rectangular_solve`` searches.
+    A triple missing from a family-ii list has no rectangular minimal modulus
+    up to that bound, which is not a proof that it has none. The search
+    table has about 1.2*bound**2 maps (5,040 at 64), so the cost and memory
+    grow with the square of the bound.
     """
     key = str(kind).strip().lower()
     if key not in MINIMAL_TILE_COUNT:
@@ -128,6 +134,8 @@ def enumerate_coverings(
         raise ValueError(
             f"tile count {tile_count} is not a positive multiple of {f0}"
         )
+    if bound < 1:
+        raise ValueError(f"search bound must be at least 1, got {bound}")
     index = tile_count // f0
     results: list[tuple[HnfTriple, complex]] = []
     for h in enumerate_hnf(index):

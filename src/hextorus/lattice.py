@@ -217,28 +217,60 @@ def _search_maps(bound: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(maps)
 
 
+@functools.lru_cache(maxsize=8)
+def _search_images(target: complex, bound: int) -> tuple:
+    """The maps of ``_search_maps(bound)`` and their images of target.
+
+    Returns float64 columns a, b, c0, d0 and the real and imaginary parts of
+    tau0 = (c0 + d0*target)/(a + b*target), in table order, and an overflow
+    value. That is None, or for a target near the float limit the real part
+    of the first image that is not finite, where the columns then end.
+    """
+    maps = _search_maps(bound)
+    # Python's complex division: numpy's differs from it in the last ulp
+    tau0 = np.fromiter(
+        ((c0 + d0 * target) / (a + b * target) for a, b, d0, c0 in maps),
+        dtype=complex,
+        count=len(maps),
+    )
+    bad = np.flatnonzero(~np.isfinite(tau0.real))
+    end = bad[0] if len(bad) else len(maps)
+    a, b, d0, c0 = np.array(maps, dtype=float)[:end].T
+    overflow = float(tau0.real[end]) if len(bad) else None
+    return a, b, c0, d0, tau0.real[:end], tau0.imag[:end], overflow
+
+
 def rectangular_solve(
     target: complex, h: HnfTriple, bound: int = 64
 ) -> complex | None:
     """Purely imaginary modulus x with covering_modulus(x, h) isometric to target.
 
-    Searches unimodular maps with all entries bounded by ``bound``; returns the
-    first modulus found (identity map first) or None when the search is
-    exhausted. A None is "none up to bound", not a nonexistence proof.
+    Searches the unimodular maps with all entries bounded by ``bound`` (at
+    least 1) and returns the modulus of the first one that fits (identity map
+    first), or None when none does. A None is "none up to bound", not a
+    nonexistence proof. The search table holds about 1.2*bound**2 maps (5,040
+    at the default 64), so time and memory grow with the square of the bound.
+    It is cached per (target, bound), so all triples of one target share it.
     """
     target = check_modulus(target)
+    if bound < 1:
+        raise ValueError(f"search bound must be at least 1, got {bound}")
+    a, b, c0, d0, re, im, overflow = _search_images(target, bound)
     m, n, l = h.m, h.n, h.l
-    for a, b, d0, c0 in _search_maps(bound):
-        tau0 = (c0 + d0 * target) / (a + b * target)
-        # adding t to (c, d) along (a, b) shifts the image by t; pick the one
-        # shot at Re = l/m
-        t = round(l / m - tau0.real)
-        c, d = c0 + t * a, d0 + t * b
-        if max(abs(c), abs(d)) > bound:
-            continue
-        if abs(tau0.real + t - l / m) > TOL:
-            continue
-        return 1j * (m * tau0.imag / n)
+    # adding t to (c, d) along (a, b) shifts the image by t; pick the one
+    # shot at Re = l/m
+    t = np.round(l / m - re)
+    near = np.flatnonzero(np.abs(re + t - l / m) <= TOL)
+    t = t[near]
+    # in float64, so that a huge t cannot wrap around as int64 would
+    size = np.maximum(np.abs(c0[near] + t * a[near]), np.abs(d0[near] + t * b[near]))
+    hit = near[size <= bound]
+    if len(hit):
+        return 1j * (m * float(im[hit[0]]) / n)
+    if overflow is not None:
+        # no shift t exists for the next image, so the search cannot go on
+        kind = ValueError if math.isnan(overflow) else OverflowError
+        raise kind(f"the search for {target} reaches an image with real part {overflow}")
     return None
 
 
@@ -255,7 +287,8 @@ class LatticeFrame:
 
     ``frac`` gives the coordinates of points in the basis (alpha, beta) as a
     trailing axis of length 2, ``norm`` the Euclidean length of such a
-    coordinate vector, and ``reduce`` moves points into the fundamental
+    coordinate vector, ``residual`` that length after subtracting the nearest
+    integer coordinates, and ``reduce`` moves points into the fundamental
     parallelogram [0, 1) alpha + [0, 1) beta.
     """
 
@@ -273,6 +306,11 @@ class LatticeFrame:
     def norm(self, frac_delta: np.ndarray) -> np.ndarray:
         xy = frac_delta @ self.basis
         return np.hypot(xy[..., 0], xy[..., 1])
+
+    def residual(self, frac_delta: np.ndarray) -> np.ndarray:
+        """Length of a coordinate difference less its rounding: two points
+        meet modulo the lattice when that of their difference is small."""
+        return self.norm(frac_delta - np.round(frac_delta))
 
     def reduce(self, pts) -> np.ndarray:
         frac = self.frac(pts)

@@ -122,8 +122,7 @@ class _Analysis:
         tol = self.tol
         frac = self.frame.frac(self.corners)
         a, b = NearPairs(self.frame, self.corners, 3.0 * tol).pairs(self.corners)
-        diff = frac[a] - frac[b]
-        dist = self.frame.norm(diff - np.round(diff))
+        dist = self.frame.residual(frac[a] - frac[b])
         close = dist <= tol
         roots = _components(len(self.corners), a[close], b[close])
         ambiguous = np.flatnonzero(

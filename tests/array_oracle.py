@@ -1,12 +1,14 @@
-"""The all-cells simplicity mask, the dict-walk conformality and the
-per-group OBJ writer, kept as the reference.
+"""The all-cells simplicity mask, the dict-walk conformality, the
+per-group OBJ writer and the map-by-map rectangular search, kept as the
+reference.
 
-These are ``hextorus.geom.simple_mask``, ``hextorus.embed.conformality`` and
-``hextorus.cli.write_obj`` as they were before the mask tested only the
-cells still live, the conformality stencils were built with numpy sorts and
-the OBJ faces were written in one pass. They are copied unchanged, apart
-from this header and its imports, so that ``test_array_oracle.py`` can
-compare the new code against them bit for bit.
+These are ``hextorus.geom.simple_mask``, ``hextorus.embed.conformality``,
+``hextorus.cli.write_obj`` and ``hextorus.lattice.rectangular_solve`` as they
+were before the mask tested only the cells still live, the conformality
+stencils were built with numpy sorts, the OBJ faces were written in one pass
+and the rectangular search read a cached table of map images. They are
+copied unchanged, apart from this header and its imports, so that
+``test_array_oracle.py`` can compare the new code against them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from hextorus.geom import MERGE_TOL
+from hextorus.lattice import TOL, HnfTriple, _search_maps, check_modulus
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -222,3 +225,28 @@ def write_obj(mesh) -> str:
         lines.append("l " + " ".join(str(base + k + 1) for k in range(len(polyline))))
         base += len(polyline)
     return "\n".join(lines) + "\n"
+
+
+def rectangular_solve(
+    target: complex, h: HnfTriple, bound: int = 64
+) -> complex | None:
+    """Purely imaginary modulus x with covering_modulus(x, h) isometric to target.
+
+    Searches unimodular maps with all entries bounded by ``bound``; returns the
+    first modulus found (identity map first) or None when the search is
+    exhausted. A None is "none up to bound", not a nonexistence proof.
+    """
+    target = check_modulus(target)
+    m, n, l = h.m, h.n, h.l
+    for a, b, d0, c0 in _search_maps(bound):
+        tau0 = (c0 + d0 * target) / (a + b * target)
+        # adding t to (c, d) along (a, b) shifts the image by t; pick the one
+        # shot at Re = l/m
+        t = round(l / m - tau0.real)
+        c, d = c0 + t * a, d0 + t * b
+        if max(abs(c), abs(d)) > bound:
+            continue
+        if abs(tau0.real + t - l / m) > TOL:
+            continue
+        return 1j * (m * tau0.imag / n)
+    return None

@@ -1,11 +1,15 @@
-"""The live-cell simplicity mask, the sort-built conformality stencils and the
-one-pass OBJ writer against the reference copies in ``array_oracle``.
+"""The live-cell simplicity mask, the sort-built conformality stencils, the
+one-pass OBJ writer and the table-driven rectangular search against the
+reference copies in ``array_oracle``.
 
 The mask must give the same bits, conformality the same float bit for bit
 (or the same error) and write_obj the same text, on the moduli grids of the
 benchmark, non-finite parameters, scalar, empty and broadcast corners, the
 meshes the package builds and meshes with shuffled, rotated or reversed
 quads, holes, boundaries and vertices of valence other than four.
+rectangular_solve must give the same modulus bit for bit, or None, or the
+same exception, on HNF triples of indices 1..60 at four search bounds, for
+square-root, random and extreme targets, also while its cache evicts.
 """
 
 from __future__ import annotations
@@ -18,7 +22,14 @@ import pytest
 
 import array_oracle
 from hextorus.cli import write_obj
-from hextorus.construct import GenericityWarning, hexagon_corners, type_i_minimal, type_iii_minimal
+from hextorus.construct import (
+    OMEGA3,
+    GenericityWarning,
+    hexagon_corners,
+    type_i_minimal,
+    type_iii_minimal,
+)
+from hextorus.covering import enumerate_coverings
 from hextorus.embed import (
     OMEGA3_CURVE,
     HopfEmbedding,
@@ -31,6 +42,7 @@ from hextorus.embed import (
     rect_torus_mesh,
 )
 from hextorus.geom import DegenerateError, corner_angle, corner_angles, simple_mask
+from hextorus.lattice import _search_images, enumerate_hnf, rectangular_solve
 from hextorus.moduli import _normalize_fixed, sample_region
 
 warnings.simplefilter("ignore", GenericityWarning)
@@ -343,3 +355,71 @@ def test_corner_angles_degenerate_side_raises():
         corner_angles(corners)
     with pytest.raises(DegenerateError, match="zero-length side at corner 1"):
         corner_angle(corners, 1)
+
+
+# rectangular search -----------------------------------------------------------
+
+RNG = np.random.default_rng(2024)
+TARGETS = (
+    [2j * math.sqrt(3.0), OMEGA3, 1 + 4j]
+    + [1j * math.sqrt(k) for k in range(1, 41)]
+    + [complex(x, y) for x, y in zip(RNG.uniform(-0.5, 0.5, 40), RNG.uniform(0.2, 5.0, 40))]
+    # extremes; near the float limit some images are not finite, and the
+    # loop raises on reaching one
+    + [1e-300j, 1e300j, 1e300 + 1j, 1.7e308j, 1e308 + 1j]
+)
+TRIPLES = [h for index in range(1, 61) for h in enumerate_hnf(index)]
+# each target takes every STRIDE-th triple at a bound, from its own offset,
+# so every triple is checked at bounds 1, 2 and 8 (the loop walks about
+# 1.2*bound**2 maps, 5,040 at 64, so bound 64 takes a sample)
+STRIDE = {1: 8, 2: 8, 8: 16, 64: 256}
+
+
+def solve_outcome(solve, target, h, bound):
+    try:
+        x = solve(target, h, bound)
+    except Exception as exc:  # the same exception type is the same outcome
+        return type(exc)
+    return None if x is None else (type(x), x.real.hex(), x.imag.hex())
+
+
+def assert_same_solutions(cases):
+    for target, h, bound in cases:
+        old = solve_outcome(array_oracle.rectangular_solve, target, h, bound)
+        assert solve_outcome(rectangular_solve, target, h, bound) == old, (target, h, bound)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", range(len(TARGETS)), ids=[repr(t) for t in TARGETS])
+def test_rectangular_solve_matches_loop(p):
+    target = TARGETS[p]
+    assert_same_solutions(
+        (target, h, bound)
+        for bound, stride in STRIDE.items()
+        for h in TRIPLES[(-p) % stride :: stride]
+    )
+
+
+@pytest.mark.parametrize("tiles", [12, 48, 240])
+def test_enumerate_ii_rows_match_loop(tiles):
+    target = 2j * math.sqrt(3.0)
+    old = [
+        (h, array_oracle.rectangular_solve(target, h))
+        for h in enumerate_hnf(tiles // 4)
+    ]
+    rows = enumerate_coverings("ii", target, tiles)
+    assert [(h, x.real.hex(), x.imag.hex()) for h, x in rows] == [
+        (h, x.real.hex(), x.imag.hex()) for h, x in old if x is not None
+    ]
+
+
+def test_rectangular_solve_through_cache_eviction():
+    # 48 (target, bound) keys in turn, six times the cache size, so every
+    # call builds its table anew after the first round
+    keys = [(t, b) for t in TARGETS[:12] for b in STRIDE]
+    _search_images.cache_clear()
+    assert_same_solutions(
+        (target, h, bound) for h in TRIPLES[1::300] for target, bound in keys
+    )
+    info = _search_images.cache_info()
+    assert info.currsize == info.maxsize < len(keys) <= info.misses

@@ -151,6 +151,56 @@ class TestDocumentRoundTrip:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {where}")
 
+    @staticmethod
+    def scaled_readme_doc(tmp_path, scale):
+        """The README's 2-tile document with lattice and corners scaled."""
+        path = tmp_path / "two_tile.json"
+        assert main(
+            ["construct", "--type=i", "--tau=0,0.6", "--i=0.24,0.17", "--t=-0.18,0.27",
+             "-o", str(path)]
+        ) == 0
+        doc = json.loads(path.read_text())
+        doc["lattice"] = {k: [x * scale for x in v] for k, v in doc["lattice"].items()}
+        for tile in doc["tiles"]:
+            tile["corners"] = [[x * scale, y * scale] for x, y in tile["corners"]]
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_coordinates_up_to_1e150_give_no_numpy_warning(self, tmp_path, capsys, command):
+        path = self.scaled_readme_doc(tmp_path, 1e150)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main([command, path])
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_huge_coordinates_are_one_error_line(self, tmp_path, capsys, command, scale):
+        path = self.scaled_readme_doc(tmp_path, scale)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, path]) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: lattice.alpha: coordinates must not exceed 1e+150")
+
+    def test_one_huge_corner_is_one_error_line(self, tmp_path, capsys):
+        path = self.scaled_readme_doc(tmp_path, 1.0)
+        doc = json.loads(open(path).read())
+        doc["tiles"][1]["corners"][4] = [0.5, -2e150]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert main(["validate", str(tmp_path / "bad.json")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: tiles[1].corners[4]: coordinates must not exceed")
+
     def test_missing_file_is_an_error_not_a_crash(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -202,6 +252,16 @@ class TestEnumerateCommand:
     def test_bad_tile_count_errors(self, capsys):
         assert main(["enumerate", "--type", "ii", "--tau", self.TAU, "--tiles", "10"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
+    def test_bound_below_one_is_one_error_line(self, capsys, kind, bound):
+        argv = ["enumerate", f"--type={kind}", f"--tau={self.TAU}", "--tiles=12"]
+        assert main([*argv, f"--bound={bound}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [f"error: search bound must be at least 1, got {bound}"]
 
 
 class TestModuliSampleCommand:

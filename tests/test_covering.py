@@ -158,5 +158,11 @@ class TestEnumerateCoverings:
         with pytest.raises(ValueError):
             enumerate_coverings("cs", TARGET, 0)
 
+    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
+    def test_bound_below_one_rejected(self, kind):
+        for bound in (0, -3):
+            with pytest.raises(ValueError, match="bound must be at least 1"):
+                enumerate_coverings(kind, TARGET, 12, bound)
+
     def test_minimal_tile_counts_table(self):
         assert MINIMAL_TILE_COUNT == {"i": 2, "ii": 4, "iii": 3, "cs": 1}

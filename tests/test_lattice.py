@@ -369,6 +369,11 @@ class TestRectangularSolve:
         assert got is not None
         assert lattices_isometric(got, 1 + 4j)
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), bound)
+
 
 def test_window_oracle_random_bases():
     rng = random.Random(20260814)
