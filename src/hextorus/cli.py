@@ -12,11 +12,13 @@ import math
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
 from .construct import (
     OMEGA3,
+    TorusTiling,
     central_minimal,
     strip_tiling,
     type_i_minimal,
@@ -27,7 +29,7 @@ from .covering import build_cover, enumerate_coverings
 from .embed import CurveParams, HopfEmbedding, OMEGA3_CURVE, RectEmbedding, drape_tiling
 from .geom import Polygon
 from .hexagon import classify, spec_from_polygon
-from .lattice import HnfTriple
+from .lattice import HnfTriple, covolume
 from .moduli import sample_region
 from .validate import ValidationReport, validate
 
@@ -124,7 +126,7 @@ def _check_document(doc) -> None:
         raise DocumentError("lattice: expected an object")
     alpha = _pair(lattice.get("alpha"), "lattice.alpha")
     beta = _pair(lattice.get("beta"), "lattice.beta")
-    if not alpha.real * beta.imag - alpha.imag * beta.real > 0:
+    if not covolume(alpha, beta) > 0:
         raise DocumentError("lattice: covolume must be positive (Im(beta/alpha) > 0)")
     tiles = doc.get("tiles")
     if not isinstance(tiles, list) or not tiles:
@@ -205,10 +207,6 @@ def tiling_from_document(doc: dict, strict: bool = True):
     documents pass ``strict=False`` and get a plain carrier instead, so the
     validator can report every failure as data.
     """
-    from types import SimpleNamespace
-
-    from .construct import TorusTiling
-
     alpha = _pair(doc["lattice"]["alpha"], "lattice.alpha")
     beta = _pair(doc["lattice"]["beta"], "lattice.beta")
     tiles = []
@@ -421,30 +419,33 @@ def _require(args, names: list[str], kind: str) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
         flags = ", ".join(f"--{n}" for n in missing)
-        raise ValueError(f"construct --type {kind} requires {flags}")
+        raise ValueError(f"--type {kind} requires {flags}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+# per construct --type: the flags it needs and the constructor call
+_CONSTRUCTORS = {
+    "i": (["tau", "i", "t"], lambda a: type_i_minimal(a.tau, (a.i, a.t))),
+    "ii": (["y", "i", "t"], lambda a: type_ii_minimal(a.y, (a.i, a.t))),
+    "iii": (["p"], lambda a: type_iii_minimal(a.p)),
+    "cs": (["alpha", "beta", "u"], lambda a: central_minimal(a.alpha, a.beta, a.u)),
+    "strip": (
+        ["h", "w", "s", "i", "t", "signs"],
+        lambda a: strip_tiling(a.h, a.w, a.s, (a.i, a.t), a.signs),
+    ),
+}
+
+# per moduli sample --type: the flags of its fixed parameters, in order
+_MODULI_FIXED = {"i": ["tau", "i"], "ii": ["y", "i"], "iii": [], "cs": ["alpha", "beta"]}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.type
-    if kind == "i":
-        _require(args, ["tau", "i", "t"], kind)
-        tiling = type_i_minimal(args.tau, (args.i, args.t))
-    elif kind == "ii":
-        _require(args, ["y", "i", "t"], kind)
-        tiling = type_ii_minimal(args.y, (args.i, args.t))
-    elif kind == "iii":
-        _require(args, ["p"], kind)
-        tiling = type_iii_minimal(args.p)
-    elif kind == "cs":
-        _require(args, ["alpha", "beta", "u"], kind)
-        tiling = central_minimal(args.alpha, args.beta, args.u)
-    else:
-        _require(args, ["h", "w", "s", "i", "t", "signs"], kind)
-        tiling = strip_tiling(args.h, args.w, args.s, (args.i, args.t), args.signs)
+    flags, build = _CONSTRUCTORS[args.type]
+    _require(args, flags, args.type)
+    tiling = build(args)
     _write_text(args.output, serialize_document(document_from_tiling(tiling)))
     return 0
 
@@ -463,22 +464,11 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     tiling = _load_tiling(args.doc, strict=False)
     report = classify(spec_from_polygon(tiling.tiles[0]), tol=args.tol)
-    rows = [
-        ("type_i", report.type_i, report.residual_i),
-        ("type_ii", report.type_ii, report.residual_ii),
-        ("type_iii", report.type_iii, report.residual_iii),
-        ("central", report.central, report.residual_central),
-    ]
-    for name, flag, residual in rows:
-        print(f"{name}: {'yes' if flag else 'no'} (residual {residual:.3e})")
-    for name in (
-        "generic_i",
-        "generic_ii",
-        "generic_iii",
-        "generic_central",
-        "generic_strip",
-    ):
-        print(f"{name}: {'yes' if getattr(report, name) else 'no'}")
+    for name in ("type_i", "type_ii", "type_iii", "central"):
+        residual = getattr(report, "residual_" + name.removeprefix("type_"))
+        print(f"{name}: {'yes' if getattr(report, name) else 'no'} (residual {residual:.3e})")
+    for kind in ("i", "ii", "iii", "central", "strip"):
+        print(f"generic_{kind}: {'yes' if getattr(report, 'generic_' + kind) else 'no'}")
     return 0
 
 
@@ -501,20 +491,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_moduli_sample(args) -> int:
-    kind = args.type
-    if kind == "i":
-        _require(args, ["tau", "i"], kind)
-        fixed = (args.tau, args.i)
-    elif kind == "ii":
-        _require(args, ["y", "i"], kind)
-        fixed = (args.y, args.i)
-    elif kind == "iii":
-        fixed = ()
-    else:
-        _require(args, ["alpha", "beta"], kind)
-        fixed = (args.alpha, args.beta)
+    names = _MODULI_FIXED[args.type]
+    _require(args, names, args.type)
     nx, ny = args.grid
-    grid = sample_region(kind, fixed, bbox=args.bbox, nx=nx, ny=ny)
+    fixed = tuple(getattr(args, name) for name in names)
+    grid = sample_region(args.type, fixed, bbox=args.bbox, nx=nx, ny=ny)
     _write_bytes(args.output, write_pgm(grid))
     return 0
 

@@ -23,7 +23,7 @@ from .geom import (
     signed_area,
 )
 from .hexagon import classify, spec_from_polygon
-from .lattice import check_modulus
+from .lattice import check_lattice, check_modulus, covolume
 
 OMEGA3 = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -89,9 +89,8 @@ class TorusTiling:
         object.__setattr__(self, "tiles", tuple(self.tiles))
         if not self.tiles:
             raise ValueError("tiling needs at least one tile")
+        check_lattice(self.alpha, self.beta)
         covol = self.covolume
-        if covol <= 0:
-            raise ValueError("lattice generators must satisfy Im(beta/alpha) > 0")
         total = sum(abs(signed_area(t)) for t in self.tiles)
         if abs(total - covol) > 1e-6 * covol:
             raise ValueError(
@@ -100,8 +99,7 @@ class TorusTiling:
 
     @property
     def covolume(self) -> float:
-        a, b = self.alpha, self.beta
-        return a.real * b.imag - a.imag * b.real
+        return covolume(self.alpha, self.beta)
 
     @property
     def modulus(self) -> complex:
@@ -147,7 +145,7 @@ def hexagon_corners(kind: str, fixed, free) -> tuple:
     raise ValueError(f"unknown family {kind!r}")
 
 
-def _hexagon(corners, labels=()) -> Polygon:
+def _hexagon(corners) -> Polygon:
     """Build a simple hexagon, counterclockwise, or raise ModuliViolation."""
     violation = first_violation(corners)
     if violation is not None:
@@ -158,29 +156,25 @@ def _hexagon(corners, labels=()) -> Polygon:
             i,
             j,
         )
-    p = Polygon(tuple(corners), tuple(labels))
-    return p if signed_area(p) > 0 else p.reversed()
+    return _oriented(Polygon(tuple(corners)))
 
 
 def _oriented(p: Polygon) -> Polygon:
     return p if signed_area(p) > 0 else p.reversed()
 
 
-def _warn_if_nongeneric(tile: Polygon, expect: str) -> None:
-    report = classify(spec_from_polygon(tile))
-    generic = {
-        "type_i": report.generic_i,
-        "type_ii": report.generic_ii,
-        "type_iii": report.generic_iii,
-        "central": report.generic_central,
-        "strip": report.generic_strip,
-    }[expect]
-    if not generic:
+def _warn_if_nongeneric(tiling: TorusTiling, prototile: Polygon) -> TorusTiling:
+    """The tiling, after a GenericityWarning if the prototile violates the
+    genericity conditions of the tiling's kind."""
+    kind = tiling.provenance["kind"]
+    flag = "generic_" + kind.removeprefix("type_")  # type_i: generic_i, strip: generic_strip
+    if not getattr(classify(spec_from_polygon(prototile)), flag):
         warnings.warn(
-            f"prototile violates the {expect} genericity conditions",
+            f"prototile violates the {kind} genericity conditions",
             GenericityWarning,
             stacklevel=3,
         )
+    return tiling
 
 
 def type_i_minimal(tau: complex, sigma) -> TorusTiling:
@@ -194,14 +188,8 @@ def type_i_minimal(tau: complex, sigma) -> TorusTiling:
     i, t = sigma.i, sigma.t
     t1 = _hexagon(hexagon_corners("i", (tau, i), t))
     t2 = _oriented(t1.transformed(rotation(math.pi, i / 2.0)))
-    tiling = TorusTiling(
-        1.0 + 0j,
-        tau,
-        (t1, t2),
-        {"kind": "type_i", "tau": tau, "sigma": (i, t)},
-    )
-    _warn_if_nongeneric(t1, "type_i")
-    return tiling
+    provenance = {"kind": "type_i", "tau": tau, "sigma": (i, t)}
+    return _warn_if_nongeneric(TorusTiling(1.0 + 0j, tau, (t1, t2), provenance), t1)
 
 
 def type_ii_minimal(y: float, sigma) -> TorusTiling:
@@ -223,14 +211,8 @@ def type_ii_minimal(y: float, sigma) -> TorusTiling:
         _oriented(t2.transformed(g))
         for g in (Isometry(), rho, gamma, rho.compose(gamma))
     )
-    tiling = TorusTiling(
-        1.0 + 0j,
-        1j * y,
-        tiles,
-        {"kind": "type_ii", "y": y, "sigma": (i, t)},
-    )
-    _warn_if_nongeneric(tiles[0], "type_ii")
-    return tiling
+    provenance = {"kind": "type_ii", "y": y, "sigma": (i, t)}
+    return _warn_if_nongeneric(TorusTiling(1.0 + 0j, 1j * y, tiles, provenance), tiles[0])
 
 
 def type_iii_minimal(P: complex) -> TorusTiling:
@@ -247,30 +229,17 @@ def type_iii_minimal(P: complex) -> TorusTiling:
         _oriented(hexagon.transformed(rotation(2.0 * math.pi / 3.0, R_POINT))),
         _oriented(hexagon.transformed(rotation(-2.0 * math.pi / 3.0, R_POINT))),
     )
-    tiling = TorusTiling(
-        1.0 + 0j,
-        OMEGA3,
-        tiles,
-        {"kind": "type_iii", "P": P},
-    )
-    _warn_if_nongeneric(tiles[0], "type_iii")
-    return tiling
+    provenance = {"kind": "type_iii", "P": P}
+    return _warn_if_nongeneric(TorusTiling(1.0 + 0j, OMEGA3, tiles, provenance), hexagon)
 
 
 def central_minimal(alpha: complex, beta: complex, u: complex) -> TorusTiling:
     """Single-tile tiling by a centrally symmetric hexagon filling C/(Z*alpha + Z*beta)."""
-    alpha, beta, u = complex(alpha), complex(beta), complex(u)
-    if alpha.real * beta.imag - alpha.imag * beta.real <= 0:
-        raise ValueError("lattice generators must satisfy Im(beta/alpha) > 0")
+    alpha, beta = check_lattice(alpha, beta)
+    u = complex(u)
     hexagon = _hexagon(hexagon_corners("cs", (alpha, beta), u))
-    tiling = TorusTiling(
-        alpha,
-        beta,
-        (hexagon,),
-        {"kind": "central", "alpha": alpha, "beta": beta, "u": u},
-    )
-    _warn_if_nongeneric(hexagon, "central")
-    return tiling
+    provenance = {"kind": "central", "alpha": alpha, "beta": beta, "u": u}
+    return _warn_if_nongeneric(TorusTiling(alpha, beta, (hexagon,), provenance), hexagon)
 
 
 def _parse_signs(signs) -> tuple[int, ...]:
@@ -338,8 +307,6 @@ def strip_tiling(
     offsets = [0j]
     for sign in word:
         offsets.append(offsets[-1] + complex(w, sign * s))
-    p = sum(1 for sign in word if sign > 0)
-    q = len(word) - p
 
     provenance = {
         "kind": "strip",
@@ -349,22 +316,18 @@ def strip_tiling(
         "sigma": (i, t),
         "signs": "".join("+" if sign > 0 else "-" for sign in word),
     }
+    rows = range(-extent, extent + 1) if mode == "patch" else (0,)
+    tiles = tuple(
+        tile.translated(c + j * v)
+        for c, sign in zip(offsets, word)
+        for j in rows
+        for tile in (base if sign > 0 else flipped)
+    )
     if mode == "patch":
-        tiles = []
-        for c, sign in zip(offsets, word):
-            strip = base if sign > 0 else flipped
-            for j in range(-extent, extent + 1):
-                tiles.extend(tile.translated(c + j * v) for tile in strip)
-        return PlanarPatch(tuple(tiles), provenance)
-
-    alpha = complex((p + q) * w, (p - q) * s)
-    tiles = []
-    for c, sign in zip(offsets, word):
-        strip = base if sign > 0 else flipped
-        tiles.extend(tile.translated(c) for tile in strip)
-    tiling = TorusTiling(alpha, v, tuple(tiles), provenance)
-    _warn_if_nongeneric(t1, "strip")
-    return tiling
+        return PlanarPatch(tiles, provenance)
+    # the word's p plus and q minus strips advance by (p + q)*w + i*(p - q)*s
+    alpha = complex(len(word) * w, sum(word) * s)
+    return _warn_if_nongeneric(TorusTiling(alpha, v, tiles, provenance), t1)
 
 
 def planar_patch(t: TorusTiling, extent: int) -> PlanarPatch:
@@ -372,12 +335,16 @@ def planar_patch(t: TorusTiling, extent: int) -> PlanarPatch:
     extent = int(extent)
     if extent < 1:
         raise ValueError("extent must be at least 1")
-    tiles = []
-    for k in range(-extent, extent + 1):
-        for j in range(-extent, extent + 1):
-            shift = k * t.alpha + j * t.beta
-            tiles.extend(tile.translated(shift) for tile in t.tiles)
+    shifts = range(-extent, extent + 1)
     return PlanarPatch(
-        tuple(tiles),
+        translates(t, shifts, shifts),
         {"kind": "patch", "extent": extent, "source": dict(t.provenance)},
+    )
+
+
+def translates(t: TorusTiling, ks, js) -> tuple[Polygon, ...]:
+    """The tiles of t translated by k*alpha + j*beta, for k in ks and then j
+    in js, tile order innermost."""
+    return tuple(
+        tile.translated(k * t.alpha + j * t.beta) for k in ks for j in js for tile in t.tiles
     )

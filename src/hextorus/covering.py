@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .construct import OMEGA3, TorusTiling
+from .construct import OMEGA3, TorusTiling, translates
 from .lattice import (
     HnfTriple,
     IntBasis,
@@ -31,15 +31,10 @@ def build_cover(t: TorusTiling, h: HnfTriple) -> TorusTiling:
     """Covering tiling of t along the sublattice (m, n; l)."""
     if not isinstance(h, HnfTriple):
         h = HnfTriple(*h)
-    tiles = []
-    for k in range(h.m):
-        for j in range(h.n):
-            shift = k * t.alpha + j * t.beta
-            tiles.extend(tile.translated(shift) for tile in t.tiles)
     return TorusTiling(
         h.m * t.alpha,
         h.l * t.alpha + h.n * t.beta,
-        tuple(tiles),
+        translates(t, range(h.m), range(h.n)),
         {"kind": "cover", "triple": (h.m, h.n, h.l), "source": dict(t.provenance)},
     )
 

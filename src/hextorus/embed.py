@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Polygon
 from .lattice import LatticeFrame, UnimodularMap, sl2_reduce
 from .validate import validate
 
@@ -151,33 +150,16 @@ class _HopfChart:
         self._s_period = self.length / 2.0
         self._c_period = 2.0 * np.pi - self.area
 
-    def s_of_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        winds = np.floor(theta / (2.0 * np.pi))
-        frac = theta - winds * 2.0 * np.pi
-        return np.interp(frac, self._theta, self._s) + winds * self._s_period
-
-    def c_of_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        winds = np.floor(theta / (2.0 * np.pi))
-        frac = theta - winds * 2.0 * np.pi
-        return np.interp(frac, self._theta, self._c) + winds * self._c_period
-
-    def theta_of_s(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        winds = np.floor(s / self._s_period)
-        frac = s - winds * self._s_period
-        return np.interp(frac, self._s, self._theta) + winds * 2.0 * np.pi
-
     def zeta(self, theta, t) -> np.ndarray:
-        eta = np.asarray(t, dtype=float) + 0.5 * self.c_of_theta(theta)
-        return -eta + 1j * self.s_of_theta(theta)
+        c = _periodic_interp(theta, 2.0 * np.pi, self._theta, self._c, self._c_period)
+        s = _periodic_interp(theta, 2.0 * np.pi, self._theta, self._s, self._s_period)
+        return -(np.asarray(t, dtype=float) + 0.5 * c) + 1j * s
 
     def theta_t_of_zeta(self, zeta) -> tuple[np.ndarray, np.ndarray]:
         zeta = np.asarray(zeta, dtype=complex)
-        theta = self.theta_of_s(zeta.imag)
-        t = -zeta.real - 0.5 * self.c_of_theta(theta)
-        return theta, t
+        theta = _periodic_interp(zeta.imag, self._s_period, self._s, self._theta, 2.0 * np.pi)
+        c = _periodic_interp(theta, 2.0 * np.pi, self._theta, self._c, self._c_period)
+        return theta, -zeta.real - 0.5 * c
 
     def lift(self, theta, t) -> np.ndarray:
         """Points of S3 in R4 coordinates (Re z1, Im z1, Re z2, Im z2)."""
@@ -198,6 +180,14 @@ class _HopfChart:
                 "rotate the fiber phase (shift t by pi/2) and retry"
             )
         return p4[..., :3] / denom[..., None]
+
+
+def _periodic_interp(x, period: float, xp: np.ndarray, fp: np.ndarray, rise: float):
+    """Interpolate the table fp(xp), which spans one period of x, at x; each
+    whole period that x lies past the table adds rise to the value."""
+    x = np.asarray(x, dtype=float)
+    winds = np.floor(x / period)
+    return np.interp(x - winds * period, xp, fp) + winds * rise
 
 
 def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
@@ -600,17 +590,13 @@ def drape_tiling(
     z_centers = flat_centers / lam * tiling.alpha
     groups = _assign_tiles(tiling, z_centers)
 
+    # each tile's boundary from corner 0, its sides cut into equal steps
+    ts = np.linspace(0.0, 1.0, subdivisions + 1)[1:]
     polylines = []
     for tile in tiling.tiles:
         corners = np.array(tile.corners, dtype=complex)
-        loop = [corners[0]]
-        for k in range(6):
-            a0 = corners[k]
-            a1 = corners[(k + 1) % 6]
-            ts = np.linspace(0.0, 1.0, subdivisions + 1)[1:]
-            loop.extend(a0 + ts * (a1 - a0))
-        w = to_flat(np.array(loop))
-        polylines.append(chart_points(w))
+        sides = corners[:, None] + ts * (np.roll(corners, -1) - corners)[:, None]
+        polylines.append(chart_points(to_flat(np.concatenate([corners[:1], sides.ravel()]))))
 
     mesh = _grid_mesh(points, uv, groups)
     return Mesh3(mesh.vertices, mesh.quads, mesh.groups, mesh.uv, tuple(polylines))

@@ -49,23 +49,24 @@ class HexagonSpec:
         if abs(sum(angles) - 2.0 * TWO_PI) > 1e-9:
             raise ValueError("corner angles must sum to 4pi")
         scale = max(1.0, max(lengths))
-        gap = abs(self.corners()[0] - self._walk_end())
+        walk = self._walk(0j, 0.0)
+        gap = abs(walk[0] - walk[6])
         if gap > 1e-9 * scale:
             raise ValueError(f"sides do not close up (gap {gap})")
 
     def corners(self, start: complex = 0j, heading: float = 0.0) -> tuple[complex, ...]:
         """Corner coordinates traced counterclockwise from ``start``."""
+        return tuple(self._walk(start, heading)[:6])
+
+    def _walk(self, start: complex, heading: float) -> list[complex]:
+        """The six corners, then the end of side 5, where a closed walk
+        returns to ``start``."""
         pts = [complex(start)]
         theta = heading
-        for k in range(5):
+        for k in range(6):
             pts.append(pts[-1] + cmath.rect(self.lengths[k], theta))
             theta += math.pi - self.angles[(k + 1) % 6]
-        return tuple(pts)
-
-    def _walk_end(self) -> complex:
-        pts = self.corners()
-        theta = sum(math.pi - self.angles[(k + 1) % 6] for k in range(5))
-        return pts[-1] + cmath.rect(self.lengths[5], theta)
+        return pts
 
 
 def spec_from_polygon(p: Polygon) -> HexagonSpec:
@@ -213,41 +214,26 @@ def _generic_central(a, l, tol: float) -> bool:
     )
 
 
+# each condition's TypeReport flag, its residual, and the genericity flags
+# it decides, each tested on the relabelings that meet the condition
+_CONDITIONS = (
+    ("type_i", _residual_i, {"generic_i": _generic_i, "generic_strip": _generic_strip}),
+    ("type_ii", _residual_ii, {"generic_ii": _generic_ii}),
+    ("type_iii", _residual_iii, {"generic_iii": _generic_iii}),
+    ("central", _residual_central, {"generic_central": _generic_central}),
+)
+
+
 def classify(s: HexagonSpec, tol: float = 1e-9) -> TypeReport:
     """Classify a hexagon spec over all relabelings."""
-    res_i = res_ii = res_iii = res_c = math.inf
-    gen_i = gen_ii = gen_iii = gen_c = gen_strip = False
-    for a, l in relabelings(s.angles, s.lengths):
-        r = _residual_i(a, l)
-        res_i = min(res_i, r)
-        if r <= tol:
-            gen_i = gen_i or _generic_i(a, l, tol)
-            gen_strip = gen_strip or _generic_strip(a, l, tol)
-        r = _residual_ii(a, l)
-        res_ii = min(res_ii, r)
-        if r <= tol:
-            gen_ii = gen_ii or _generic_ii(a, l, tol)
-        r = _residual_iii(a, l)
-        res_iii = min(res_iii, r)
-        if r <= tol:
-            gen_iii = gen_iii or _generic_iii(a, l, tol)
-        r = _residual_central(a, l)
-        res_c = min(res_c, r)
-        if r <= tol:
-            gen_c = gen_c or _generic_central(a, l, tol)
-    return TypeReport(
-        type_i=res_i <= tol,
-        type_ii=res_ii <= tol,
-        type_iii=res_iii <= tol,
-        central=res_c <= tol,
-        generic_i=gen_i,
-        generic_ii=gen_ii,
-        generic_iii=gen_iii,
-        generic_central=gen_c,
-        generic_strip=gen_strip,
-        residual_i=res_i,
-        residual_ii=res_ii,
-        residual_iii=res_iii,
-        residual_central=res_c,
-        tol=tol,
-    )
+    labelings = relabelings(s.angles, s.lengths)
+    fields = {"tol": tol}
+    for flag, residual, generics in _CONDITIONS:
+        res = [residual(a, l) for a, l in labelings]
+        fields[flag] = min(res) <= tol
+        fields["residual_" + flag.removeprefix("type_")] = min(res)
+        for name, generic in generics.items():
+            fields[name] = any(
+                generic(a, l, tol) for (a, l), r in zip(labelings, res) if r <= tol
+            )
+    return TypeReport(**fields)

@@ -4,8 +4,9 @@ A torus modulus is a complex number tau with Im(tau) > 0, standing for the
 lattice Z + Z*tau. This module provides the SL(2,Z) action and reduction,
 Hermite normal form for finite-index sublattices, sublattice enumeration,
 covering moduli, lattice isometry tests, a bounded search for rectangular
-minimal moduli, and the lattice frame that reduces points modulo a lattice
-and finds the pairs of points that lie close modulo it.
+minimal moduli, the covolume of a lattice, the lattice frame that reduces
+points modulo a lattice and finds the pairs of points that lie close modulo
+it, and the connected components of a graph on such points.
 """
 
 from __future__ import annotations
@@ -33,6 +34,21 @@ def check_modulus(tau: complex) -> complex:
     if not tau.imag > 0:
         raise ValueError(f"modulus must lie in the upper half plane, got {tau}")
     return tau
+
+
+def covolume(alpha: complex, beta: complex) -> float:
+    """Signed area alpha.real*beta.imag - alpha.imag*beta.real of the cell
+    spanned by alpha and then beta; positive iff Im(beta/alpha) > 0."""
+    return alpha.real * beta.imag - alpha.imag * beta.real
+
+
+def check_lattice(alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """The generators as complex numbers; ValueError if covolume(alpha, beta)
+    <= 0, i.e. unless Im(beta/alpha) > 0."""
+    alpha, beta = complex(alpha), complex(beta)
+    if covolume(alpha, beta) <= 0:
+        raise ValueError("lattice generators must satisfy Im(beta/alpha) > 0")
+    return alpha, beta
 
 
 def _egcd(u: int, v: int) -> tuple[int, int, int]:
@@ -129,14 +145,9 @@ def hnf_of_basis(basis: IntBasis | tuple[int, int, int, int]) -> HnfTriple:
     """Hermite normal form (m, n; l) of the sublattice spanned by the basis."""
     if not isinstance(basis, IntBasis):
         basis = IntBasis(*basis)
-    a, b, c, d = basis.a, basis.b, basis.c, basis.d
-    n, x, y = _egcd(b, d)
-    if n == 0:
-        # both generators are real: rank 1, cannot have finite index, and
-        # det != 0 already rules it out; keep the guard for plain tuples
-        raise SingularBasisError(f"basis {basis} spans no finite-index sublattice")
+    n, x, y = _egcd(basis.b, basis.d)  # n > 0, since det != 0
     m = abs(basis.det) // n
-    l = (x * a + y * c) % m
+    l = (x * basis.a + y * basis.c) % m
     return HnfTriple(m, n, l)
 
 
@@ -253,6 +264,9 @@ def rectangular_solve(
     It is cached per (target, bound), so all triples of one target share it.
     """
     target = check_modulus(target)
+    # the same lattice, exactly: far from Re = 0 the images of the target
+    # would lose its imaginary part to rounding
+    target -= round(target.real)
     if bound < 1:
         raise ValueError(f"search bound must be at least 1, got {bound}")
     a, b, c0, d0, re, im, overflow = _search_images(target, bound)
@@ -274,8 +288,28 @@ def rectangular_solve(
     return None
 
 
+def components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the nodes 0..n-1 under the edges (a[k], b[k]).
+
+    Returns (label, first): components are numbered 0, 1, ... in order of
+    their least node, label[v] is the number of the component of node v and
+    first[c] the least node of component c, so first is increasing.
+    """
+    root = np.arange(n)
+    # hook each root onto the smaller root it touches, then flatten, until
+    # the ends of every edge share a root: the least node of their component
+    while not np.array_equal(root[a], root[b]):
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    first = np.flatnonzero(root == np.arange(n))
+    return np.searchsorted(first, root), first
+
+
 def _distinct(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values (np.unique would import numpy.ma on first use)."""
+    """Sorted distinct values (numpy's unique imports numpy.ma on first use)."""
     a = np.sort(a)
     keep = np.ones(len(a), dtype=bool)
     keep[1:] = a[1:] != a[:-1]

@@ -4,6 +4,7 @@ A free parameter is admissible exactly when the corresponding constructor
 succeeds, i.e. its hexagon is simple. Membership applies the constructors' own
 corner formulas (:func:`hextorus.construct.hexagon_corners`) and simplicity
 test (:mod:`hextorus.geom`), to one parameter or to a whole grid at once.
+Components of a sampled region come from :func:`hextorus.lattice.components`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .construct import B_POINT, OMEGA3, R_POINT, hexagon_corners
 from .geom import MERGE_TOL, first_violation, simple_mask
-from .lattice import check_modulus
+from .lattice import check_lattice, check_modulus, components
 
 KINDS = ("i", "ii", "iii", "cs")
 
@@ -37,6 +38,8 @@ class RegionGrid:
     def __post_init__(self) -> None:
         xmin, xmax, ymin, ymax = (float(v) for v in self.bbox)
         object.__setattr__(self, "bbox", (xmin, xmax, ymin, ymax))
+        if not all(map(math.isfinite, self.bbox)):
+            raise ValueError(f"bbox must be finite, got {self.bbox}")
         if not (xmax > xmin and ymax > ymin):
             raise ValueError(f"degenerate bbox {self.bbox}")
         if self.nx < 2 or self.ny < 2:
@@ -73,10 +76,7 @@ def _normalize_fixed(kind: str, fixed):
             raise ValueError("type iii has no fixed parameters")
         return key, ()
     alpha, beta = fixed
-    alpha, beta = complex(alpha), complex(beta)
-    if alpha.real * beta.imag - alpha.imag * beta.real <= 0:
-        raise ValueError("lattice generators must satisfy Im(beta/alpha) > 0")
-    return key, (alpha, beta)
+    return key, check_lattice(alpha, beta)
 
 
 def membership_mask(kind: str, fixed, free, tol: float = MERGE_TOL) -> np.ndarray:
@@ -139,17 +139,10 @@ def connected_components(g: RegionGrid) -> tuple[int, np.ndarray]:
     # rows; the first column of each stretch names the touching pair once
     both = bits[:-1] & bits[1:]
     first = both & ~np.pad(both[:, :-1], ((0, 0), (1, 0)))
-    upper, lower = run_of[:-1][first] - 1, run_of[1:][first] - 1
-    # hook each root onto the smaller root it touches, then flatten, until
-    # touching runs share a root: the first run of their component
-    root = np.arange(int(starts.sum()))
-    while not np.array_equal(root[upper], root[lower]):
-        ru, rl = root[upper], root[lower]
-        np.minimum.at(root, ru, rl)
-        np.minimum.at(root, rl, ru)
-        while not np.array_equal(root[root], root):
-            root = root[root]
-    roots, run_label = np.unique(root, return_inverse=True)
+    # components of runs are numbered by their first run, in raster order
+    run_label, roots = components(
+        int(starts.sum()), run_of[:-1][first] - 1, run_of[1:][first] - 1
+    )
     labels = np.zeros(bits.shape, dtype=np.int32)
     labels[bits] = run_label[run_of[bits] - 1] + 1
     return len(roots), labels

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import congruent, corner_angles, is_simple, seg_point_dist
-from .lattice import LatticeFrame, NearPairs
+from .geom import congruent, corner_angles, is_simple, seg_point_dist, signed_area
+from .lattice import LatticeFrame, NearPairs, components, covolume
 
 ANGLE_TOL = 1e-9
 
@@ -72,20 +72,6 @@ class ValidationReport:
     failures: tuple[tuple[str, str], ...]
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least member index of the connected component of each of n nodes
-    under the edges (a[k], b[k])."""
-    label = np.arange(n)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, a, label[b])
-        np.minimum.at(low, b, label[a])
-        low = low[low]
-        if np.array_equal(low, label):
-            return label
-        label = low
-
-
 class _Analysis:
     """Corner clustering and side matching of one tiling, modulo the lattice."""
 
@@ -124,25 +110,19 @@ class _Analysis:
         a, b = NearPairs(self.frame, self.corners, 3.0 * tol).pairs(self.corners)
         dist = self.frame.residual(frac[a] - frac[b])
         close = dist <= tol
-        roots = _components(len(self.corners), a[close], b[close])
-        ambiguous = np.flatnonzero(
-            (dist > tol) & (dist <= 3.0 * tol) & (roots[a] != roots[b])
-        )
+        # clusters are numbered in order of their first corner
+        label, first = components(len(self.corners), a[close], b[close])
+        ambiguous = np.flatnonzero((dist > tol) & (dist <= 3.0 * tol) & (label[a] != label[b]))
         if len(ambiguous):
             k = ambiguous[0]
             raise ToleranceAmbiguityError(
                 f"corners {int(a[k])} and {int(b[k])} are {dist[k]:.3e} apart, "
                 f"inside the ambiguous band ({tol:.1e}, {3 * tol:.1e}]"
             )
-        # a root is the least corner index of its cluster, so clusters are
-        # numbered in order of their first corner
-        is_root = roots == np.arange(len(roots))
-        first = np.flatnonzero(is_root)
-        self.cluster_of = (np.cumsum(is_root) - 1)[roots]
         self.n_clusters = len(first)
-        order = np.argsort(self.cluster_of, kind="stable")
-        sizes = np.bincount(self.cluster_of, minlength=self.n_clusters)
-        self.members = np.split(order, np.cumsum(sizes))[:-1]
+        order = np.argsort(label, kind="stable")
+        self.sizes = np.bincount(label, minlength=self.n_clusters)
+        self.members = np.split(order, np.cumsum(self.sizes))[:-1]
         self.reps = self.corners[first]
         return a, b
 
@@ -193,19 +173,11 @@ class _Analysis:
         self.is_half = self.through_count > 0
 
     def census(self) -> TilingCensus:
-        unmatched = int((self.partner_count == 0).sum())
-        e = self.pairs + unmatched
-        v_k: Counter = Counter()
-        h_l: Counter = Counter()
-        for c in range(self.n_clusters):
-            size = len(self.members[c])
-            if self.is_half[c]:
-                h_l[size + int(self.through_count[c])] += 1
-            else:
-                v_k[size] += 1
-        v = int(sum(v_k.values()))
-        h = int(sum(h_l.values()))
-        return TilingCensus(v, h, e, self.f, dict(v_k), dict(h_l))
+        e = self.pairs + int((self.partner_count == 0).sum())
+        full, half = ~self.is_half, self.is_half
+        v_k = Counter(self.sizes[full].tolist())
+        h_l = Counter((self.sizes + self.through_count)[half].tolist())
+        return TilingCensus(int(full.sum()), int(half.sum()), e, self.f, dict(v_k), dict(h_l))
 
 
 def census(tiling, tol: float = 1e-9) -> TilingCensus:
@@ -258,17 +230,8 @@ def validate(tiling, tol: float = 1e-9) -> ValidationReport:
                     ("non-congruent-tile", f"tile {idx} not congruent to tile 0")
                 )
 
-    covol = abs(
-        tiling.alpha.real * tiling.beta.imag - tiling.alpha.imag * tiling.beta.real
-    )
-    total = 0.0
-    for tile in tiles:
-        area = 0.0
-        cs = tile.corners
-        for k in range(len(cs)):
-            a, b = cs[k], cs[(k + 1) % len(cs)]
-            area += a.real * b.imag - a.imag * b.real
-        total += abs(area) / 2.0
+    covol = abs(covolume(tiling.alpha, tiling.beta))
+    total = sum((abs(signed_area(tile)) for tile in tiles), 0.0)
     if abs(total - covol) > 1e-6 * covol:
         failures.append(
             ("area-mismatch", f"tile area {total} vs fundamental domain {covol}")

@@ -282,6 +282,22 @@ class TestModuliSampleCommand:
         assert "--tau" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_non_finite_bbox_is_one_error_line(self, tmp_path, capsys, slot, value):
+        bbox = ["0", "1", "0", "1"]
+        bbox[slot] = value
+        out = tmp_path / "region.pgm"
+        args = ["moduli", "sample", "--type=iii", "--grid=4,4", f"--bbox={','.join(bbox)}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*args, "-o", str(out)]) == 1
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bbox must be finite")
+        assert not out.exists()
+
+
 class TestRenderSvg:
     def test_svg_parses_with_expected_shapes(self, tmp_path):
         path = construct_doc(tmp_path, "i")

@@ -129,6 +129,15 @@ class TestEnumerateCoverings:
             assert abs(tau_min.real) <= 1e-12
             assert lattices_isometric(covering_modulus(tau_min, h), TARGET)
 
+    @pytest.mark.parametrize("target", [1e10 + 1j, 1e20 + 1j, 1e300 + 1j])
+    def test_family_ii_far_from_the_imaginary_axis(self, target):
+        # target - k for an integer k is the same lattice as target, so the
+        # rows are those of its representative i
+        found = enumerate_coverings("ii", target, 48)
+        assert found == enumerate_coverings("ii", 1j, 48) and found
+        for h, tau_min in found:
+            assert lattices_isometric(covering_modulus(tau_min, h), target)
+
     def test_family_iii_canonicalizes_rotation_orbit(self):
         found = enumerate_coverings("iii", TARGET, 12)
         assert [(h.m, h.n, h.l) for h, _ in found] == [(1, 4, 0)]

@@ -169,6 +169,16 @@ class TestSampleRegion:
         with pytest.raises(ValueError):
             RegionGrid((0, 1, 0, 1), 4, 4, np.zeros((4, 5), bool))
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_non_finite_bbox_rejected(self, slot, value):
+        bbox = [0.0, 1.0, 0.0, 1.0]
+        bbox[slot] = value
+        with pytest.raises(ValueError, match="bbox must be finite"):
+            RegionGrid(tuple(bbox), 4, 4, np.zeros((4, 4), bool))
+        with pytest.raises(ValueError, match="bbox must be finite"):
+            sample_region("iii", (), bbox=tuple(bbox), nx=4, ny=4)
+
     def test_cell_centers_layout(self):
         g = RegionGrid((0, 2, 0, 1), 4, 2, np.zeros((2, 4), bool))
         centers = g.cell_centers()
@@ -274,3 +284,21 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_labelling_does_not_load_numpy_ma():
+    code = (
+        "import sys, numpy as np\n"
+        "from hextorus.moduli import RegionGrid, connected_components\n"
+        "bits = np.zeros((4, 5), dtype=bool)\n"
+        "bits[:, 0] = bits[1:3, 2:] = True\n"
+        "count, _ = connected_components(RegionGrid((0, 1, 0, 1), 5, 4, bits))\n"
+        "print(count, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["2", "False"]
