@@ -230,10 +230,10 @@ def classify(s: HexagonSpec, tol: float = 1e-9) -> TypeReport:
     fields = {"tol": tol}
     for flag, residual, generics in _CONDITIONS:
         res = [residual(a, l) for a, l in labelings]
-        fields[flag] = min(res) <= tol
+        fields[flag] = holds = min(res) <= tol
         fields["residual_" + flag.removeprefix("type_")] = min(res)
         for name, generic in generics.items():
-            fields[name] = any(
+            fields[name] = holds and any(
                 generic(a, l, tol) for (a, l), r in zip(labelings, res) if r <= tol
             )
     return TypeReport(**fields)
