@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construct import OMEGA3, TorusTiling, translates
+from .geom import corner_table
 from .lattice import (
     HnfTriple,
     IntBasis,
@@ -54,10 +55,7 @@ def is_minimal(t: TorusTiling, tol: float = 1e-9) -> bool:
     if len(tiles) < 2:
         return True
     frame = LatticeFrame(t.alpha, t.beta)
-    sizes = np.array([len(tile.corners) for tile in tiles])
-    first = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(tiles)), sizes)
-    corners = np.array([z for tile in tiles for z in tile.corners], dtype=complex)
+    corners, sizes, first, owner = corner_table(tiles)
     index = NearPairs(frame, corners, tol)
 
     def meets(a, b):

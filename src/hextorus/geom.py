@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -171,6 +172,24 @@ def _corners(p) -> tuple[Point2, ...]:
     return c
 
 
+def corner_table(polygons) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The corners of the polygons as one flat table, in polygon order.
+
+    Returns (corners, sizes, first, owner): the complex corners, each
+    polygon's corner count, the flat index of its corner 0, and the polygon
+    each corner belongs to.
+    """
+    sizes = np.fromiter((len(p.corners) for p in polygons), dtype=np.int64, count=len(polygons))
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    corners = np.fromiter(
+        itertools.chain.from_iterable(p.corners for p in polygons),
+        dtype=complex,
+        count=int(sizes.sum()),
+    )
+    return corners, sizes, first, owner
+
+
 def signed_area(p) -> float:
     c = _corners(p)
     n = len(c)
@@ -314,6 +333,35 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     return bits.reshape(shape)
 
 
+@functools.lru_cache(maxsize=8)
+def _test_groups(n: int) -> tuple:
+    """The tests of ``_tests(n)`` grouped by distance function, as
+    (distance, corner indices): row a of the indices is argument a of the
+    distance, one column per test."""
+    groups: dict = {}
+    for _, _, _, dist, pick in _tests(n):
+        groups.setdefault(dist, []).append(pick(range(n)))
+    return tuple((dist, np.array(picks).T) for dist, picks in groups.items())
+
+
+def simple_rows(stack, tol: float = MERGE_TOL) -> np.ndarray:
+    """Row form of :func:`first_violation`: True where row k of the (f, n)
+    complex array ``stack`` is a simple loop.
+
+    One call per distance function evaluates its tests on every row at
+    once (for hexagons 9 crossings, 12 touches and 6 side lengths). The
+    arithmetic is that of the scalar tests, so a row passes exactly when
+    ``first_violation`` finds nothing; where a distance is NaN the scalar
+    ``min`` may pass it, so callers re-decide failed rows with the scalar
+    test.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    ok = np.ones(len(stack), dtype=bool)
+    for dist, args in _test_groups(stack.shape[1]):
+        ok &= (dist(*(stack[:, col] for col in args)) > tol).all(axis=1)
+    return ok
+
+
 def _gather(z, shape, at):
     """A corner broadcast to ``shape``, at the flat indices ``at``; a scalar
     stays a scalar."""
@@ -342,6 +390,20 @@ class Congruence:
     isometry: Isometry
 
 
+def _candidates(ca, tol: float):
+    """The correspondences :func:`congruent` tries, in its order: (reflect,
+    the corners of a, conjugated if reflect, and the corner of b each one
+    must land on)."""
+    n = len(ca)
+    for reflect in (False, True):
+        za = tuple(z.conjugate() for z in ca) if reflect else ca
+        if abs(za[1] - za[0]) <= tol:
+            continue
+        for direction in (1, -1):
+            for shift in range(n):
+                yield reflect, za, tuple((shift + direction * k) % n for k in range(n))
+
+
 def congruent(a, b, tol: float = MERGE_TOL) -> Congruence | None:
     """Find an isometry (either orientation) carrying polygon a onto b.
 
@@ -352,21 +414,43 @@ def congruent(a, b, tol: float = MERGE_TOL) -> Congruence | None:
     n = len(ca)
     if len(cb) != n:
         return None
-    for reflect in (False, True):
-        za = tuple(z.conjugate() for z in ca) if reflect else ca
-        for direction in (1, -1):
-            for shift in range(n):
-                idx = tuple((shift + direction * k) % n for k in range(n))
-                denom = za[1] - za[0]
-                if abs(denom) <= tol:
-                    continue
-                mult = (cb[idx[1]] - cb[idx[0]]) / denom
-                if abs(mult) == 0.0:
-                    continue
-                mult /= abs(mult)
-                offset = cb[idx[0]] - mult * za[0]
-                if all(
-                    abs(mult * za[k] + offset - cb[idx[k]]) <= tol for k in range(n)
-                ):
-                    return Congruence(idx, Isometry(mult, offset, reflect))
+    for reflect, za, idx in _candidates(ca, tol):
+        mult = (cb[idx[1]] - cb[idx[0]]) / (za[1] - za[0])
+        if abs(mult) == 0.0:
+            continue
+        mult /= abs(mult)
+        offset = cb[idx[0]] - mult * za[0]
+        if all(abs(mult * za[k] + offset - cb[idx[k]]) <= tol for k in range(n)):
+            return Congruence(idx, Isometry(mult, offset, reflect))
     return None
+
+
+def congruent_rows(a, stack, tol: float = MERGE_TOL) -> np.ndarray:
+    """Row form of ``congruent(a, row, tol) is not None`` that may abstain.
+
+    ``stack`` is an (f, n) complex array of n-corner loops, n the corner
+    count of a. The candidates of :func:`congruent` are tried in its order
+    with its formulas, each on the rows no earlier one accepted. numpy's
+    complex division differs from Python's in the last bits, so a row is
+    accepted only when every residual is below tol by a margin of 1e-12
+    times its largest coordinate; False means "not shown congruent" and is
+    re-decided by the scalar test.
+    """
+    ca = _corners(a)
+    stack = np.asarray(stack, dtype=complex)
+    sure = np.zeros(len(stack), dtype=bool)
+    scale = np.fmax(np.abs(stack).max(axis=1, initial=0.0), max(map(abs, ca)))
+    limit = tol - 1e-12 * scale
+    live = np.arange(len(stack))
+    for _, za, idx in _candidates(ca, tol):
+        cb = stack[live][:, idx]
+        mult = (cb[:, 1] - cb[:, 0]) / (za[1] - za[0])
+        mult /= np.abs(mult)
+        offset = cb[:, 0] - mult * za[0]
+        resid = np.abs(mult[:, None] * np.array(za) + offset[:, None] - cb)
+        hit = resid.max(axis=1) <= limit[live]
+        sure[live[hit]] = True
+        live = live[~hit]
+        if not len(live):
+            break
+    return sure

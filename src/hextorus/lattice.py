@@ -22,6 +22,8 @@ TOL = 1e-9
 
 _BOUNDARY_EPS = 1e-12
 
+_CANDIDATES = 1 << 14  # candidate pairs NearPairs.pairs tests at a time
+
 
 class SingularBasisError(ValueError):
     """Integer basis with zero determinant spans no finite-index sublattice."""
@@ -43,10 +45,11 @@ def covolume(alpha: complex, beta: complex) -> float:
 
 
 def check_lattice(alpha: complex, beta: complex) -> tuple[complex, complex]:
-    """The generators as complex numbers; ValueError if covolume(alpha, beta)
-    <= 0, i.e. unless Im(beta/alpha) > 0."""
+    """The generators as complex numbers; ValueError unless both are finite
+    and covolume(alpha, beta) > 0, i.e. Im(beta/alpha) > 0."""
     alpha, beta = complex(alpha), complex(beta)
-    if covolume(alpha, beta) <= 0:
+    finite = all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag)))
+    if not (finite and covolume(alpha, beta) > 0):
         raise ValueError("lattice generators must satisfy Im(beta/alpha) > 0")
     return alpha, beta
 
@@ -434,8 +437,16 @@ class NearPairs:
         hi = row * ny + np.searchsorted(self.ys, cy + 1, side="right")
         start = np.where(found, np.searchsorted(self.key, lo), 0)
         count = np.where(found, np.searchsorted(self.key, hi), 0) - start
-        q = np.repeat(np.tile(np.arange(len(z)), 3), count)
-        r = np.arange(len(q)) - np.repeat(np.cumsum(count) - count - start, count)
-        near = np.abs(z[q] - self.pts[r]) <= self.reach
-        keys = _distinct(index[q[near]] * self.n_ref + self.src[r[near]])
+        run_query = np.tile(np.arange(len(z)), 3)  # the query point of each run
+        # test the candidates about _CANDIDATES at a time, whole runs each,
+        # so that memory stays bounded however many points the cells hold
+        cuts = np.searchsorted(np.cumsum(count), np.arange(_CANDIDATES, count.sum(), _CANDIDATES))
+        keys = []
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(count)]):
+            n = count[a:b]
+            q = np.repeat(run_query[a:b], n)
+            r = np.arange(len(q)) - np.repeat(np.cumsum(n) - n - start[a:b], n)
+            near = np.abs(z[q] - self.pts[r]) <= self.reach
+            keys.append(index[q[near]] * self.n_ref + self.src[r[near]])
+        keys = _distinct(np.concatenate(keys))
         return keys // self.n_ref, keys % self.n_ref

@@ -20,19 +20,54 @@ candidate is accepted or rejected by the same formulas an all-pairs
 comparison applies. So verdicts, censuses and failure lists are those of
 the all-pairs check, while time and memory grow with the corner count
 instead of its square.
+
+The per-tile checks run as a few array passes over one flat corner table
+(``geom.corner_table``) instead of Python loops over tiles, corners and
+clusters, each with the formulas of the scalar code:
+- simplicity of the 6-corner tiles, one call per distance function over the
+  (f, 6) stack (``geom.simple_rows``);
+- orientation, tile areas and corner angles, from per-tile shoelace sums in
+  corner order and ``math.atan2``, so every value is the scalar one;
+- vertex degrees and angle sums per cluster, through ``np.bincount``;
+- congruence to tile 0, all ≤ 24 candidate isometries of ``geom.congruent``
+  tried on all tiles at once (``geom.congruent_rows``).
+What the arrays cannot settle goes back to the scalar code, in tile order:
+a tile that fails the simplicity pass is re-decided by ``is_simple`` (which
+also raises the ``DegenerateError``), and a tile not shown congruent, or
+shown congruent only within a rounding margin of tol, by ``congruent``.
+Only sides without exactly one partner, and clusters that are half
+vertices, have a degree other than 3 or an angle sum near or past the
+tolerance, are examined one at a time to write their failures. So the
+reports are those of the per-tile loops.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import congruent, corner_angles, is_simple, seg_point_dist, signed_area
+from .geom import (
+    MERGE_TOL,
+    _cross,
+    _dot,
+    congruent,
+    congruent_rows,
+    corner_angles,
+    corner_table,
+    is_simple,
+    seg_point_dist,
+    simple_rows,
+)
 from .lattice import LatticeFrame, NearPairs, components, covolume
 
 ANGLE_TOL = 1e-9
+
+# the lattice shifts, in coordinates, around the nearest one
+_NEIGHBOURS = np.array([(ox, oy) for ox in (-1.0, 0.0, 1.0) for oy in (-1.0, 0.0, 1.0)])
+_BLOCK = 512  # candidate pairs per half-vertex test
 
 
 class ToleranceAmbiguityError(ValueError):
@@ -73,32 +108,41 @@ class ValidationReport:
 
 
 class _Analysis:
-    """Corner clustering and side matching of one tiling, modulo the lattice."""
+    """Corner clustering and side matching of one tiling, modulo the lattice.
 
-    def __init__(self, tiling, tol: float):
+    ``table`` is ``corner_table(tiling.tiles)`` when the caller has it.
+    """
+
+    def __init__(self, tiling, tol: float, table=None):
         self.tol = tol
         tiles = tiling.tiles
         self.f = len(tiles)
         self.frame = LatticeFrame(tiling.alpha, tiling.beta)
 
-        corners = []
-        nxt = []  # corner index of the next corner around the same tile
-        self.owner = []  # (tile index, corner position)
-        for ti, tile in enumerate(tiles):
-            n = len(tile.corners)
-            for ci, z in enumerate(tile.corners):
-                nxt.append(len(corners) - ci + (ci + 1) % n)
-                corners.append(z)
-                self.owner.append((ti, ci))
-        self.corners = np.array(corners, dtype=complex)
-        self.angles = np.array([a for tile in tiles for a in corner_angles(tile)])
-        # side k runs from corner k to corner nxt[k], so side prev[k] ends at
-        # corner k, and side k belongs to owner[k]
-        nxt = np.array(nxt, dtype=np.int64)
-        self.side_p = self.corners
-        self.side_q = self.corners[nxt]
-        self.prev = np.empty_like(nxt)
-        self.prev[nxt] = np.arange(len(nxt))
+        corners, sizes, first, self.owner = table or corner_table(tiles)
+        # corner k sits at position[k] of tile owner[k]; side k runs from
+        # corner k to corner nxt[k], so side prev[k] ends at corner k
+        start, size = first[self.owner], sizes[self.owner]
+        self.position = np.arange(len(corners)) - start
+        nxt = start + (self.position + 1) % size
+        self.prev = start + (self.position - 1) % size
+        self.corners = corners
+        self.side_p = corners
+        self.side_q = corners[nxt]
+        # the shoelace and corner_angles term by term: per-tile sums in
+        # corner order, and math.atan2, whose last bits np.arctan2 misses
+        self.areas = 0.5 * _tile_sums(_cross(corners, self.side_q), sizes, first)
+        e_in, e_out = corners - corners[self.prev], self.side_q - corners
+        if (np.abs(e_in) <= MERGE_TOL).any():  # e_out is e_in of the next corner
+            # corner_angles raises the DegenerateError of the first such tile
+            self.angles = np.array([a for tile in tiles for a in corner_angles(tile)])
+        else:
+            turn = np.fromiter(
+                map(math.atan2, _cross(e_in, e_out).tolist(), _dot(e_in, e_out).tolist()),
+                dtype=float,
+                count=len(corners),
+            )
+            self.angles = np.where(self.areas[self.owner] >= 0.0, np.pi - turn, np.pi + turn)
 
         self._match_sides(*self._cluster())
         self._find_half_vertices()
@@ -120,11 +164,16 @@ class _Analysis:
                 f"inside the ambiguous band ({tol:.1e}, {3 * tol:.1e}]"
             )
         self.n_clusters = len(first)
-        order = np.argsort(label, kind="stable")
+        self.order = np.argsort(label, kind="stable")
         self.sizes = np.bincount(label, minlength=self.n_clusters)
-        self.members = np.split(order, np.cumsum(self.sizes))[:-1]
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.angle_sums = np.bincount(label, self.angles, minlength=self.n_clusters)
         self.reps = self.corners[first]
         return a, b
+
+    def members(self, c: int) -> np.ndarray:
+        """The corners of cluster c, in corner order."""
+        return self.order[self.offsets[c] : self.offsets[c] + self.sizes[c]]
 
     def _match_sides(self, a: np.ndarray, b: np.ndarray) -> None:
         # sides k and j can match only if the start of k lies within tol of
@@ -153,22 +202,20 @@ class _Analysis:
         c, s = NearPairs(self.frame, mids, half + tol).pairs(self.reps)
         mid_f = self.frame.frac(mids)
         rep_f = self.frame.frac(self.reps)
-        base = np.round(rep_f[c] - mid_f[s])
-        z, p, q = self.reps[c], self.side_p[s], self.side_q[s]
+        # the nine lattice shifts around the nearest one, as one (9, pairs)
+        # test per block of pairs: a few (9, 512) temporaries stay in cache
+        # and below the memory the other phases already take
         through = np.zeros(len(c), dtype=bool)
-        for ox in (-1.0, 0.0, 1.0):
-            for oy in (-1.0, 0.0, 1.0):
-                k = base + np.array([ox, oy])
-                shift_xy = k @ self.frame.basis
-                shift = shift_xy[..., 0] + 1j * shift_xy[..., 1]
-                a = p + shift
-                b = q + shift
-                on_interior = (
-                    (seg_point_dist(a, b, z) <= tol)
-                    & (np.abs(z - a) > tol)
-                    & (np.abs(z - b) > tol)
-                )
-                through |= on_interior
+        for lo in range(0, len(c), _BLOCK):
+            cb, sb = c[lo : lo + _BLOCK], s[lo : lo + _BLOCK]
+            k = np.round(rep_f[cb] - mid_f[sb]) + _NEIGHBOURS[:, None, :]
+            shift_xy = k @ self.frame.basis
+            shift = shift_xy[..., 0] + 1j * shift_xy[..., 1]
+            z, a, b = self.reps[cb], self.side_p[sb] + shift, self.side_q[sb] + shift
+            on_interior = (
+                (seg_point_dist(a, b, z) <= tol) & (np.abs(z - a) > tol) & (np.abs(z - b) > tol)
+            )
+            through[lo : lo + _BLOCK] = on_interior.any(axis=0)
         self.through_count = np.bincount(c[through], minlength=self.n_clusters)
         self.is_half = self.through_count > 0
 
@@ -180,58 +227,88 @@ class _Analysis:
         return TilingCensus(int(full.sum()), int(half.sum()), e, self.f, dict(v_k), dict(h_l))
 
 
+def _tile_sums(x: np.ndarray, sizes: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per-tile sums of a per-corner array, added in corner order as Python's
+    sum adds them."""
+    total = np.zeros(len(sizes))
+    for j in range(sizes.max(initial=0)):
+        rows = np.flatnonzero(sizes > j)
+        total[rows] += x[first[rows] + j]
+    return total
+
+
+def _rows(table, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tiles of n corners and their (tiles, n) corner array."""
+    corners, sizes, first, _ = table
+    rows = np.flatnonzero(sizes == n)
+    return rows, corners[first[rows][:, None] + np.arange(n)]
+
+
+# overflow and NaN just fail the tests' comparisons, without numpy warnings
+@np.errstate(all="ignore")
 def census(tiling, tol: float = 1e-9) -> TilingCensus:
     """Cluster corners and match sides modulo the lattice; count everything."""
     return _Analysis(tiling, tol).census()
 
 
+@np.errstate(all="ignore")
 def validate(tiling, tol: float = 1e-9) -> ValidationReport:
     """Full validation: side matching, vertex structure, congruence, area."""
     failures: list[tuple[str, str]] = []
     tiles = tiling.tiles
-    for idx, tile in enumerate(tiles):
-        if len(tile.corners) != 6:
-            failures.append(
-                ("bad-side-count", f"tile {idx} has {len(tile.corners)} corners")
-            )
-        elif not is_simple(tile, tol):
+    table = corner_table(tiles)
+    sizes = table[1]
+    suspect = sizes != 6
+    rows, stack = _rows(table, 6)
+    suspect[rows] = ~simple_rows(stack, tol)
+    for idx in np.flatnonzero(suspect).tolist():
+        if sizes[idx] != 6:
+            failures.append(("bad-side-count", f"tile {idx} has {sizes[idx]} corners"))
+        elif not is_simple(tiles[idx], tol):
             failures.append(("non-simple-tile", f"tile {idx} is not simple"))
 
-    analysis = _Analysis(tiling, tol)
+    analysis = _Analysis(tiling, tol, table)
     cen = analysis.census()
 
-    for k, count in enumerate(analysis.partner_count):
-        ti, ci = analysis.owner[k]
+    for k in np.flatnonzero(analysis.partner_count != 1).tolist():
+        ti, ci = analysis.owner[k], analysis.position[k]
+        count = analysis.partner_count[k]
         if count == 0:
             failures.append(("unmatched-side", f"side {ci} of tile {ti}"))
-        elif count > 1:
+        else:
             failures.append(
                 ("multi-matched-side", f"side {ci} of tile {ti} has {count} partners")
             )
 
-    for c in range(analysis.n_clusters):
+    # the array sums may differ from the exact ones in the last bits, so the
+    # flag allows for that and each flagged cluster is decided as before
+    off = np.abs(analysis.angle_sums - 2.0 * np.pi) > max(tol, ANGLE_TOL) - 1e-12
+    for c in np.flatnonzero(analysis.is_half | (analysis.sizes != 3) | off).tolist():
         where = f"vertex near {analysis.reps[c]:.6g}"
         if analysis.is_half[c]:
             failures.append(("half-vertex", where))
             continue
-        size = len(analysis.members[c])
+        members = analysis.members(c)
+        size = len(members)
         if size != 3:
             failures.append(("vertex-degree", f"{where} has degree {size}"))
-        angle_sum = float(analysis.angles[analysis.members[c]].sum())
+        angle_sum = float(analysis.angles[members].sum())
         if abs(angle_sum - 2.0 * np.pi) > max(tol, ANGLE_TOL):
             failures.append(
                 ("angle-sum", f"{where} angles sum to {angle_sum:.12g}")
             )
 
-    for idx in range(1, len(tiles)):
-        if len(tiles[idx].corners) == len(tiles[0].corners):
+    if len(tiles):
+        rows, stack = _rows(table, sizes[0])
+        rows, stack = rows[1:], stack[1:]  # rows[0] is tile 0
+        for idx in rows[~congruent_rows(tiles[0], stack, tol)].tolist():
             if congruent(tiles[0], tiles[idx], tol) is None:
                 failures.append(
                     ("non-congruent-tile", f"tile {idx} not congruent to tile 0")
                 )
 
     covol = abs(covolume(tiling.alpha, tiling.beta))
-    total = sum((abs(signed_area(tile)) for tile in tiles), 0.0)
+    total = sum(np.abs(analysis.areas).tolist(), 0.0)
     if abs(total - covol) > 1e-6 * covol:
         failures.append(
             ("area-mismatch", f"tile area {total} vs fundamental domain {covol}")

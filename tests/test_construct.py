@@ -215,6 +215,23 @@ class TestCentral:
         with pytest.warns(GenericityWarning):
             central_minimal(1, 1j, 0.25 + 0.25j)
 
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(complex(math.nan, 0), 1j), (1, complex(0, math.inf)), (complex(math.inf, 0), 1j)],
+    )
+    def test_non_finite_generator_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"Im\(beta/alpha\) > 0"):
+            central_minimal(alpha, beta, 0.3 + 0.2j)
+
+
+@pytest.mark.parametrize("slot", ["alpha", "beta"])
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)])
+def test_torus_tiling_rejects_non_finite_generator(slot, bad):
+    t = type_i_minimal(0.6j, (0.2 + 0.2j, -0.15 + 0.25j))
+    lattice = {"alpha": t.alpha, "beta": t.beta, slot: bad}
+    with pytest.raises(ValueError, match=r"Im\(beta/alpha\) > 0"):
+        TorusTiling(lattice["alpha"], lattice["beta"], t.tiles)
+
 
 class TestStrip:
     SIGMA = (0.3 + 0.45j, 0.2 + 0.525j)  # satisfies Im(2t - i) = h/2 for h=1.2

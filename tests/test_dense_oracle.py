@@ -3,7 +3,11 @@
 Both must give the same census, per-side partner counts, per-cluster
 through-side counts, failure list, exception type and minimality answer on
 every input: valid covers of each family, broken carriers, a tolerance of
-zero, a change of basis and rescaled tilings.
+zero, a change of basis and rescaled tilings. The reference decides each
+tile with the scalar is_simple, congruent and corner_angle, so the carriers
+below that fail a batched check (a bow tie, a degenerate tile, odd corner
+counts, mirrored and non-congruent tiles, angle sums) test that the scalar
+code re-decides those tiles as it did before.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dense_oracle
 from hextorus.construct import (
@@ -24,7 +30,15 @@ from hextorus.construct import (
     type_ii_minimal,
     type_iii_minimal,
 )
-from hextorus.geom import Polygon
+from hextorus.geom import (
+    DegenerateError,
+    Polygon,
+    congruent,
+    congruent_rows,
+    first_violation,
+    reflection,
+    simple_rows,
+)
 from hextorus.lattice import HnfTriple
 
 warnings.simplefilter("ignore", GenericityWarning)
@@ -66,6 +80,8 @@ def outcome(module, minimal, tiling, tol):
         report = module.validate(tiling, tol)
     except validate.ToleranceAmbiguityError as exc:
         found = (type(exc),)
+    except DegenerateError as exc:
+        found = (type(exc), str(exc))
     else:
         found = (
             report.census,
@@ -174,3 +190,186 @@ def test_large_cover_validates():
     assert (c.v, c.e, c.h) == (2 * f, 3 * f, 0)
     assert not covering.is_minimal(t)
     assert np.array_equal(validate._Analysis(t, 1e-9).partner_count, np.ones(6 * f))
+
+
+def codes(tiling, tol=1e-9):
+    return {code for code, _ in validate.validate(tiling, tol).failures}
+
+
+def replaced(t, changes):
+    tiles = list(t.tiles)
+    for k, corners in changes.items():
+        tiles[k] = Polygon(tuple(corners))
+    return carrier(t, tiles)
+
+
+def cover(kind, h=(3, 2, 1)):
+    return covering.build_cover(BASES[kind](), HnfTriple(*h))
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_bow_tie_tile_agrees(kind):
+    t = cover(kind)
+    c = t.tiles[3].corners
+    tiling = replaced(t, {3: (c[0], c[2], c[1]) + c[3:]})
+    assert "non-simple-tile" in codes(tiling)
+    assert_agree(tiling)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_degenerate_tile_raises_the_same_error(kind):
+    # a side longer than the polygon check's 1e-9 but within tol
+    t = cover(kind)
+    c = list(t.tiles[2].corners)
+    c[4] = c[3] + 5e-7
+    tiling = replaced(t, {2: c})
+    with pytest.raises(DegenerateError, match="corners 3 and 4 coincide"):
+        validate.validate(tiling, 1e-6)
+    assert_agree(tiling, 1e-6)
+
+
+@pytest.mark.parametrize("first", [False, True])
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_odd_corner_counts_agree(kind, first):
+    # a pentagon and a heptagon (a corner inserted mid-side) among hexagons,
+    # the heptagon at tile 0 when first is set
+    t = cover(kind)
+    k = 0 if first else 4
+    five, seven = t.tiles[1].corners, t.tiles[k].corners
+    mid = (seven[2] + seven[3]) / 2
+    tiling = replaced(t, {1: five[:2] + five[3:], k: seven[:3] + (mid,) + seven[3:]})
+    failures = validate.validate(tiling).failures
+    assert [code for code, _ in failures[:2]] == ["bad-side-count"] * 2
+    assert_agree(tiling)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_mirrored_tiles_agree(kind):
+    # a mirror image is congruent through the reflecting candidates; a
+    # mirror image with one corner moved is congruent to nothing
+    t = cover(kind)
+    mirror = reflection(0.1 + 0.2j, 0.7)
+    bent = list(t.tiles[5].transformed(mirror).corners)
+    bent[2] += 1e-3 * (0.6 + 0.8j)
+    tiling = replaced(t, {3: t.tiles[3].transformed(mirror).corners, 5: bent})
+    failures = validate.validate(tiling).failures
+    assert ("non-congruent-tile", "tile 5 not congruent to tile 0") in failures
+    assert ("non-congruent-tile", "tile 3 not congruent to tile 0") not in failures
+    assert_agree(tiling)
+
+
+def turned_first_tile(t, worst):
+    """t with tile 0 listed from its shortest side and its corner 1 moved
+    across that side so far that the best isometry onto the other tiles
+    misses some corner by about ``worst``."""
+    c = list(t.tiles[0].corners)
+    k = min(range(6), key=lambda k: abs(c[(k + 1) % 6] - c[k]))
+    c = c[k:] + c[:k]
+    normal = 1j * (c[1] - c[0]) / abs(c[1] - c[0])
+
+    def tiles(delta):
+        moved = c[:1] + [c[1] + delta * normal] + c[2:]
+        return (Polygon(tuple(moved)),) + t.tiles[1:]
+
+    def residual(delta):
+        a, b = tiles(delta)[0], t.tiles[1]
+        g = congruent(a, b, 1e-3)
+        return max(abs(g.isometry(z) - b.corners[j]) for z, j in zip(a.corners, g.mapping))
+
+    # the residual is linear in a small turn
+    delta = 0.25 * worst * (worst / residual(0.25 * worst))
+    return carrier(t, tiles(delta)), delta
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("scale", [1 - 1e-5, 1 - 1e-13, 1 + 1e-13, 1 + 1e-5])
+def test_congruence_within_rounding_of_tol_agrees(scale, tol):
+    # every tile misses tile 0 by tol times scale; within 1e-12 of tol
+    # congruent_rows abstains and the scalar congruent decides
+    t = cover("iii")
+    tiling, delta = turned_first_tile(t, tol * scale)
+    assert delta < 0.9 * tol  # corner 1 stays in its cluster
+    stack = np.array([p.corners for p in tiling.tiles[1:]])
+    sure = congruent_rows(tiling.tiles[0], stack, tol).tolist()
+    assert sure == [tol * abs(scale - 1) > 1e-12 and scale < 1] * len(stack)
+    failures = validate.validate(tiling, tol).failures
+    bad = [text for code, text in failures if code == "non-congruent-tile"]
+    if abs(scale - 1) > 1e-6:
+        assert len(bad) == (0 if scale < 1 else len(t.tiles) - 1)
+    assert_agree(tiling, tol)
+
+
+@pytest.mark.parametrize("h", [(1, 1, 0), (2, 1, 0), (3, 2, 1)])
+@pytest.mark.parametrize("signs", ["+-", "++-", "++--+", "+-+--"])
+def test_strip_tilings_agree(signs, h):
+    # strip tiles are mirror images of tile 0 for some runs of signs
+    base = strip_tiling(1.2, 0.9, 0.15, (0.3 + 0.45j, 0.2 + 0.525j), signs)
+    t = covering.build_cover(base, HnfTriple(*h))
+    assert any(congruent(t.tiles[0], p).isometry.reflect for p in t.tiles)
+    assert validate.validate(t).passed
+    assert_agree(t)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_angle_sum_failure_agrees(kind):
+    # moving one corner turns the angles of its neighbours, whose vertices
+    # keep degree 3
+    t = cover(kind)
+    c = list(t.tiles[2].corners)
+    c[3] += 1e-4 * (0.6 + 0.8j)
+    tiling = replaced(t, {2: c})
+    assert "angle-sum" in codes(tiling)
+    assert_agree(tiling)
+
+
+def hexagon(radii, turns):
+    angles = np.cumsum(turns) / np.sum(turns) * 2 * np.pi
+    return [complex(r * np.cos(a), r * np.sin(a)) for r, a in zip(radii, angles)]
+
+
+RADII = st.lists(st.floats(0.2, 2.0), min_size=6, max_size=6)
+TURNS = st.lists(st.floats(0.1, 1.0), min_size=6, max_size=6)
+SHUFFLE = st.permutations(range(6))
+
+
+@given(st.lists(st.tuples(RADII, TURNS, SHUFFLE), min_size=1, max_size=8))
+def test_simple_rows_equal_first_violation(draws):
+    # star-shaped hexagons, simple in their own order, shuffled into bow ties
+    rows = [[hexagon(r, t)[k] for k in order] for r, t, order in draws]
+    expected = [first_violation(c) is None for c in rows]
+    assert simple_rows(np.array(rows)).tolist() == expected
+
+
+@given(
+    RADII,
+    TURNS,
+    st.integers(0, 5),
+    st.floats(0.05, 0.95),
+    st.integers(-6, 6),
+    st.sampled_from([1e-9, 1e-6, 1e-3]),
+)
+def test_simple_rows_at_the_tolerance(radii, turns, side, at, ulps, tol):
+    # a corner placed off a non-adjacent side by tol, give or take a few ulps
+    c = hexagon(radii, turns)
+    a, b = c[side], c[(side + 1) % 6]
+    normal = 1j * (b - a) / abs(b - a)
+    gap = tol * (1.0 + ulps * 2.0**-52)
+    c[(side + 3) % 6] = a + at * (b - a) + gap * normal
+    assert simple_rows(np.array([c]), tol).tolist() == [first_violation(c, tol) is None]
+
+
+def test_huge_coordinates_give_the_reference_report_without_warnings():
+    # the README's 2-tile tiling scaled by 1e300: coordinates overflow in
+    # the array passes, which must not leak numpy warnings
+    t = type_i_minimal(0.6j, (0.24 + 0.17j, -0.18 + 0.27j))
+    s = 1e300
+    tiles = [Polygon(tuple(s * z for z in p.corners)) for p in t.tiles]
+    tiling = carrier(t, tiles, s * t.alpha, s * t.beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate.validate(tiling)
+        cen = validate.census(tiling)
+    with np.errstate(all="ignore"):
+        reference = dense_oracle.validate(tiling)
+    assert report == reference and cen == reference.census
+    assert not report.passed

@@ -7,6 +7,7 @@ completely different route.
 """
 
 import cmath
+import importlib
 import math
 import random
 
@@ -23,6 +24,7 @@ from hextorus.lattice import (
     NearPairs,
     SingularBasisError,
     UnimodularMap,
+    check_lattice,
     check_modulus,
     covering_modulus,
     enumerate_hnf,
@@ -123,6 +125,17 @@ class TestTypes:
             check_modulus(1 - 1j)
         with pytest.raises(ValueError):
             check_modulus(complex("inf"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_check_lattice_rejects_non_finite_generators(self, slot, bad):
+        parts = [1.0, 0.0, 0.3, 0.8]
+        parts[slot] = bad
+        with pytest.raises(ValueError, match=r"Im\(beta/alpha\) > 0"):
+            check_lattice(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+
+    def test_check_lattice_accepts_a_finite_basis(self):
+        assert check_lattice(1, 0.3 + 0.8j) == (1 + 0j, 0.3 + 0.8j)
 
     def test_unimodular_determinant_enforced(self):
         with pytest.raises(ValueError):
@@ -442,3 +455,16 @@ class TestNearPairs:
         assert len(q) == len(r) == 0
         q, r = NearPairs(frame, np.array([0.2]), -1.0).pairs(np.array([0.2]))
         assert len(q) == 0
+
+    def test_pairs_do_not_depend_on_how_many_candidates_run_at_once(self, monkeypatch):
+        lattice = importlib.import_module("hextorus.lattice")
+        rng = np.random.default_rng(3)
+        ref = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
+        query = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
+        index = NearPairs(LatticeFrame(1.0, 0.3 + 0.8j), ref, 0.4)
+        q, r = index.pairs(query)
+        assert len(q) > 1000
+        for size in (1, 7, 1000):
+            monkeypatch.setattr(lattice, "_CANDIDATES", size)
+            q2, r2 = index.pairs(query)
+            assert q2.tolist() == q.tolist() and r2.tolist() == r.tolist()

@@ -179,6 +179,18 @@ class TestSampleRegion:
         with pytest.raises(ValueError, match="bbox must be finite"):
             sample_region("iii", (), bbox=tuple(bbox), nx=4, ny=4)
 
+    @pytest.mark.parametrize(
+        "fixed",
+        [(complex(math.nan, 0), 1j), (1, complex(0, math.inf)), (complex(-math.inf, 0), 1j)],
+    )
+    def test_non_finite_cs_generator_rejected(self, fixed):
+        with pytest.raises(ValueError, match=r"Im\(beta/alpha\) > 0"):
+            membership("cs", fixed, 0.3 + 0.2j)
+        with pytest.raises(ValueError, match=r"Im\(beta/alpha\) > 0"):
+            membership_mask("cs", fixed, np.array([0.3 + 0.2j]))
+        with pytest.raises(ValueError, match=r"Im\(beta/alpha\) > 0"):
+            sample_region("cs", fixed, nx=4, ny=4)
+
     def test_cell_centers_layout(self):
         g = RegionGrid((0, 2, 0, 1), 4, 2, np.zeros((2, 4), bool))
         centers = g.cell_centers()
