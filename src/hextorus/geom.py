@@ -233,33 +233,23 @@ def seg_point_dist(a, b, p):
     return abs(a + t * ab - p)
 
 
-def seg_seg_dist(a, b, c, d):
-    """Distance between the segments ab and cd, 0 where they cross.
-
-    For arrays the four point-segment distances are taken only where the
-    segments do not cross.
-    """
-    d1 = _cross(b - a, c - a)
-    d2 = _cross(b - a, d - a)
-    d3 = _cross(d - c, a - c)
-    d4 = _cross(d - c, b - c)
-    crossing = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-    del d1, d2, d3, d4  # free them before the gathers below
-    if crossing is True:
-        return 0.0
-    if crossing is False:
-        return min(
-            min(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
-            min(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
-        )
-    apart = np.flatnonzero(~crossing)
-    a, b, c, d = (_gather(z, crossing.shape, apart) for z in (a, b, c, d))
-    out = np.zeros(crossing.shape)
-    out.flat[apart] = np.minimum(
-        np.minimum(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
-        np.minimum(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
+def _crosses(a, b, c, d):
+    """True where the segments ab and cd cross: each has one end strictly
+    left of the other's line and one end not (scalars or arrays)."""
+    ab, cd = b - a, d - c
+    return ((_cross(ab, c - a) > 0) != (_cross(ab, d - a) > 0)) & (
+        (_cross(cd, a - c) > 0) != (_cross(cd, b - c) > 0)
     )
-    return out
+
+
+def seg_seg_dist(a, b, c, d) -> float:
+    """Distance between the segments ab and cd, 0 where they cross."""
+    if _crosses(a, b, c, d):
+        return 0.0
+    return min(
+        min(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
+        min(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
+    )
 
 
 def _side_length(a, b):
@@ -301,31 +291,71 @@ def first_violation(corners, tol: float = MERGE_TOL):
     return None
 
 
-# crossing sides reject most non-simple loops, so the mask tests them first
-_MASK_ORDER = {"cross": 0, "touch": 1, "degenerate": 2}
+@functools.lru_cache(maxsize=8)
+def _atoms(n: int) -> tuple:
+    """The distinct checks behind the tests of ``_tests(n)``, as corner index
+    tuples: (crossings, distances, sides, touches).
+
+    A crossing (a, b, c, d) asks whether the sides ab and cd cross, a
+    distance (a, b, p) is that of corner p from the side ab, a side (a, b)
+    is its length, and touches are the distances of the touch tests. A cross
+    test has its crossing and four distances, each shared with another test
+    (for a hexagon 9 crossings, 24 distances and 6 sides for 27 tests).
+    """
+    crossings, touches, sides = (
+        tuple(dict.fromkeys(pick(range(n)) for k, *_, pick in _tests(n) if k == kind))
+        for kind in ("cross", "touch", "degenerate")
+    )
+    distances = dict.fromkeys(touches)
+    for a, b, c, d in crossings:  # the ends of each side against the other side
+        distances.update(dict.fromkeys([(a, b, c), (a, b, d), (c, d, a), (c, d, b)]))
+    return crossings, tuple(distances), sides, touches
+
+
+def _checks(n: int, tol: float) -> tuple:
+    """(check, corner index tuples) per kind of atom, crossings first: a loop
+    is simple where each check is True on its corners at each tuple."""
+    crossings, distances, sides, touches = _atoms(n)
+
+    def far(a, b, p):
+        return seg_point_dist(a, b, p) > tol
+
+    def cross(a, b, c, d):
+        if 0.0 > tol:  # a crossing's distance 0 passes, whatever the four others
+            return _crosses(a, b, c, d) | far(a, b, c) & far(a, b, d) & far(c, d, a) & far(c, d, b)
+        return np.logical_not(_crosses(a, b, c, d))
+
+    def long(a, b):
+        return _side_length(a, b) > tol
+
+    return (cross, crossings), (far, touches if 0.0 > tol else distances), (long, sides)
 
 
 def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     """Array form of :func:`first_violation`: True where the loop is simple.
 
     The corners are complex arrays or scalars that broadcast to one shape.
-    The tests run crossings first, each only on the cells that passed every
-    earlier one: array corners are gathered down to those cells whenever a
-    test rejects some, while scalar corners stay scalars.
+    The distinct checks of the tests (``_checks``) run one at a time, each
+    only on the cells that passed every earlier one: the crossings, which
+    reject most loops, then each point-side distance once, then the sides.
+    Array corners are gathered down to the live cells whenever a check
+    rejects some, while scalar corners stay scalars. A cell's bit is the
+    AND of the comparisons its tests make in array arithmetic.
     """
     corners = tuple(corners)
     shape = np.broadcast_shapes(*map(np.shape, corners))
-    tests = sorted(_tests(len(corners)), key=lambda test: _MASK_ORDER[test[0]])
     live = None  # flat indices of the cells still live, None while all are
-    for _, _, _, dist, pick in tests:
-        ok = np.broadcast_to(dist(*pick(corners)) > tol, shape if live is None else live.shape)
-        keep = np.flatnonzero(ok)
-        if len(keep) == ok.size:
-            continue
-        live = keep if live is None else live[keep]
-        corners = tuple(_gather(z, ok.shape, keep) for z in corners)
-        if not len(live):
-            break
+    for check, group in _checks(len(corners), tol):
+        for at in group:
+            ok = check(*(corners[k] for k in at))
+            ok = np.broadcast_to(ok, shape if live is None else live.shape)
+            keep = np.flatnonzero(ok)
+            if len(keep) == ok.size:
+                continue
+            live = keep if live is None else live[keep]
+            corners = tuple(_gather(z, ok.shape, keep) for z in corners)
+            if not len(live):
+                return np.zeros(shape, dtype=bool)
     if live is None:
         return np.ones(shape, dtype=bool)
     bits = np.zeros(math.prod(shape), dtype=bool)
@@ -333,32 +363,21 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     return bits.reshape(shape)
 
 
-@functools.lru_cache(maxsize=8)
-def _test_groups(n: int) -> tuple:
-    """The tests of ``_tests(n)`` grouped by distance function, as
-    (distance, corner indices): row a of the indices is argument a of the
-    distance, one column per test."""
-    groups: dict = {}
-    for _, _, _, dist, pick in _tests(n):
-        groups.setdefault(dist, []).append(pick(range(n)))
-    return tuple((dist, np.array(picks).T) for dist, picks in groups.items())
-
-
 def simple_rows(stack, tol: float = MERGE_TOL) -> np.ndarray:
     """Row form of :func:`first_violation`: True where row k of the (f, n)
     complex array ``stack`` is a simple loop.
 
-    One call per distance function evaluates its tests on every row at
-    once (for hexagons 9 crossings, 12 touches and 6 side lengths). The
-    arithmetic is that of the scalar tests, so a row passes exactly when
-    ``first_violation`` finds nothing; where a distance is NaN the scalar
-    ``min`` may pass it, so callers re-decide failed rows with the scalar
-    test.
+    One call per kind of check (``_checks``) evaluates it on every row at
+    once, with the arithmetic of the scalar tests, so a row passes exactly
+    when ``first_violation`` finds nothing; where a distance is NaN the
+    scalar ``min`` may pass it, so callers re-decide failed rows with the
+    scalar test.
     """
     stack = np.asarray(stack, dtype=complex)
     ok = np.ones(len(stack), dtype=bool)
-    for dist, args in _test_groups(stack.shape[1]):
-        ok &= (dist(*(stack[:, col] for col in args)) > tol).all(axis=1)
+    for check, group in _checks(stack.shape[1], tol):
+        if group:
+            ok &= check(*(stack[:, col] for col in np.array(group).T)).all(axis=1)
     return ok
 
 

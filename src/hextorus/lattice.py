@@ -325,8 +325,9 @@ class LatticeFrame:
     ``frac`` gives the coordinates of points in the basis (alpha, beta) as a
     trailing axis of length 2, ``norm`` the Euclidean length of such a
     coordinate vector, ``residual`` that length after subtracting the nearest
-    integer coordinates, and ``reduce`` moves points into the fundamental
-    parallelogram [0, 1) alpha + [0, 1) beta.
+    integer coordinates, ``reduce`` moves points into the fundamental
+    parallelogram [0, 1) alpha + [0, 1) beta, and ``reduced`` is the frame of
+    a reduced basis, which every ``NearPairs`` of this frame shares.
     """
 
     def __init__(self, alpha: complex, beta: complex):
@@ -354,6 +355,18 @@ class LatticeFrame:
         frac -= np.floor(frac)
         return frac[..., 0] * self.alpha + frac[..., 1] * self.beta
 
+    @functools.cached_property
+    def reduced(self) -> LatticeFrame:
+        """The frame of a reduced basis of this lattice (itself if not finite)."""
+        tau = self.beta / self.alpha
+        sign = 1.0 if tau.imag >= 0.0 else -1.0
+        try:
+            _, mu = sl2_reduce(sign * tau)
+        except ValueError:
+            return self
+        alpha, beta = self.alpha, sign * self.beta
+        return LatticeFrame(mu.a * alpha + mu.b * beta, mu.c * alpha + mu.d * beta)
+
 
 class NearPairs:
     """Candidate pairs of points that lie within a radius modulo a lattice.
@@ -369,16 +382,7 @@ class NearPairs:
     """
 
     def __init__(self, frame: LatticeFrame, ref, radius: float):
-        tau = frame.beta / frame.alpha
-        sign = 1.0 if tau.imag >= 0.0 else -1.0
-        try:
-            _, mu = sl2_reduce(sign * tau)
-        except ValueError:
-            pass  # a non-finite lattice: no point reduces to a finite one
-        else:
-            alpha, beta = frame.alpha, sign * frame.beta
-            frame = LatticeFrame(mu.a * alpha + mu.b * beta, mu.c * alpha + mu.d * beta)
-        self.frame = frame
+        self.frame = frame = frame.reduced
         ref = np.asarray(ref, dtype=complex).ravel()
         self.n_ref = len(ref)
         frac = frame.frac(ref)

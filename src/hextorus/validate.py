@@ -24,8 +24,9 @@ instead of its square.
 The per-tile checks run as a few array passes over one flat corner table
 (``geom.corner_table``) instead of Python loops over tiles, corners and
 clusters, each with the formulas of the scalar code:
-- simplicity of the 6-corner tiles, one call per distance function over the
-  (f, 6) stack (``geom.simple_rows``);
+- simplicity of the 6-corner tiles, one call per kind of check over the
+  (f, 6) stack: 9 side crossings, each point-side distance once (24) and
+  6 side lengths (``geom.simple_rows``);
 - orientation, tile areas and corner angles, from per-tile shoelace sums in
   corner order and ``math.atan2``, so every value is the scalar one;
 - vertex degrees and angle sums per cluster, through ``np.bincount``;

@@ -41,7 +41,16 @@ from hextorus.embed import (
     rect_embed,
     rect_torus_mesh,
 )
-from hextorus.geom import DegenerateError, corner_angle, corner_angles, simple_mask
+from hextorus.geom import (
+    DegenerateError,
+    _atoms,
+    corner_angle,
+    corner_angles,
+    first_violation,
+    seg_point_dist,
+    simple_mask,
+    simple_rows,
+)
 from hextorus.lattice import _search_images, enumerate_hnf, rectangular_solve
 from hextorus.moduli import _normalize_fixed, sample_region
 
@@ -426,3 +435,87 @@ def test_rectangular_solve_through_cache_eviction():
     )
     info = _search_images.cache_info()
     assert info.currsize == info.maxsize < len(keys) <= info.misses
+
+
+# distinct checks ------------------------------------------------------------
+# the mask runs each crossing, point-side distance and side length once; the
+# reference evaluates all 27 tests of a hexagon on every cell
+
+
+@pytest.mark.parametrize("tol", [-1e-3, math.nan])
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grids_at_negative_and_nan_tolerance(name, tol):
+    kind, fixed = GRIDS[name]
+    grid = sample_region(kind, fixed, nx=96, ny=80, tol=tol)
+    assert_same_bits(grid.bits, old_bits(kind, fixed, grid.cell_centers(), tol))
+
+
+@pytest.mark.parametrize("tol", [-1e-3, math.nan])
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_non_finite_parameters_at_negative_and_nan_tolerance(name, tol):
+    kind, fixed = GRIDS[name]
+    rng = np.random.default_rng(5)
+    free = rng.uniform(-1.5, 1.5, (40, 30)) + 1j * rng.uniform(-1.5, 1.5, (40, 30))
+    for value in (np.nan, np.inf, -np.inf):
+        free.real[rng.random(free.shape) < 0.05] = value
+        free.imag[rng.random(free.shape) < 0.05] = value
+    with np.errstate(all="ignore"):
+        corners = hexagon_corners(*_normalize_fixed(kind, fixed), free)
+        assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
+
+
+@pytest.mark.parametrize("tol", TOLS + (-1e-3, 0.05))
+@pytest.mark.parametrize("n", [5, 7])
+def test_random_loops(n, tol):
+    # jittered regular n-gons, many of them tangled; on half the cells the
+    # corners snap to a coarse grid, so that sides touch, overlap and collapse
+    rng = np.random.default_rng(n)
+    cells = 6000
+    corners = []
+    for k in range(n):
+        jitter = rng.normal(0.0, 0.5, cells) + 1j * rng.normal(0.0, 0.5, cells)
+        z = np.exp(2j * math.pi * k / n) + jitter
+        z[: cells // 2] = np.round(z[: cells // 2] * 2.0) / 2.0
+        corners.append(z.reshape(60, 100))
+    new = simple_mask(corners, tol)
+    assert_same_bits(new, array_oracle.simple_mask(corners, tol))
+    if tol >= 0.0:
+        assert 0 < new.sum() < new.size
+
+
+def test_a_crossing_clears_its_test_below_zero():
+    # corners near 1e154, where the dot products of seg_point_dist overflow:
+    # in arrays some distance of a cross test is NaN, but its sides cross,
+    # and below zero a crossing's distance 0 passes, so the loop passes
+    loop = [
+        -5.29603458821852e153 + 5.668215624899972e153j,
+        -3.44802311572478e153 + 3.604412114006904e153j,
+        -4.262462790533869e153 + 4.547984538756714e153j,
+        -4.344727872856304e153 - 4.372809780670383e153j,
+        4.440863647751336e153 - 5.030572394280863e153j,
+    ]
+    corners = [np.array([z]) for z in loop]
+    with np.errstate(all="ignore"):
+        _, distances, _, touches = _atoms(5)
+        nan = [at for at in distances if np.isnan(seg_point_dist(*(corners[k] for k in at)))]
+        assert nan and not set(nan) & set(touches)
+        for tol in (-1e-3, 1e-9):
+            expected = first_violation(loop, tol) is None
+            assert expected == (tol < 0)
+            assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
+            assert simple_mask(corners, tol).tolist() == [expected]
+            assert simple_mask(loop, tol) == expected
+            assert simple_rows(np.array([loop]), tol).tolist() == [expected]
+
+
+def test_scalar_corners_with_nan():
+    # all-scalar corners take the scalar arithmetic; a NaN or infinite corner
+    # gives the reference's outcome at every tolerance
+    base = [complex(np.exp(1j * math.pi * k / 3)) for k in range(6)]
+    nan, inf = math.nan, math.inf
+    odd = [complex(nan, 0.0), complex(0.0, nan), complex(nan, inf), complex(inf, 0.0)]
+    for tol in TOLS + (-1e-3, nan):
+        for k in range(6):
+            for z in odd:
+                corners = base[:k] + [z] + base[k + 1 :]
+                assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))

@@ -373,3 +373,17 @@ def test_huge_coordinates_give_the_reference_report_without_warnings():
         reference = dense_oracle.validate(tiling)
     assert report == reference and cen == reference.census
     assert not report.passed
+
+
+@given(
+    st.lists(st.tuples(RADII, TURNS, SHUFFLE), min_size=1, max_size=8),
+    st.integers(0, 5),
+    st.sampled_from([-1e-9, -1e-3, -1.0]),
+)
+def test_simple_rows_at_negative_tolerance(draws, repeat, tol):
+    # below zero a crossing's distance 0 passes, and so does a zero-length
+    # side: the first row repeats one of its corners
+    rows = [[hexagon(r, t)[k] for k in order] for r, t, order in draws]
+    rows[0][repeat] = rows[0][(repeat + 1) % 6]
+    expected = [first_violation(c, tol) is None for c in rows]
+    assert simple_rows(np.array(rows), tol).tolist() == expected

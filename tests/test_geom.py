@@ -8,6 +8,7 @@ the functions under test.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,10 @@ from hextorus.geom import (
     DegenerateError,
     Isometry,
     Polygon,
+    _atoms,
+    _crosses,
+    _side_length,
+    _tests,
     congruent,
     corner_angle,
     first_violation,
@@ -25,6 +30,7 @@ from hextorus.geom import (
     is_simple,
     reflection,
     rotation,
+    seg_point_dist,
     signed_area,
     translation,
 )
@@ -286,3 +292,59 @@ class TestCongruent:
 
     def test_different_corner_counts(self):
         assert congruent(SQUARE, CONCAVE_HEX) is None
+
+
+# the distinct checks behind the simplicity tests ----------------------------
+
+
+def test_atoms_of_a_hexagon():
+    crossings, distances, sides, touches = _atoms(6)
+    assert (len(crossings), len(distances), len(sides), len(touches)) == (9, 24, 6, 12)
+    assert set(touches) <= set(distances)
+    # a distance (a, b, p) is that of a corner off the side ab
+    assert all(b == (a + 1) % 6 and p not in (a, b) for a, b, p in distances)
+
+
+def atoms_of(kind, at):
+    """The checks one test of ``_tests`` rests on, from its own corners."""
+    if kind == "degenerate":
+        return [("side", at)]
+    if kind == "touch":
+        return [("distance", at)]
+    a, b, c, d = at
+    ends = ((a, b, c), (a, b, d), (c, d, a), (c, d, b))
+    return [("crossing", at)] + [("distance", x) for x in ends]
+
+
+def atom_passes(name, at, corners, tol):
+    z = [corners[k] for k in at]
+    if name == "crossing":
+        return not _crosses(*z)
+    if name == "distance":
+        return seg_point_dist(*z) > tol
+    return _side_length(*z) > tol
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_each_test_passes_exactly_when_its_atoms_pass(n):
+    crossings, distances, sides, _ = _atoms(n)
+    groups = {"crossing": crossings, "distance": distances, "side": sides}
+    rng = np.random.default_rng(n)
+    used = set()
+    for trial in range(300):
+        # corners snapped to a coarse grid on every other loop, so that
+        # sides touch, overlap and collapse as well as cross
+        corners = [complex(x, y) for x, y in rng.normal(0.0, 1.0, (n, 2))]
+        if trial % 2:
+            corners = [complex(round(2 * z.real) / 2, round(2 * z.imag) / 2) for z in corners]
+        for tol in (0.0, 1e-9, 0.05):
+            for kind, _, _, dist, pick in _tests(n):
+                at = pick(range(n))
+                atoms = atoms_of(kind, at)
+                for name, x in atoms:
+                    assert x in groups[name]
+                used.update(atoms)
+                expected = all(atom_passes(name, x, corners, tol) for name, x in atoms)
+                assert (dist(*pick(corners)) > tol) == expected
+    # every atom serves some test
+    assert used == {(name, x) for name, group in groups.items() for x in group}

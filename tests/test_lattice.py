@@ -468,3 +468,27 @@ class TestNearPairs:
             monkeypatch.setattr(lattice, "_CANDIDATES", size)
             q2, r2 = index.pairs(query)
             assert q2.tolist() == q.tolist() and r2.tolist() == r.tolist()
+
+    def test_every_hash_of_a_frame_shares_its_reduced_frame(self, monkeypatch):
+        lattice = importlib.import_module("hextorus.lattice")
+        calls = []
+        reduce = lattice.sl2_reduce
+        monkeypatch.setattr(lattice, "sl2_reduce", lambda tau: calls.append(tau) or reduce(tau))
+        rng = np.random.default_rng(5)
+        ref = rng.uniform(-3, 3, 80) + 1j * rng.uniform(-3, 3, 80)
+        frame = LatticeFrame(1.0, 10.0 - 0.1j)  # far from reduced, negatively oriented
+        a, b = NearPairs(frame, ref, 0.3), NearPairs(frame, ref[:40], 0.6)
+        assert a.frame is b.frame is frame.reduced
+        assert len(calls) == 1
+        tau = frame.reduced.beta / frame.reduced.alpha
+        assert -0.5 <= tau.real < 0.5 and abs(tau) >= 1.0 and tau.imag > 0.0
+        assert math.isclose(abs(frame.reduced.alpha) ** 2 * tau.imag, 0.1)  # the same covolume
+        # a fresh frame of the same lattice gives the same pairs
+        fresh = NearPairs(LatticeFrame(1.0, 10.0 - 0.1j), ref, 0.3)
+        assert len(calls) == 2
+        for x, y in zip(a.pairs(ref[::-1]), fresh.pairs(ref[::-1])):
+            assert x.tolist() == y.tolist()
+
+    def test_a_lattice_that_does_not_reduce_is_its_own_reduced_frame(self):
+        frame = LatticeFrame(complex(np.nan, 0.0), 1j)
+        assert frame.reduced is frame

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import warnings
 from types import SimpleNamespace
 
@@ -173,3 +174,20 @@ class TestValidateFailures:
                     alpha=self.base.alpha, beta=self.base.beta, tiles=(pert, self.t2)
                 )
             )
+
+
+def test_one_lattice_reduction_per_check(monkeypatch):
+    # both spatial hashes of validate share one reduced frame, and
+    # is_minimal's hash reads one too
+    lattice = importlib.import_module("hextorus.lattice")
+    covering = importlib.import_module("hextorus.covering")
+    calls = []
+    reduce = lattice.sl2_reduce
+    monkeypatch.setattr(lattice, "sl2_reduce", lambda tau: calls.append(tau) or reduce(tau))
+    for tiling in five_instances():
+        calls.clear()
+        assert validate(tiling).passed
+        assert len(calls) == 1
+        calls.clear()
+        assert covering.is_minimal(tiling)
+        assert len(calls) == (1 if len(tiling.tiles) > 1 else 0)
