@@ -353,27 +353,34 @@ def write_svg(tiling, extent: int = 1) -> str:
     )
 
 
+def _records(fmt: str, rows: np.ndarray) -> str:
+    """One fmt record per row of a 2-d array, formatted with one % operation."""
+    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_obj(mesh) -> str:
-    """ASCII OBJ: v/vt/f records grouped as tile_<i>, l records for edges."""
-    vertex = "v {:.9g} {:.9g} {:.9g}".format
-    lines = [vertex(*v) for v in mesh.vertices.tolist()]
-    lines += ["vt {:.9g} {:.9g}".format(*uv) for uv in mesh.uv.tolist()]
+    """ASCII OBJ: v/vt/f records grouped as tile_<i>, l records for edges.
+
+    Records are formatted in bulk: one % operation for the vertices, one
+    for the uv, one per face group and one per polyline.
+    """
+    vertex = "v %.9g %.9g %.9g\n"
+    parts = [_records(vertex, mesh.vertices), _records("vt %.9g %.9g\n", mesh.uv)]
     # faces by group, in mesh order within each group
     by_group = np.argsort(mesh.groups, kind="stable")
-    face = "f {0}/{0} {1}/{1} {2}/{2} {3}/{3}".format
-    gid = None
-    for group, quad in zip(mesh.groups[by_group].tolist(), (mesh.quads[by_group] + 1).tolist()):
-        if group != gid:
-            gid = group
-            lines.append(f"g tile_{gid}")
-        lines.append(face(*quad))
+    groups = mesh.groups[by_group]
+    heads = np.flatnonzero(np.r_[len(groups) > 0, groups[1:] != groups[:-1]])
+    faces = np.repeat(mesh.quads[by_group] + 1, 2, axis=1)
+    for gid, run in zip(groups[heads].tolist(), np.split(faces, heads[1:])):
+        parts.append(f"g tile_{gid}\n")
+        parts.append(_records("f %d/%d %d/%d %d/%d %d/%d\n", run))
     base = len(mesh.vertices)
     for i, polyline in enumerate(mesh.polylines):
-        lines.append(f"g tile_{i}_edges")
-        lines += [vertex(*p) for p in polyline.tolist()]
-        lines.append("l " + " ".join(str(base + k + 1) for k in range(len(polyline))))
+        parts.append(f"g tile_{i}_edges\n")
+        parts.append(_records(vertex, polyline))
+        parts.append("l " + " ".join(map(str, range(base + 1, base + len(polyline) + 1))) + "\n")
         base += len(polyline)
-    return "\n".join(lines) + "\n"
+    return "".join(parts) or "\n"  # an empty mesh is one empty line
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,10 @@ def _chart(curve: CurveParams) -> _HopfChart:
 
 @dataclass(frozen=True)
 class Mesh3:
-    """Quad mesh in R3 with flat-coordinate preimages per vertex."""
+    """Quad mesh in R3 with flat-coordinate preimages per vertex.
+
+    Coordinates must be finite and no quad may be degenerate.
+    """
 
     vertices: np.ndarray  # (nv, 3)
     quads: np.ndarray  # (nq, 4) vertex indices
@@ -226,6 +229,13 @@ class Mesh3:
             raise ValueError("need one uv pair per vertex")
         if quads.size and (quads.min() < 0 or quads.max() >= len(vertices)):
             raise ValueError("quad index out of range")
+        polylines = tuple(np.asarray(p, dtype=float) for p in self.polylines)
+        for p in polylines:
+            if p.ndim != 2 or p.shape[1] != 3:
+                raise ValueError("polylines must be (k, 3) arrays")
+        for name, arrays in (("vertices", (vertices,)), ("uv", (uv,)), ("polylines", polylines)):
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise ValueError(f"mesh {name} must be finite")
         corners = vertices[quads]
         area = 0.5 * (
             np.linalg.norm(
@@ -239,10 +249,6 @@ class Mesh3:
         )
         if quads.size and np.min(area) <= 1e-12:
             raise ValueError("degenerate quad in mesh")
-        polylines = tuple(np.asarray(p, dtype=float) for p in self.polylines)
-        for p in polylines:
-            if p.ndim != 2 or p.shape[1] != 3:
-                raise ValueError("polylines must be (k, 3) arrays")
         for name, arr in (
             ("vertices", vertices),
             ("quads", quads),
@@ -254,11 +260,14 @@ class Mesh3:
         object.__setattr__(self, "polylines", polylines)
 
 
-def _grid_mesh(
-    points: np.ndarray, uv: np.ndarray, groups: np.ndarray | None = None
-) -> Mesh3:
-    """Assemble an (n+1) x (m+1) vertex grid into a quad mesh."""
-    n1, m1 = points.shape[:2]
+@functools.lru_cache(maxsize=8)
+def _grid_quads(n1: int, m1: int) -> np.ndarray:
+    """Read-only quads of an n1 x m1 vertex grid numbered row by row.
+
+    Quad (i, j) runs (i, j), (i+1, j), (i+1, j+1), (i, j+1), and the quads
+    follow row by row too. Every mesh the package builds has this layout,
+    which conformality recognises.
+    """
     idx = np.arange(n1 * m1).reshape(n1, m1)
     quads = np.stack(
         [
@@ -269,9 +278,26 @@ def _grid_mesh(
         ],
         axis=1,
     )
+    quads.setflags(write=False)
+    return quads
+
+
+def _grid_mesh(
+    points: np.ndarray,
+    uv: np.ndarray,
+    groups: np.ndarray | None = None,
+    polylines: tuple[np.ndarray, ...] = (),
+) -> Mesh3:
+    """Assemble an (n+1) x (m+1) vertex grid into a quad mesh.
+
+    The quads are the shared read-only _grid_quads, and the mesh is checked
+    once, with its polylines.
+    """
+    n1, m1 = points.shape[:2]
+    quads = _grid_quads(n1, m1)
     if groups is None:
         groups = np.zeros(len(quads), dtype=int)
-    return Mesh3(points.reshape(-1, 3), quads, groups, uv.reshape(-1, 2))
+    return Mesh3(points.reshape(-1, 3), quads, groups, uv.reshape(-1, 2), polylines)
 
 
 def _rect_v_samples(a: float, nv: int) -> np.ndarray:
@@ -398,6 +424,25 @@ def _stars(quads: np.ndarray, nv: int) -> np.ndarray:
     return rows[(rows >= 0).all(axis=1)]
 
 
+def _grid_shape(quads: np.ndarray, nv: int) -> tuple[int, int] | None:
+    """(n1, m1) when the quads are exactly _grid_quads(n1, m1) over nv
+    vertices, else None."""
+    if not len(quads):
+        return None
+    m1 = int(quads[0, 1])
+    if m1 < 2 or nv % m1:
+        return None
+    n1 = nv // m1
+    if len(quads) != (n1 - 1) * (m1 - 1):
+        return None
+    return (n1, m1) if np.array_equal(quads, _grid_quads(n1, m1)) else None
+
+
+# grid offsets (di, dj) of the stencil columns p1, m1, p1', m1', p2, m2, p2',
+# m2' that _stars gives every interior vertex of a _grid_quads mesh
+_GRID_TAPS = ((0, -1), (0, 1), (0, -2), (0, 2), (-1, 0), (1, 0), (-2, 0), (2, 0))
+
+
 def conformality(mesh: Mesh3) -> float:
     """Worst anisotropy of the uv -> R3 map over interior vertices.
 
@@ -408,19 +453,40 @@ def conformality(mesh: Mesh3) -> float:
     far below the anisotropy of any genuinely non-conformal map. The
     return value is the max over vertices of sqrt(lambda_max/lambda_min)
     - 1 for the pullback metric J^T J (0 for an exactly conformal map).
-    The stencils come from sorting the quads' directed edges (see _stars),
-    with no per-edge Python.
+
+    When the quads are the vertex grid of _grid_mesh (every mesh the
+    package builds), the stencils are slices of the (n1, m1) grid: the
+    vertices two steps in from its border, with the same rows, axes and
+    signs that _stars finds. Any other quad mesh gets its stencils from
+    sorting the quads' directed edges (see _stars), with no per-edge
+    Python.
     """
-    idx = _stars(mesh.quads, len(mesh.vertices))
-    if not len(idx):
-        raise ValueError("mesh has no interior vertices")
+    nv = len(mesh.vertices)
+    grid = _grid_shape(mesh.quads, nv)
+    if grid is None:
+        idx = _stars(mesh.quads, nv)
+        if not len(idx):
+            raise ValueError("mesh has no interior vertices")
+
+        def tap(values: np.ndarray, col: int) -> np.ndarray:
+            return values[idx[:, col]]
+
+    else:
+        n1, m1 = grid
+        if n1 < 5 or m1 < 5:
+            raise ValueError("mesh has no interior vertices")
+
+        def tap(values: np.ndarray, col: int) -> np.ndarray:
+            di, dj = _GRID_TAPS[col - 1]
+            return values.reshape(n1, m1, -1)[2 + di : n1 - 2 + di, 2 + dj : m1 - 2 + dj]
 
     def _deriv(values: np.ndarray, base: int) -> np.ndarray:
-        plus1 = values[idx[:, base]]
-        minus1 = values[idx[:, base + 1]]
-        plus2 = values[idx[:, base + 2]]
-        minus2 = values[idx[:, base + 3]]
-        return (8.0 * (plus1 - minus1) - (plus2 - minus2)) / 12.0
+        plus1 = tap(values, base)
+        minus1 = tap(values, base + 1)
+        plus2 = tap(values, base + 2)
+        minus2 = tap(values, base + 3)
+        d = (8.0 * (plus1 - minus1) - (plus2 - minus2)) / 12.0
+        return d.reshape(-1, values.shape[1])
 
     m_x = np.stack(
         [_deriv(mesh.vertices, 1), _deriv(mesh.vertices, 5)], axis=1
@@ -495,34 +561,34 @@ def _point_in_polygon(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
-    """Tile index containing each flat point of the tiling's plane."""
+    """Tile index containing each flat point (a 1-d array) of the tiling's plane."""
     alpha, beta = tiling.alpha, tiling.beta
     reduced = LatticeFrame(alpha, beta).reduce(centers)
-    labels = np.full(centers.shape, -1, dtype=int)
+    labels = np.full(len(centers), -1, dtype=int)
+    todo = np.arange(len(centers))  # the unlabelled points; only they are tested
     for index, tile in enumerate(tiling.tiles):
         corners = np.array(tile.corners, dtype=complex)
         for da in (-1, 0, 1):
             for db in (-1, 0, 1):
-                todo = labels < 0
-                if not todo.any():
+                if not len(todo):
                     return labels
-                hit = _point_in_polygon(corners + da * alpha + db * beta, reduced)
-                labels[todo & hit] = index
+                hit = _point_in_polygon(corners + da * alpha + db * beta, reduced[todo])
+                labels[todo[hit]] = index
+                todo = todo[~hit]
     # Boundary-of-tile centers can escape the even-odd test; snap them to
     # the nearest tile centroid so every quad gets a group.
-    if (labels < 0).any():
+    if len(todo):
         centroids = np.array(
             [np.mean(np.array(t.corners)) for t in tiling.tiles], dtype=complex
         )
         offsets = np.array(
             [da * alpha + db * beta for da in (-1, 0, 1) for db in (-1, 0, 1)]
         )
-        miss = np.nonzero(labels < 0)
-        pts = reduced[miss]
+        pts = reduced[todo]
         d = np.abs(
             pts[:, None, None] - (centroids[None, :, None] + offsets[None, None, :])
         )
-        labels[miss] = np.argmin(d.min(axis=2), axis=1)
+        labels[todo] = np.argmin(d.min(axis=2), axis=1)
     return labels
 
 
@@ -538,7 +604,9 @@ def drape_tiling(
     of the modular fundamental domain (tolerance 1e-6); the residual Mobius
     map is applied to the flat coordinates before charting. Tile boundaries
     become polylines with at least 32 subdivisions per side; surface quads
-    are grouped by the tile containing their center.
+    are grouped by the tile containing their center, each tile and lattice
+    shift testing only the centers still unlabelled. The result is one
+    _grid_mesh, so the mesh is checked once, with its polylines.
     """
     if subdivisions < 32:
         raise ValueError("need at least 32 subdivisions per edge")
@@ -598,5 +666,4 @@ def drape_tiling(
         sides = corners[:, None] + ts * (np.roll(corners, -1) - corners)[:, None]
         polylines.append(chart_points(to_flat(np.concatenate([corners[:1], sides.ravel()]))))
 
-    mesh = _grid_mesh(points, uv, groups)
-    return Mesh3(mesh.vertices, mesh.quads, mesh.groups, mesh.uv, tuple(polylines))
+    return _grid_mesh(points, uv, groups, tuple(polylines))

@@ -1,14 +1,16 @@
 """The all-cells simplicity mask, the dict-walk conformality, the
-per-group OBJ writer and the map-by-map rectangular search, kept as the
-reference.
+per-group OBJ writer, the map-by-map rectangular search and the all-points
+tile assignment of a drape, kept as the reference.
 
 These are ``hextorus.geom.simple_mask``, ``hextorus.embed.conformality``,
-``hextorus.cli.write_obj`` and ``hextorus.lattice.rectangular_solve`` as they
-were before the mask tested only the cells still live, the conformality
-stencils were built with numpy sorts, the OBJ faces were written in one pass
-and the rectangular search read a cached table of map images. They are
-copied unchanged, apart from this header and its imports, so that
-``test_array_oracle.py`` can compare the new code against them bit for bit.
+``hextorus.cli.write_obj``, ``hextorus.lattice.rectangular_solve`` and
+``hextorus.embed._assign_tiles`` as they were before the mask tested only the
+cells still live, the conformality stencils were built with numpy sorts, the
+OBJ faces were written in one pass, the rectangular search read a cached
+table of map images and the tile assignment tested only the points still
+unlabelled. They are copied unchanged, apart from this header and its
+imports, so that ``test_array_oracle.py`` can compare the new code against
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import math
 
 import numpy as np
 
+from hextorus.embed import _point_in_polygon
 from hextorus.geom import MERGE_TOL
-from hextorus.lattice import TOL, HnfTriple, _search_maps, check_modulus
+from hextorus.lattice import TOL, HnfTriple, LatticeFrame, _search_maps, check_modulus
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -250,3 +253,35 @@ def rectangular_solve(
             continue
         return 1j * (m * tau0.imag / n)
     return None
+
+
+def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
+    """Tile index containing each flat point of the tiling's plane."""
+    alpha, beta = tiling.alpha, tiling.beta
+    reduced = LatticeFrame(alpha, beta).reduce(centers)
+    labels = np.full(centers.shape, -1, dtype=int)
+    for index, tile in enumerate(tiling.tiles):
+        corners = np.array(tile.corners, dtype=complex)
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                todo = labels < 0
+                if not todo.any():
+                    return labels
+                hit = _point_in_polygon(corners + da * alpha + db * beta, reduced)
+                labels[todo & hit] = index
+    # Boundary-of-tile centers can escape the even-odd test; snap them to
+    # the nearest tile centroid so every quad gets a group.
+    if (labels < 0).any():
+        centroids = np.array(
+            [np.mean(np.array(t.corners)) for t in tiling.tiles], dtype=complex
+        )
+        offsets = np.array(
+            [da * alpha + db * beta for da in (-1, 0, 1) for db in (-1, 0, 1)]
+        )
+        miss = np.nonzero(labels < 0)
+        pts = reduced[miss]
+        d = np.abs(
+            pts[:, None, None] - (centroids[None, :, None] + offsets[None, None, :])
+        )
+        labels[miss] = np.argmin(d.min(axis=2), axis=1)
+    return labels

@@ -1,40 +1,56 @@
-"""The live-cell simplicity mask, the sort-built conformality stencils, the
-one-pass OBJ writer and the table-driven rectangular search against the
-reference copies in ``array_oracle``.
+"""The live-cell simplicity mask, the sort-built and grid-sliced
+conformality stencils, the bulk OBJ writer, the table-driven rectangular
+search and the unlabelled-points tile assignment against the reference
+copies in ``array_oracle``.
 
 The mask must give the same bits, conformality the same float bit for bit
 (or the same error) and write_obj the same text, on the moduli grids of the
 benchmark, non-finite parameters, scalar, empty and broadcast corners, the
-meshes the package builds and meshes with shuffled, rotated or reversed
-quads, holes, boundaries and vertices of valence other than four.
-rectangular_solve must give the same modulus bit for bit, or None, or the
-same exception, on HNF triples of indices 1..60 at four search bounds, for
-square-root, random and extreme targets, also while its cache evicts.
+meshes the package builds (square and not), meshes with shuffled, rotated or
+reversed quads, holes, boundaries and vertices of valence other than four,
+and random OBJ records. rectangular_solve must give the same modulus bit for
+bit, or None, or the same exception, on HNF triples of indices 1..60 at four
+search bounds, for square-root, random and extreme targets, also while its
+cache evicts. Drapes must group their quads as the all-points loop does,
+also where a quad centre escapes every tile and is snapped.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import array_oracle
+from hextorus import embed
 from hextorus.cli import write_obj
 from hextorus.construct import (
     OMEGA3,
     GenericityWarning,
+    central_minimal,
     hexagon_corners,
+    strip_tiling,
     type_i_minimal,
+    type_ii_minimal,
     type_iii_minimal,
 )
-from hextorus.covering import enumerate_coverings
+from hextorus.covering import build_cover, enumerate_coverings
 from hextorus.embed import (
+    _GRID_TAPS,
     OMEGA3_CURVE,
     HopfEmbedding,
     Mesh3,
     RectEmbedding,
+    _grid_quads,
+    _grid_shape,
+    _point_in_polygon,
+    _stars,
     conformality,
     drape_tiling,
     hopf_torus_mesh,
@@ -51,7 +67,13 @@ from hextorus.geom import (
     simple_mask,
     simple_rows,
 )
-from hextorus.lattice import _search_images, enumerate_hnf, rectangular_solve
+from hextorus.lattice import (
+    HnfTriple,
+    LatticeFrame,
+    _search_images,
+    enumerate_hnf,
+    rectangular_solve,
+)
 from hextorus.moduli import _normalize_fixed, sample_region
 
 warnings.simplefilter("ignore", GenericityWarning)
@@ -519,3 +541,170 @@ def test_scalar_corners_with_nan():
             for z in odd:
                 corners = base[:k] + [z] + base[k + 1 :]
                 assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
+
+
+# grid stencils ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n1, m1", [(5, 5), (5, 9), (9, 5), (6, 6), (33, 25)])
+def test_stars_of_a_grid_are_its_inner_vertices(n1, m1):
+    rows = _stars(_grid_quads(n1, m1), n1 * m1)
+    inner = np.arange(n1 * m1).reshape(n1, m1)[2:-2, 2:-2].ravel()
+    assert np.array_equal(np.sort(rows[:, 0]), inner)
+    # each axis steps +s, -s, +2s, -2s from the vertex, with s one grid step
+    steps = []
+    for base in (1, 5):
+        s = rows[:, base] - rows[:, 0]
+        assert np.array_equal(rows[:, base : base + 4] - rows[:, :1], np.outer(s, [1, -1, 2, -2]))
+        assert set(np.abs(s).tolist()) <= {1, m1}
+        steps.append(np.abs(s))
+    assert np.array_equal(steps[0] + steps[1], np.full(len(rows), 1 + m1))
+    # and they are the slices conformality takes, in the same row order
+    for col, (di, dj) in enumerate(_GRID_TAPS, start=1):
+        assert np.array_equal(rows[:, col], rows[:, 0] + di * m1 + dj)
+
+
+NON_SQUARE = {
+    "rect-32x24": lambda: rect_torus_mesh(1.0, 32, 24),
+    "hopf-40x56": lambda: hopf_torus_mesh(OMEGA3_CURVE, 40, 56)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SQUARE))
+def test_non_square_meshes(name):
+    mesh = NON_SQUARE[name]()
+    assert _grid_shape(mesh.quads, len(mesh.vertices)) is not None
+    assert_same_defect(mesh)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 9), (9, 4), (12, 7)])
+def test_jittered_grid_patches(n, m, seed):
+    mesh = patch(n, m, jitter=0.03, seed=seed)
+    assert _grid_shape(mesh.quads, len(mesh.vertices)) == (n + 1, m + 1)
+    assert_same_defect(mesh)
+
+
+def test_grid_quads_are_shared_and_read_only():
+    quads = _grid_quads(9, 9)
+    assert rect_torus_mesh(1.0, 8, 8).quads is quads
+    with pytest.raises(ValueError):
+        quads[0, 0] = 1
+    assert quads[0, 0] == 0
+
+
+# OBJ bytes -------------------------------------------------------------------
+
+# signed zeros, subnormals and magnitudes near the ends of the float range
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+COORD = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+
+
+@given(st.data())
+def test_write_obj_bytes(data):
+    # write_obj reads the arrays only, so random coordinates go in without
+    # Mesh3's degenerate-quad check
+    nv = data.draw(st.integers(0, 9))
+    nq = data.draw(st.integers(0, 12)) if nv else 0
+    spread = data.draw(st.sampled_from([0, 1, 3, 1 << 40]))
+    mesh = SimpleNamespace(
+        vertices=data.draw(arrays(np.float64, (nv, 3), elements=COORD)),
+        uv=data.draw(arrays(np.float64, (nv, 2), elements=COORD)),
+        quads=data.draw(arrays(np.int64, (nq, 4), elements=st.integers(0, max(nv - 1, 0)))),
+        groups=data.draw(arrays(np.int64, nq, elements=st.integers(-spread, spread))),
+        polylines=tuple(
+            data.draw(arrays(np.float64, (k, 3), elements=COORD))
+            for k in data.draw(st.lists(st.integers(0, 5), max_size=4))
+        ),
+    )
+    assert write_obj(mesh) == array_oracle.write_obj(mesh)
+
+
+# tile assignment -------------------------------------------------------------
+
+SIGMA_I = (0.2 + 0.2j, -0.15 + 0.25j)
+STRIP_SIGMA = (0.3 + 0.45j, 0.2 + 0.525j)  # Im(2t - i) = h/2 for h = 1.2
+HOPF = HopfEmbedding(OMEGA3_CURVE)
+
+# (tiling, target) per name; the free vector tip of rect-2-on-centre is the
+# centre of a quad of the res-96 drape, where no tile's even-odd test holds it
+DRAPES = {
+    "rect-2": lambda: (type_i_minimal(0.8j, SIGMA_I), RectEmbedding(0.8)),
+    "rect-2-on-centre": lambda: (
+        type_i_minimal(0.8j, (0.2 + 0.2j, -0.203125 + 0.1978839555740006j)),
+        RectEmbedding(0.8),
+    ),
+    "rect-3": lambda: (
+        build_cover(central_minimal(1.0, 0.8j, 0.6 + 0.3j), HnfTriple(1, 3, 0)),
+        RectEmbedding(2.4),
+    ),
+    "rect-4": lambda: (type_ii_minimal(1.0, (0.35 + 0.05j, 0.12 + 0.15j)), RectEmbedding(1.0)),
+    "rect-strip": lambda: (strip_tiling(1.2, 0.9, 0.15, STRIP_SIGMA, "++--"), RectEmbedding(1.0 / 3.0)),
+    "hopf-2": lambda: (type_i_minimal(OMEGA3, SIGMA_I), HOPF),
+    "hopf-3": lambda: (type_iii_minimal(0.05 + 0.22j), HOPF),
+    "hopf-4": lambda: (
+        build_cover(central_minimal(1.0, OMEGA3, 0.6 + 0.2j), HnfTriple(2, 2, 0)),
+        HOPF,
+    ),
+    "hopf-strip": lambda: (
+        strip_tiling(1.2, 0.6 * math.sqrt(3.0), 0.6, STRIP_SIGMA, "+"),
+        HOPF,
+    ),
+}
+
+
+def drape_centres(name, res, monkeypatch):
+    """The drape, its tiling and the quad centres it assigned to tiles."""
+    tiling, target = DRAPES[name]()
+    assign = embed._assign_tiles
+    seen = []
+
+    def spy(t, centers):
+        seen.append(centers)
+        return assign(t, centers)
+
+    monkeypatch.setattr(embed, "_assign_tiles", spy)
+    mesh = drape_tiling(tiling, target, surface_res=res)
+    (centres,) = seen
+    return mesh, tiling, centres
+
+
+def escaped(tiling, points):
+    """How many points no tile holds by the even-odd test, over the nine
+    lattice shifts the assignment tries."""
+    reduced = LatticeFrame(tiling.alpha, tiling.beta).reduce(points)
+    held = np.zeros(len(points), dtype=bool)
+    for tile in tiling.tiles:
+        corners = np.array(tile.corners, dtype=complex)
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                held |= _point_in_polygon(corners + da * tiling.alpha + db * tiling.beta, reduced)
+    return int((~held).sum())
+
+
+@pytest.mark.parametrize("res", [24, 48, 96, 192])
+@pytest.mark.parametrize("name", sorted(DRAPES))
+def test_tile_assignment_matches_all_points_loop(name, res, monkeypatch):
+    mesh, tiling, centres = drape_centres(name, res, monkeypatch)
+    assert np.array_equal(mesh.groups, array_oracle._assign_tiles(tiling, centres))
+
+
+@pytest.mark.parametrize("name, res", [("rect-2-on-centre", 96), ("rect-strip", 48)])
+def test_tile_assignment_snaps_as_the_loop_does(name, res, monkeypatch):
+    mesh, tiling, centres = drape_centres(name, res, monkeypatch)
+    assert escaped(tiling, centres) > 0
+    assert np.array_equal(mesh.groups, array_oracle._assign_tiles(tiling, centres))
+
+
+def test_tile_assignment_of_tile_corners():
+    # corners and side midpoints lie on tile boundaries, so some escape
+    escapes = 0
+    for name in sorted(DRAPES):
+        tiling = DRAPES[name]()[0]
+        corners = np.array([tile.corners for tile in tiling.tiles], dtype=complex)
+        points = np.concatenate([corners, (corners + np.roll(corners, -1, axis=1)) / 2.0]).ravel()
+        escapes += escaped(tiling, points)
+        assert np.array_equal(
+            embed._assign_tiles(tiling, points), array_oracle._assign_tiles(tiling, points)
+        )
+    assert escapes > 0

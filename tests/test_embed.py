@@ -148,6 +148,29 @@ class TestMesh3:
         with pytest.raises(ValueError):
             Mesh3(verts, np.array([[0, 1, 2, 4]]), np.zeros(1, int), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 0]], float)
+        verts[4, 2] = bad  # a vertex no quad uses
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            Mesh3(verts, np.array([[0, 1, 2, 3]]), np.zeros(1, int), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_uv_rejected(self, bad):
+        mesh = rect_torus_mesh(1.0, 8, 8)
+        uv = mesh.uv.copy()
+        uv[40, 1] = bad
+        with pytest.raises(ValueError, match="uv must be finite"):
+            Mesh3(mesh.vertices, mesh.quads, mesh.groups, uv)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_polyline_rejected(self, bad):
+        mesh = rect_torus_mesh(1.0, 8, 8)
+        line = np.zeros((3, 3))
+        line[1, 0] = bad
+        with pytest.raises(ValueError, match="polylines must be finite"):
+            Mesh3(mesh.vertices, mesh.quads, mesh.groups, mesh.uv, (np.ones((2, 3)), line))
+
 
 class TestMeshBuilders:
     def test_rect_mesh_shape(self):
