@@ -237,16 +237,21 @@ class Mesh3:
             if not all(np.isfinite(a).all() for a in arrays):
                 raise ValueError(f"mesh {name} must be finite")
         corners = vertices[quads]
-        area = 0.5 * (
-            np.linalg.norm(
-                np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]),
-                axis=-1,
+        # finite coordinates near the float limit overflow here; their area
+        # is refused below instead of leaking numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = 0.5 * (
+                np.linalg.norm(
+                    np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]),
+                    axis=-1,
+                )
+                + np.linalg.norm(
+                    np.cross(corners[:, 2] - corners[:, 0], corners[:, 3] - corners[:, 0]),
+                    axis=-1,
+                )
             )
-            + np.linalg.norm(
-                np.cross(corners[:, 2] - corners[:, 0], corners[:, 3] - corners[:, 0]),
-                axis=-1,
-            )
-        )
+        if not np.isfinite(area).all():
+            raise ValueError("mesh quad areas overflow")
         if quads.size and np.min(area) <= 1e-12:
             raise ValueError("degenerate quad in mesh")
         for name, arr in (

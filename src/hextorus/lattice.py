@@ -338,8 +338,10 @@ class LatticeFrame:
         self.inv_basis = np.linalg.inv(self.basis)
 
     def frac(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex)
-        return np.stack([pts.real, pts.imag], axis=-1) @ self.inv_basis
+        # the real and imaginary parts of contiguous complex numbers, viewed
+        # as a trailing axis of length 2
+        pts = np.asarray(pts, dtype=complex, order="C")
+        return pts[..., None].view(float) @ self.inv_basis
 
     def norm(self, frac_delta: np.ndarray) -> np.ndarray:
         xy = frac_delta @ self.basis
@@ -374,29 +376,36 @@ class NearPairs:
     A sort-based spatial hash (Teschner et al., "Optimized Spatial Hashing for
     Collision Detection of Deformable Objects", VMV 2003). The reference
     points are reduced into the fundamental parallelogram of a reduced basis,
-    copied across its edges as far as the radius reaches, and sorted by
-    square grid cell of side the radius; a query point reads the 3 x 3 cells
-    around its own reduced position with ``searchsorted``. The radius is
-    widened by a margin for the rounding of the reduction, so every pair
-    within the radius is found; callers decide each candidate themselves.
+    copied across its edges as far as their radius reaches, and sorted by
+    square grid cell of side the largest radius; a query point reads the
+    3 x 3 cells around its own reduced position with ``searchsorted``.
+    ``radius`` is one radius for all reference points, or an array of one
+    radius per reference point: a pair is then within the radius of its
+    reference point. A negative or NaN radius admits no pair, a zero one only
+    points that coincide up to rounding. Each radius is widened by a margin
+    for the rounding of the reduction, so every pair within it is found;
+    callers decide each candidate themselves.
     """
 
-    def __init__(self, frame: LatticeFrame, ref, radius: float):
+    def __init__(self, frame: LatticeFrame, ref, radius):
         self.frame = frame = frame.reduced
         ref = np.asarray(ref, dtype=complex).ravel()
         self.n_ref = len(ref)
         frac = frame.frac(ref)
-        index = np.flatnonzero(np.isfinite(frac).all(axis=-1))
-        ref, frac = ref[index], frac[index] - np.floor(frac[index])
+        finite = np.isfinite(frac).all(axis=-1)
         scale = max(abs(frame.alpha), abs(frame.beta))
-        self.reach = radius + 1e-9 * scale + 1e-12 * np.abs(ref).max(initial=0.0)
-        if not self.reach > 0.0:  # a negative or NaN radius admits no pair
-            index, ref, frac = index[:0], ref[:0], frac[:0]
+        size = np.abs(ref[finite]).max(initial=0.0)
+        reach = np.asarray(radius, dtype=float) + 1e-9 * scale + 1e-12 * size
+        # a negative or NaN radius admits no pair
+        index = np.flatnonzero(finite & (reach > 0.0))
+        ref, frac = ref[index], frac[index] - np.floor(frac[index])
+        reach = np.broadcast_to(reach, (self.n_ref,))[index]
+        self.cell = reach.max(initial=0.0)
         # the copy of a point shifted by k*alpha + j*beta lies within reach of
         # the parallelogram only if (k, j) plus its coordinates lies within
         # margin of [0, 1]^2; in a reduced basis the nearest copy of any point
         # has |k|, |j| <= 1 (2 allows for rounding), whatever the radius
-        margin = self.reach * np.hypot(frame.inv_basis[0], frame.inv_basis[1])
+        margin = reach[:, None] * np.hypot(frame.inv_basis[0], frame.inv_basis[1])
         lo = np.maximum(np.ceil(-margin - frac), -2.0).astype(np.int64)
         hi = np.minimum(np.floor(1.0 + margin - frac), 2.0).astype(np.int64)
         span = hi - lo + 1
@@ -412,12 +421,13 @@ class NearPairs:
         self.xs, self.ys = _distinct(cx), _distinct(cy)
         key = np.searchsorted(self.xs, cx) * len(self.ys) + np.searchsorted(self.ys, cy)
         order = np.argsort(key, kind="stable")
-        self.key, self.pts, self.src = key[order], pts[order], index[src[order]]
+        src = src[order]
+        self.key, self.pts, self.src, self.reach = key[order], pts[order], index[src], reach[src]
 
     def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
-            np.floor(pts.real / self.reach).astype(np.int64),
-            np.floor(pts.imag / self.reach).astype(np.int64),
+            np.floor(pts.real / self.cell).astype(np.int64),
+            np.floor(pts.imag / self.cell).astype(np.int64),
         )
 
     def pairs(self, query) -> tuple[np.ndarray, np.ndarray]:
@@ -428,29 +438,34 @@ class NearPairs:
         if not len(index) or not len(self.key):
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
+        cx, cy = self._cells(z[index])
+        # queries by column, so that the keys searched below come nearly
+        # sorted, which searchsorted reads fastest
+        order = np.argsort(cx, kind="stable")
+        index, cx, cy = index[order], cx[order], cy[order]
         z = z[index]
-        cx, cy = self._cells(z)
         # the cells (cx + dx, cy - 1 .. cy + 1) of the three columns dx are
-        # one run of keys each
-        ny = len(self.ys)
+        # one run of keys each; only the columns that hold a point are read
         cx = np.concatenate([cx - 1, cx, cx + 1])
-        cy = np.concatenate([cy, cy, cy])
         row = np.searchsorted(self.xs, cx)
-        found = self.xs[np.minimum(row, len(self.xs) - 1)] == cx
-        lo = row * ny + np.searchsorted(self.ys, cy - 1, side="left")
-        hi = row * ny + np.searchsorted(self.ys, cy + 1, side="right")
-        start = np.where(found, np.searchsorted(self.key, lo), 0)
-        count = np.where(found, np.searchsorted(self.key, hi), 0) - start
-        run_query = np.tile(np.arange(len(z)), 3)  # the query point of each run
+        run = np.flatnonzero(self.xs[np.minimum(row, len(self.xs) - 1)] == cx)
+        run_query = run % len(z)  # the query point of each run
+        row, cy = row[run] * len(self.ys), cy[run_query]
+        start = np.searchsorted(self.key, row + np.searchsorted(self.ys, cy - 1, side="left"))
+        count = np.searchsorted(self.key, row + np.searchsorted(self.ys, cy + 1, side="right"))
+        count -= start
         # test the candidates about _CANDIDATES at a time, whole runs each,
         # so that memory stays bounded however many points the cells hold
         cuts = np.searchsorted(np.cumsum(count), np.arange(_CANDIDATES, count.sum(), _CANDIDATES))
+        cuts = [0, *cuts.tolist(), len(count)]
         keys = []
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(count)]):
+        for a, b in zip(cuts[:-1], cuts[1:]):
             n = count[a:b]
             q = np.repeat(run_query[a:b], n)
             r = np.arange(len(q)) - np.repeat(np.cumsum(n) - n - start[a:b], n)
-            near = np.abs(z[q] - self.pts[r]) <= self.reach
+            gap = z[q]
+            gap -= self.pts[r]
+            near = np.abs(gap) <= self.reach[r]
             keys.append(index[q[near]] * self.n_ref + self.src[r[near]])
         keys = _distinct(np.concatenate(keys))
         return keys // self.n_ref, keys % self.n_ref

@@ -13,13 +13,17 @@ returns every pair of points within a given radius of each other:
 - corner pairs within 3*tol, for clustering, for the ambiguity band
   (tol, 3*tol], and for side matching, since side k can match side j only
   if the start of k meets the end of j;
-- cluster and side-midpoint pairs within half the longest side plus tol,
-  for half vertices.
-Every pair the formulas could accept is among these candidates, and each
-candidate is accepted or rejected by the same formulas an all-pairs
-comparison applies. So verdicts, censuses and failure lists are those of
-the all-pairs check, while time and memory grow with the corner count
-instead of its square.
+- cluster and side-midpoint pairs within half that side's length plus tol,
+  each side with its own radius, for half vertices. Of the nine lattice
+  copies of a side that the half-vertex test tries for such a pair, only
+  those whose midpoint lies within that radius of the cluster, whose line
+  passes within tol of it and whose ends lie more than tol from it get the
+  full test.
+Every pair and copy the formulas could accept is among these candidates
+(each bound carries a margin for rounding), and each candidate is accepted
+or rejected by the same formulas an all-pairs comparison applies. So
+verdicts, censuses and failure lists are those of the all-pairs check,
+while time and memory grow with the corner count instead of its square.
 
 The per-tile checks run as a few array passes over one flat corner table
 (``geom.corner_table``) instead of Python loops over tiles, corners and
@@ -68,7 +72,8 @@ ANGLE_TOL = 1e-9
 
 # the lattice shifts, in coordinates, around the nearest one
 _NEIGHBOURS = np.array([(ox, oy) for ox in (-1.0, 0.0, 1.0) for oy in (-1.0, 0.0, 1.0)])
-_BLOCK = 512  # candidate pairs per half-vertex test
+_BLOCK = 2048  # candidate pairs per half-vertex test
+_ROUNDING = 1e-12  # half-vertex bounds' margin, relative to the coordinates
 
 
 class ToleranceAmbiguityError(ValueError):
@@ -195,28 +200,49 @@ class _Analysis:
         self.pairs = int(np.count_nonzero(k[matched] <= j[matched]))
 
     def _find_half_vertices(self) -> None:
-        # a cluster on side s lies within half its length plus tol of the
-        # side's midpoint, so those pairs are the candidates
-        tol = self.tol
+        # a cluster inside side s lies within half the side's length plus tol
+        # of its midpoint, within tol of its line and more than tol from both
+        # of its ends: the pairs within the first bound are the candidates,
+        # and of the nine lattice copies of the side the test tries, those
+        # within all three bounds get the full test; each bound has a margin,
+        # relative to the coordinates, far above their rounding
+        tol, frame = self.tol, self.frame
         mids = (self.side_p + self.side_q) / 2.0
-        half = np.fmax.reduce(np.abs(self.side_q - self.side_p), initial=0.0) / 2.0
-        c, s = NearPairs(self.frame, mids, half + tol).pairs(self.reps)
-        mid_f = self.frame.frac(mids)
-        rep_f = self.frame.frac(self.reps)
-        # the nine lattice shifts around the nearest one, as one (9, pairs)
-        # test per block of pairs: a few (9, 512) temporaries stay in cache
-        # and below the memory the other phases already take
+        side = self.side_q - self.side_p
+        length = np.abs(side)
+        size = np.abs(self.corners)
+        margin = _ROUNDING * (
+            size[np.isfinite(size)].max(initial=0.0) + abs(frame.alpha) + abs(frame.beta)
+        )
+        reach = length / 2.0 + tol + margin
+        slack = (tol + margin) * length + margin * reach  # |cross(side, offset)|
+        c, s = NearPairs(frame, mids, reach).pairs(self.reps)
+        base = np.round(frame.frac(self.reps)[c] - frame.frac(mids)[s])
+        shifts = _NEIGHBOURS @ frame.basis
+        shifts = shifts[:, 0] + 1j * shifts[:, 1]
         through = np.zeros(len(c), dtype=bool)
         for lo in range(0, len(c), _BLOCK):
-            cb, sb = c[lo : lo + _BLOCK], s[lo : lo + _BLOCK]
-            k = np.round(rep_f[cb] - mid_f[sb]) + _NEIGHBOURS[:, None, :]
-            shift_xy = k @ self.frame.basis
-            shift = shift_xy[..., 0] + 1j * shift_xy[..., 1]
-            z, a, b = self.reps[cb], self.side_p[sb] + shift, self.side_q[sb] + shift
+            cb, sb, kb = c[lo : lo + _BLOCK], s[lo : lo + _BLOCK], base[lo : lo + _BLOCK]
+            # the offset of the cluster from the midpoint of the base copy,
+            # and then of copy base + _NEIGHBOURS[i], as a (9, block) test
+            xy = kb @ frame.basis
+            w = self.reps[cb] - mids[sb] - (xy[:, 0] + 1j * xy[:, 1])
+            i, j = np.nonzero(np.abs(w - shifts[:, None]) <= reach[sb])
+            v, d = w[j] - shifts[i], side[sb[j]]
+            near = (
+                (np.abs(d.real * v.imag - d.imag * v.real) <= slack[sb[j]])
+                & (np.abs(v + d / 2.0) > tol - margin)
+                & (np.abs(v - d / 2.0) > tol - margin)
+            )
+            i, j = i[near], j[near]
+            # the full test, each shift computed from its lattice coordinates
+            shift_xy = (kb[j] + _NEIGHBOURS[i]) @ frame.basis
+            shift = shift_xy[:, 0] + 1j * shift_xy[:, 1]
+            z, a, b = self.reps[cb[j]], self.side_p[sb[j]] + shift, self.side_q[sb[j]] + shift
             on_interior = (
                 (seg_point_dist(a, b, z) <= tol) & (np.abs(z - a) > tol) & (np.abs(z - b) > tol)
             )
-            through[lo : lo + _BLOCK] = on_interior.any(axis=0)
+            through[lo + j[on_interior]] = True
         self.through_count = np.bincount(c[through], minlength=self.n_clusters)
         self.is_half = self.through_count > 0
 

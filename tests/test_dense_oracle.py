@@ -387,3 +387,103 @@ def test_simple_rows_at_negative_tolerance(draws, repeat, tol):
     rows[0][repeat] = rows[0][(repeat + 1) % 6]
     expected = [first_violation(c, tol) is None for c in rows]
     assert simple_rows(np.array(rows), tol).tolist() == expected
+
+
+# Half vertices, where the hash reaches each side by its own half-length and
+# tests only the side copies that can reach a cluster: every report and
+# through-side count against the reference, which tests all nine copies.
+
+# the longest side 9.1 times the shortest and 2.2 times |alpha|
+LONG_SIDE_I = (0.38 + 0.59j, (0.76 + 0.03j, 0.02 - 0.64j))
+# alpha = 2: its (1, n; 0) covers are strips n times longer than wide
+SKINNY_STRIP = (1.0, 1.0, 0.15, (0.3 + 0.45j, 0.2 + 0.475j), "+-")
+BRICK = Polygon((0j, 1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j, 0 + 1j))
+
+
+def through(tiling, tol=1e-9):
+    return validate._Analysis(tiling, tol).through_count
+
+
+@pytest.mark.parametrize("h", [(1, 1, 0), (2, 1, 1), (1, 6, 0), (3, 4, 1), (6, 4, 5)])
+def test_long_side_covers_agree(h):
+    base = type_i_minimal(*LONG_SIDE_I)
+    sides = np.abs(np.diff(np.array(base.tiles[0].corners + base.tiles[0].corners[:1])))
+    assert sides.max() > 9 * sides.min() and sides.max() > 2 * abs(base.alpha)
+    t = covering.build_cover(base, HnfTriple(*h))
+    assert_agree(t)
+    assert_agree(broken(t, "shift", len(t.tiles) // 2))
+
+
+@pytest.mark.parametrize("h", [(1, 3, 0), (1, 6, 0), (1, 12, 0), (1, 24, 0)])
+def test_skinny_strip_covers_agree(h):
+    t = covering.build_cover(strip_tiling(*SKINNY_STRIP), HnfTriple(*h))
+    assert abs(t.alpha) == 2.0 and len(t.tiles) <= 96
+    assert_agree(t)
+    assert_agree(broken(t, "nudge", len(t.tiles) // 3))
+
+
+@pytest.mark.parametrize("shift", [0.5, 0.2, 0.9])
+def test_brick_half_vertices_agree_in_every_basis(shift):
+    # the offset rows put every corner on a side of the next row, at the
+    # side's midpoint for shift 0.5 and off it otherwise
+    alpha, beta = 2 + 0j, shift + 1j
+    bases = [
+        (alpha, beta),
+        (alpha, alpha + beta),
+        (2 * alpha + beta, 5 * alpha + 3 * beta),
+        (alpha + 3 * beta, beta),
+        (beta - 4 * alpha, alpha),  # negatively oriented
+    ]
+    expected = None
+    for a, b in bases:
+        tiling = SimpleNamespace(alpha=a, beta=b, tiles=(BRICK,))
+        assert_agree(tiling)
+        counts = through(tiling).tolist()
+        assert expected in (None, counts) and sum(counts) > 0
+        expected = counts
+
+
+def landed(t, k, side_tile, side, at, gap):
+    """t with tile k translated so that its corner 0 lies at fraction ``at``
+    along side ``side`` of tile ``side_tile``, ``gap`` off the side's line."""
+    tiles = list(t.tiles)
+    c = tiles[side_tile].corners
+    p, q = c[side], c[(side + 1) % len(c)]
+    target = p + at * (q - p) + gap * 1j * (q - p) / abs(q - p)
+    tiles[k] = tiles[k].translated(target - tiles[k].corners[0])
+    return carrier(t, tiles)
+
+
+@pytest.mark.parametrize("ulps", [-4, -2, -1, 0, 1, 2, 4])
+@pytest.mark.parametrize("at", [0.5, 0.1])
+@pytest.mark.parametrize(
+    "base,h", [("i", (2, 1, 1)), ("long", (3, 4, 1)), ("skinny", (1, 12, 0))]
+)
+def test_corner_landed_on_a_side_agrees(base, h, at, ulps):
+    # one tile moved so that a corner sits within a few ulps of tol from
+    # another tile's side: the full test decides, so the copies it sees
+    # must include every one whose distance rounds to tol or less
+    make = {
+        "i": BASES["i"],
+        "long": lambda: type_i_minimal(*LONG_SIDE_I),
+        "skinny": lambda: strip_tiling(*SKINNY_STRIP),
+    }[base]
+    t = covering.build_cover(make(), HnfTriple(*h))
+    tol = 1e-9
+    tiling = landed(t, len(t.tiles) // 2, 0, 2, at, tol + ulps * 2.0**-52)
+    assert_agree(tiling, tol)
+    if ulps < 0:
+        assert through(tiling, tol).sum() > 0
+
+
+@pytest.mark.parametrize("ulps", [-3, -2, -1, 0, 1])
+@pytest.mark.parametrize("turn", [0.0, 0.25, 0.5, 1.0, 2.5])
+def test_corner_nudged_to_tol_agrees(turn, ulps):
+    # a corner moved within a few ulps of tol from where it was: it stays in
+    # its cluster or lands in the ambiguous band, and the sides that end at
+    # it may pass within tol of the cluster without ending within tol of it
+    t = cover("i", (2, 1, 1))
+    tol = 1e-9
+    c = list(t.tiles[1].corners)
+    c[2] += (tol + ulps * 2.0**-52) * np.exp(1j * turn)
+    assert_agree(replaced(t, {1: c}), tol)

@@ -155,6 +155,13 @@ class TestMesh3:
         with pytest.raises(ValueError, match="vertices must be finite"):
             Mesh3(verts, np.array([[0, 1, 2, 3]]), np.zeros(1, int), np.zeros((5, 2)))
 
+    def test_overflowing_quad_area_rejected_without_warnings(self):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mesh quad areas overflow"):
+                Mesh3(verts, np.array([[0, 1, 2, 3]]), np.zeros(1, int), np.zeros((4, 2)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_uv_rejected(self, bad):
         mesh = rect_torus_mesh(1.0, 8, 8)

@@ -400,6 +400,17 @@ def test_window_oracle_random_bases():
         assert same_sublattice((a, b, c, d), triple_basis(h), half)
 
 
+# (alpha, beta, radius) of the NearPairs tests
+LATTICES = [
+    (1.0, 0.3 + 0.8j, 0.05),
+    (1.0, 0.3 + 0.8j, 0.0),
+    (1.0, 0.3 + 0.8j, 2.5),  # beyond the width of the parallelogram
+    (2.0 + 0.5j, 1.9 + 0.7j, 0.2),  # a long thin parallelogram
+    (1.0, 10.0 + 0.1j, 0.03),  # a basis far from reduced
+    (0.5j, -3.0 + 0.1j, 0.3),  # negatively oriented basis
+]
+
+
 class TestNearPairs:
     """The hashed query against distances to every lattice translate."""
 
@@ -420,23 +431,18 @@ class TestNearPairs:
             [np.abs(z - ref[:, None] - shifts).min(axis=1) for z in reduced(query)]
         )
 
-    @pytest.mark.parametrize(
-        "alpha,beta,radius",
-        [
-            (1.0, 0.3 + 0.8j, 0.05),
-            (1.0, 0.3 + 0.8j, 0.0),
-            (1.0, 0.3 + 0.8j, 2.5),  # beyond the width of the parallelogram
-            (2.0 + 0.5j, 1.9 + 0.7j, 0.2),  # a long thin parallelogram
-            (1.0, 10.0 + 0.1j, 0.03),  # a basis far from reduced
-            (0.5j, -3.0 + 0.1j, 0.3),  # negatively oriented basis
-        ],
-    )
-    def test_pairs_are_every_pair_within_radius(self, alpha, beta, radius):
-        rng = np.random.default_rng(7)
+    def points(self, rng, alpha, beta):
+        """60 reference points, and 60 query points of which the first 20
+        are lattice translates of reference points."""
         ref = rng.uniform(-3, 3, 60) + 1j * rng.uniform(-3, 3, 60)
         query = np.concatenate(
             [ref[:20] + 3 * alpha - beta, rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)]
         )
+        return ref, query
+
+    @pytest.mark.parametrize("alpha,beta,radius", LATTICES)
+    def test_pairs_are_every_pair_within_radius(self, alpha, beta, radius):
+        ref, query = self.points(np.random.default_rng(7), alpha, beta)
         q, r = NearPairs(LatticeFrame(alpha, beta), ref, radius).pairs(query)
         gap = self.gaps(complex(alpha), complex(beta), query, ref)
         found = set(zip(q.tolist(), r.tolist()))
@@ -444,6 +450,33 @@ class TestNearPairs:
         assert list(zip(q.tolist(), r.tolist())) == sorted(found)
         assert set(zip(*np.nonzero(gap <= radius))) <= found
         assert all(gap[i, j] <= radius + 1e-6 for i, j in found)
+
+    @pytest.mark.parametrize("alpha,beta,radius", LATTICES)
+    def test_per_point_radii_are_every_pair_within_its_radius(self, alpha, beta, radius):
+        rng = np.random.default_rng(11)
+        ref, query = self.points(rng, alpha, beta)
+        radii = rng.uniform(0.0, 2.0 * max(radius, 0.1), len(ref))
+        radii[::7] = 0.0
+        radii[1::7] = np.nan
+        radii[2::7] = -rng.uniform(0.0, 1.0, len(radii[2::7]))
+        q, r = NearPairs(LatticeFrame(alpha, beta), ref, radii).pairs(query)
+        gap = self.gaps(complex(alpha), complex(beta), query, ref)
+        found = set(zip(q.tolist(), r.tolist()))
+        assert len(found) == len(q)
+        assert list(zip(q.tolist(), r.tolist())) == sorted(found)
+        assert set(zip(*np.nonzero(gap <= radii))) <= found
+        # a NaN or negative radius admits no pair, a zero one only a point
+        # that coincides with its own up to rounding
+        assert all(gap[i, j] <= radii[j] + 1e-6 for i, j in found)
+        assert len(found) > len(query)
+
+    @pytest.mark.parametrize("alpha,beta,radius", LATTICES)
+    def test_scalar_radius_is_that_radius_for_every_point(self, alpha, beta, radius):
+        ref, query = self.points(np.random.default_rng(13), alpha, beta)
+        frame = LatticeFrame(alpha, beta)
+        scalar = NearPairs(frame, ref, radius).pairs(query)
+        full = NearPairs(frame, ref, np.full(len(ref), radius)).pairs(query)
+        assert [x.tolist() for x in scalar] == [x.tolist() for x in full]
 
     def test_non_finite_and_empty_inputs_give_no_pairs(self):
         frame = LatticeFrame(1.0, 1j)
@@ -456,18 +489,28 @@ class TestNearPairs:
         q, r = NearPairs(frame, np.array([0.2]), -1.0).pairs(np.array([0.2]))
         assert len(q) == 0
 
-    def test_pairs_do_not_depend_on_how_many_candidates_run_at_once(self, monkeypatch):
+    def assert_candidate_runs_do_not_matter(self, monkeypatch, radius):
         lattice = importlib.import_module("hextorus.lattice")
         rng = np.random.default_rng(3)
         ref = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
         query = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
-        index = NearPairs(LatticeFrame(1.0, 0.3 + 0.8j), ref, 0.4)
+        index = NearPairs(LatticeFrame(1.0, 0.3 + 0.8j), ref, radius)
         q, r = index.pairs(query)
         assert len(q) > 1000
         for size in (1, 7, 1000):
             monkeypatch.setattr(lattice, "_CANDIDATES", size)
             q2, r2 = index.pairs(query)
             assert q2.tolist() == q.tolist() and r2.tolist() == r.tolist()
+
+    def test_pairs_do_not_depend_on_how_many_candidates_run_at_once(self, monkeypatch):
+        self.assert_candidate_runs_do_not_matter(monkeypatch, 0.4)
+
+    def test_per_point_pairs_do_not_depend_on_how_many_candidates_run_at_once(
+        self, monkeypatch
+    ):
+        radii = np.random.default_rng(4).uniform(0.0, 0.8, 300)
+        radii[::5] = np.nan
+        self.assert_candidate_runs_do_not_matter(monkeypatch, radii)
 
     def test_every_hash_of_a_frame_shares_its_reduced_frame(self, monkeypatch):
         lattice = importlib.import_module("hextorus.lattice")

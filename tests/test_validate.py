@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -17,7 +18,9 @@ from hextorus.construct import (
     type_ii_minimal,
     type_iii_minimal,
 )
+from hextorus.covering import build_cover
 from hextorus.geom import Polygon
+from hextorus.lattice import HnfTriple
 from hextorus.validate import ToleranceAmbiguityError, census, validate
 
 warnings.simplefilter("ignore", GenericityWarning)
@@ -191,3 +194,26 @@ def test_one_lattice_reduction_per_check(monkeypatch):
         calls.clear()
         assert covering.is_minimal(tiling)
         assert len(calls) == (1 if len(tiling.tiles) > 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "base,h,bound_mib",
+    [
+        # 1.1 times the peaks of the search that reached every side by the
+        # longest one's half-length (1.77 and 5.57 MiB, numpy 2.4, x86-64)
+        (lambda: type_i_minimal(0.6j, (0.2 + 0.2j, -0.15 + 0.25j)), (12, 18, 5), 1.94),
+        (lambda: type_iii_minimal(0.05 + 0.22j), (24, 24, 0), 6.13),
+    ],
+    ids=["i-432", "iii-1728"],
+)
+def test_validate_peak_memory(base, h, bound_mib):
+    tiling = build_cover(base(), HnfTriple(*h))
+    validate(tiling)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        report = validate(tiling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= bound_mib * 2**20
