@@ -223,6 +223,11 @@ def corner_angles(p) -> tuple[float, ...]:
 def seg_point_dist(a, b, p):
     """Distance from p to the segment ab: a float for complex scalars, a
     float array for complex arrays (mixed with scalars) that broadcast."""
+    return abs(_seg_point_gap(a, b, p))
+
+
+def _seg_point_gap(a, b, p):
+    """The vector from p to its nearest point on the segment ab."""
     ab = b - a
     denom = _dot(ab, ab)
     t = _dot(p - a, ab)
@@ -230,7 +235,7 @@ def seg_point_dist(a, b, p):
         t = 0.0 if denom == 0.0 else min(1.0, max(0.0, t / denom))
     else:
         t = np.clip(t / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-    return abs(a + t * ab - p)
+    return a + t * ab - p
 
 
 def _crosses(a, b, c, d):
@@ -317,8 +322,19 @@ def _checks(n: int, tol: float) -> tuple:
     is simple where each check is True on its corners at each tuple."""
     crossings, distances, sides, touches = _atoms(n)
 
+    def exceeds(gap):
+        # |gap| > tol as Python's abs decides it: numpy's complex abs can
+        # differ from it in the last bit, so lengths within a few ulps of
+        # tol are measured again with np.hypot, which agrees with it
+        length = abs(gap)
+        ok = length > tol
+        if np.ndim(ok):
+            near = np.abs(length - tol) <= 4.0 * np.spacing(tol)
+            ok[near] = np.hypot(gap.real[near], gap.imag[near]) > tol
+        return ok
+
     def far(a, b, p):
-        return seg_point_dist(a, b, p) > tol
+        return exceeds(_seg_point_gap(a, b, p))
 
     def cross(a, b, c, d):
         if 0.0 > tol:  # a crossing's distance 0 passes, whatever the four others
@@ -326,7 +342,7 @@ def _checks(n: int, tol: float) -> tuple:
         return np.logical_not(_crosses(a, b, c, d))
 
     def long(a, b):
-        return _side_length(a, b) > tol
+        return exceeds(b - a)
 
     return (cross, crossings), (far, touches if 0.0 > tol else distances), (long, sides)
 
@@ -340,7 +356,8 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     reject most loops, then each point-side distance once, then the sides.
     Array corners are gathered down to the live cells whenever a check
     rejects some, while scalar corners stay scalars. A cell's bit is the
-    AND of the comparisons its tests make in array arithmetic.
+    AND of the comparisons its tests make in array arithmetic, except that
+    a length within a few ulps of tol is measured as Python's abs does.
     """
     corners = tuple(corners)
     shape = np.broadcast_shapes(*map(np.shape, corners))

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dense_oracle
@@ -347,6 +347,16 @@ def test_simple_rows_equal_first_violation(draws):
     st.floats(0.05, 0.95),
     st.integers(-6, 6),
     st.sampled_from([1e-9, 1e-6, 1e-3]),
+)
+# numpy's complex abs put distance (3, 4, 0) at 0.001 where Python's gives
+# 0.0010000000000000002
+@example(
+    [1.0, 1.0, 1.0, 0.31203703396890475, 1.0, 1.0],
+    [1.0, 0.40287786523922076, 1.0, 0.31203703396890475, 0.7096978467669491, 0.4354899617160353],
+    3,
+    0.25,
+    0,
+    1e-3,
 )
 def test_simple_rows_at_the_tolerance(radii, turns, side, at, ulps, tol):
     # a corner placed off a non-adjacent side by tol, give or take a few ulps
