@@ -22,7 +22,7 @@ from .geom import (
     rotation,
     signed_area,
 )
-from .hexagon import classify, spec_from_polygon
+from .hexagon import _spec, classify, spec_from_polygon
 from .lattice import check_lattice, check_modulus, covolume
 
 OMEGA3 = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -165,10 +165,13 @@ def _oriented(p: Polygon) -> Polygon:
 
 def _warn_if_nongeneric(tiling: TorusTiling, prototile: Polygon) -> TorusTiling:
     """The tiling, after a GenericityWarning if the prototile violates the
-    genericity conditions of the tiling's kind."""
+    genericity conditions of the tiling's kind. Unless _hexagon reversed the
+    prototile (labels 5..0), its corners are those _hexagon tested, in order
+    and up to the sign of a zero, so only a reversed one is tested again."""
     kind = tiling.provenance["kind"]
     flag = "generic_" + kind.removeprefix("type_")  # type_i: generic_i, strip: generic_strip
-    if not getattr(classify(spec_from_polygon(prototile)), flag):
+    spec = (spec_from_polygon if prototile.labels[0] else _spec)(prototile)
+    if not getattr(classify(spec), flag):
         warnings.warn(
             f"prototile violates the {kind} genericity conditions",
             GenericityWarning,

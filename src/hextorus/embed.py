@@ -512,7 +512,11 @@ def conformality(mesh: Mesh3) -> float:
         )
         / det_uv[:, None, None]
     )
-    jt = np.einsum("nab,nbc->nac", inv_uv, m_x)  # (n, 2, 3) rows of J^T
+    # rows of J^T, each a sum of two products built in place: einsum's bits and peak memory
+    jt = np.empty(m_x.shape)
+    for a in range(2):
+        np.multiply(inv_uv[:, a, 0, None], m_x[:, 0], out=jt[:, a])
+        jt[:, a] += inv_uv[:, a, 1, None] * m_x[:, 1]
     g = np.einsum("nab,ncb->nac", jt, jt)  # pullback metric (n, 2, 2)
     tr = g[:, 0, 0] + g[:, 1, 1]
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]

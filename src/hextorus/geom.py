@@ -23,10 +23,6 @@ class DegenerateError(ValueError):
     """Polygon with coincident consecutive corners (a zero-length side)."""
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def _cross(a: complex, b: complex) -> float:
     return a.real * b.imag - a.imag * b.real
 
@@ -48,7 +44,7 @@ class Isometry:
     reflect: bool = False
 
     def __post_init__(self) -> None:
-        if not (_finite(self.mult) and _finite(self.shift)):
+        if not (cmath.isfinite(self.mult) and cmath.isfinite(self.shift)):
             raise ValueError("non-finite isometry data")
         if abs(abs(self.mult) - 1.0) > 1e-12:
             raise ValueError(f"linear part is not orthogonal: |mult|={abs(self.mult)}")
@@ -73,7 +69,7 @@ class Isometry:
         return self.mult * (z.conjugate() if self.reflect else z) + self.shift
 
     def apply_all(self, points) -> tuple[Point2, ...]:
-        return tuple(self(z) for z in points)
+        return tuple(map(self, points))
 
     def compose(self, other: Isometry) -> Isometry:
         """The isometry acting as ``self`` after ``other``."""
@@ -133,16 +129,15 @@ class Polygon:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        corners = tuple(complex(z) for z in self.corners)
+        corners = tuple(map(complex, self.corners))
         object.__setattr__(self, "corners", corners)
         if len(corners) < 3:
             raise ValueError("polygon needs at least 3 corners")
-        for z in corners:
-            if not _finite(z):
-                raise ValueError("non-finite corner coordinate")
+        if not all(map(cmath.isfinite, corners)):
+            raise ValueError("non-finite corner coordinate")
         n = len(corners)
-        for k in range(n):
-            if abs(corners[(k + 1) % n] - corners[k]) <= MERGE_TOL:
+        for k, side in enumerate(map(operator.sub, corners[1:] + corners[:1], corners)):
+            if abs(side) <= MERGE_TOL:
                 raise DegenerateError(f"corners {k} and {(k + 1) % n} coincide")
         labels = tuple(self.labels) if self.labels else tuple(range(n))
         if len(labels) != n:
@@ -192,8 +187,7 @@ def corner_table(polygons) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 def signed_area(p) -> float:
     c = _corners(p)
-    n = len(c)
-    return 0.5 * sum(_cross(c[k], c[(k + 1) % n]) for k in range(n))
+    return 0.5 * sum(map(_cross, c, c[1:] + c[:1]))
 
 
 def _angle_at(c, k: int, ccw: bool) -> float:
@@ -232,7 +226,8 @@ def _seg_point_gap(a, b, p):
     denom = _dot(ab, ab)
     t = _dot(p - a, ab)
     if isinstance(t, float):
-        t = 0.0 if denom == 0.0 else min(1.0, max(0.0, t / denom))
+        t = t / denom if denom != 0.0 else 0.0
+        t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0  # clipped, NaN to 0
     else:
         t = np.clip(t / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
     return a + t * ab - p
@@ -247,39 +242,54 @@ def _crosses(a, b, c, d):
     )
 
 
-def seg_seg_dist(a, b, c, d) -> float:
-    """Distance between the segments ab and cd, 0 where they cross."""
-    if _crosses(a, b, c, d):
-        return 0.0
-    return min(
-        min(seg_point_dist(a, b, c), seg_point_dist(a, b, d)),
-        min(seg_point_dist(c, d, a), seg_point_dist(c, d, b)),
-    )
-
-
-def _side_length(a, b):
-    return abs(b - a)
-
-
 @functools.lru_cache(maxsize=8)
 def _tests(n: int) -> tuple:
     """The simplicity tests of an n-corner loop in reporting order, as
-    (kind, i, j, distance, picker of its corner arguments): the loop is
-    simple iff every distance exceeds the tolerance."""
+    (kind, i, j, pickers of the corners of the checks of ``_atoms`` it reads):
+    the loop is simple iff every test's distance exceeds the tolerance."""
     nxt = [(k + 1) % n for k in range(n)]  # side k runs from corner k to nxt[k]
-    pick = operator.itemgetter
-    tests = [("degenerate", k, nxt[k], _side_length, pick(k, nxt[k])) for k in range(n)]
+    pick = functools.cache(operator.itemgetter)  # one picker per check
+    tests = [("degenerate", k, nxt[k], (pick(k, nxt[k]),)) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if j - i == 1 or (i == 0 and j == n - 1):
                 s, t = (n - 1, 0) if (i == 0 and j == n - 1) else (i, j)
                 # adjacent sides share corner t; only the far endpoints may
                 # come near the other side
-                tests.append(("touch", s, t, seg_point_dist, pick(t, nxt[t], s)))
-                tests.append(("touch", s, t, seg_point_dist, pick(s, nxt[s], nxt[t])))
+                tests.append(("touch", s, t, (pick(t, nxt[t], s),)))
+                tests.append(("touch", s, t, (pick(s, nxt[s], nxt[t]),)))
             else:
-                tests.append(("cross", i, j, seg_seg_dist, pick(i, nxt[i], j, nxt[j])))
+                a, b, c, d = i, nxt[i], j, nxt[j]
+                at = ((a, b, c, d), (a, b, c), (a, b, d), (c, d, a), (c, d, b))
+                tests.append(("cross", i, j, tuple(pick(*x) for x in at)))
     return tuple(tests)
+
+
+@functools.lru_cache(maxsize=8)
+def _scalar_plan(n: int) -> tuple:
+    """What first_violation reads: ``_tests(n)``, then its pickers of the
+    crossings, distances and sides of ``_atoms(n)``."""
+    tests = _tests(n)
+    pickers = {pick(range(n)): pick for *_, picks in tests for pick in picks}
+    return tests, *(tuple(map(pickers.get, group)) for group in _atoms(n)[:3])
+
+
+_CHECK = {2: lambda a, b: abs(b - a), 3: seg_point_dist, 4: _crosses}  # by corner count
+
+
+def _passes_outright(c, check: dict, tol: float, crossings, distances, sides) -> bool:
+    """Whether the loop c has no crossing and every distance and side above
+    tol, crossings first, as they reject most loops. The checks it works
+    out are kept in check, by the picker of their corners."""
+    for pick in crossings:
+        check[pick] = crossed = _crosses(*pick(c))
+        if crossed:
+            return False
+    for pick in distances:
+        check[pick] = gap = abs(_seg_point_gap(*pick(c)))
+        if not gap > tol:
+            return False
+    return all(abs(b - a) > tol for a, b in (pick(c) for pick in sides))
 
 
 def first_violation(corners, tol: float = MERGE_TOL):
@@ -287,11 +297,34 @@ def first_violation(corners, tol: float = MERGE_TOL):
 
     Returns ("degenerate"|"touch"|"cross", i, j) where i, j are corner or
     side indices. Unlike :func:`is_simple` this never raises, so callers can
-    treat degeneracy as plain rejection.
+    treat degeneracy as plain rejection. The tests rest on the distinct
+    checks of ``_atoms``, as :func:`simple_mask` does, each worked out at
+    most once per call; only a loop that fails one runs the tests in order.
     """
     c = tuple(complex(z) for z in corners)
-    for kind, i, j, dist, pick in _tests(len(c)):
-        if not dist(*pick(c)) > tol:  # a NaN distance fails, as in simple_mask
+    tests, *atoms = _scalar_plan(len(c))
+    check = {}
+    try:
+        if _passes_outright(c, check, tol, *atoms):
+            return None
+    except OverflowError:  # from abs: raised again only where the tests reach it
+        pass
+
+    def value(pick):
+        if pick not in check:
+            at = pick(c)
+            check[pick] = _CHECK[len(at)](*at)
+        return check[pick]
+
+    for kind, i, j, picks in tests:
+        if kind != "cross":
+            gap = value(picks[0])
+        elif value(picks[0]):
+            gap = 0.0
+        else:
+            ab_c, ab_d, cd_a, cd_b = map(value, picks[1:])
+            gap = min(min(ab_c, ab_d), min(cd_a, cd_b))
+        if not gap > tol:  # a NaN distance fails, as in simple_mask
             return (kind, i, j)
     return None
 
@@ -305,10 +338,12 @@ def _atoms(n: int) -> tuple:
     distance (a, b, p) is that of corner p from the side ab, a side (a, b)
     is its length, and touches are the distances of the touch tests. A cross
     test has its crossing and four distances, each shared with another test
-    (for a hexagon 9 crossings, 24 distances and 6 sides for 27 tests).
+    (for a hexagon 9 crossings, 24 distances and 6 sides for 27 tests). The
+    scalar :func:`first_violation` and the array :func:`simple_mask` and
+    :func:`simple_rows` all rest on this one list.
     """
     crossings, touches, sides = (
-        tuple(dict.fromkeys(pick(range(n)) for k, *_, pick in _tests(n) if k == kind))
+        tuple(dict.fromkeys(picks[0](range(n)) for k, _, _, picks in _tests(n) if k == kind))
         for kind in ("cross", "touch", "degenerate")
     )
     distances = dict.fromkeys(touches)
@@ -351,9 +386,10 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     """Array form of :func:`first_violation`: True where the loop is simple.
 
     The corners are complex arrays or scalars that broadcast to one shape.
-    The distinct checks of the tests (``_checks``) run one at a time, each
-    only on the cells that passed every earlier one: the crossings, which
-    reject most loops, then each point-side distance once, then the sides.
+    The distinct checks of the tests (``_checks``, on the atom list
+    ``_atoms`` that the scalar form shares) run one at a time, each only on
+    the cells that passed every earlier one: the crossings, which reject
+    most loops, then each point-side distance once, then the sides.
     Array corners are gathered down to the live cells whenever a check
     rejects some, while scalar corners stay scalars. A cell's bit is the
     AND of the comparisons its tests make in array arithmetic, except that

@@ -9,7 +9,9 @@ the genericity conditions under which each minimal tiling is unique.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .geom import MERGE_TOL, Polygon, corner_angles, is_simple
@@ -46,12 +48,14 @@ class HexagonSpec:
         for x in lengths:
             if not x > MERGE_TOL:
                 raise ValueError(f"side length {x} not positive")
+            if x == math.inf:
+                raise ValueError("side length inf not finite")
         if abs(sum(angles) - 2.0 * TWO_PI) > 1e-9:
             raise ValueError("corner angles must sum to 4pi")
         scale = max(1.0, max(lengths))
         walk = self._walk(0j, 0.0)
         gap = abs(walk[0] - walk[6])
-        if gap > 1e-9 * scale:
+        if not gap <= 1e-9 * scale:  # a NaN gap does not close up either
             raise ValueError(f"sides do not close up (gap {gap})")
 
     def corners(self, start: complex = 0j, heading: float = 0.0) -> tuple[complex, ...]:
@@ -77,6 +81,11 @@ def spec_from_polygon(p: Polygon) -> HexagonSpec:
         raise ValueError(f"hexagon required, got {len(p)} corners")
     if not is_simple(p):
         raise NotSimpleError("polygon sides cross or touch")
+    return _spec(p)
+
+
+def _spec(p: Polygon) -> HexagonSpec:
+    """The spec of a labeled hexagon already known to be simple."""
     pos = {label: k for k, label in enumerate(p.labels)}
     if sorted(pos) != [0, 1, 2, 3, 4, 5]:
         raise ValueError("corner labels must be a permutation of 0..5")
@@ -116,55 +125,38 @@ class TypeReport:
     tol: float
 
 
+# the corner and side read as label k in each relabeling: the 6 rotations,
+# then the 6 reflected rotations
+_RELABELINGS = [(operator.itemgetter(*[(k + r) % 6 for k in range(6)]),) * 2 for r in range(6)] + [
+    tuple(operator.itemgetter(*[(r - k - s) % 6 for k in range(6)]) for s in (0, 1)) for r in range(6)
+]
+
+
 def relabelings(angles, lengths):
     """All 12 relabelings: 6 rotations and 6 reflected rotations."""
-    out = []
-    for r in range(6):
-        out.append(
-            (
-                tuple(angles[(i + r) % 6] for i in range(6)),
-                tuple(lengths[(i + r) % 6] for i in range(6)),
-            )
-        )
-    for r in range(6):
-        out.append(
-            (
-                tuple(angles[(r - j) % 6] for j in range(6)),
-                tuple(lengths[(r - j - 1) % 6] for j in range(6)),
-            )
-        )
-    return out
+    return [(corner(angles), side(lengths)) for corner, side in _RELABELINGS]
 
 
-def _residual_i(a, l) -> float:
-    return max(abs(a[0] + a[1] + a[2] - TWO_PI), abs(l[2] - l[5]))
-
-
-def _residual_ii(a, l) -> float:
-    return max(
-        abs(a[0] + a[1] + a[3] - TWO_PI),
-        abs(l[1] - l[3]),
-        abs(l[2] - l[5]),
-    )
-
-
-def _residual_iii(a, l) -> float:
-    return max(
-        abs(a[1] - TWO_THIRDS_PI),
-        abs(a[3] - TWO_THIRDS_PI),
-        abs(a[5] - TWO_THIRDS_PI),
-        abs(l[0] - l[1]),
-        abs(l[2] - l[3]),
-        abs(l[4] - l[5]),
-    )
-
-
-def _residual_central(a, l) -> float:
-    # opposite sides parallel and equal reduces to equal opposite angles and
-    # lengths once the angle sum is pinned at 4pi
-    return max(
-        max(abs(a[j] - a[j + 3]) for j in range(3)),
-        max(abs(l[j] - l[j + 3]) for j in range(3)),
+def _residuals(a, l) -> tuple[float, float, float, float]:
+    """The residuals of the type i, ii and iii and central conditions at one
+    labeling (each a max of non-negative terms, none NaN for a spec)."""
+    a0, a1, a2, a3, a4, a5 = a
+    l0, l1, l2, l3, l4, l5 = l
+    l25 = abs(l2 - l5)
+    return (
+        max(abs(a0 + a1 + a2 - TWO_PI), l25),
+        max(abs(a0 + a1 + a3 - TWO_PI), abs(l1 - l3), l25),
+        max(
+            abs(a1 - TWO_THIRDS_PI),
+            abs(a3 - TWO_THIRDS_PI),
+            abs(a5 - TWO_THIRDS_PI),
+            abs(l0 - l1),
+            abs(l2 - l3),
+            abs(l4 - l5),
+        ),
+        # opposite sides parallel and equal reduces to equal opposite angles
+        # and lengths once the angle sum is pinned at 4pi
+        max(abs(a0 - a3), abs(a1 - a4), abs(a2 - a5), abs(l0 - l3), abs(l1 - l4), l25),
     )
 
 
@@ -214,13 +206,13 @@ def _generic_central(a, l, tol: float) -> bool:
     )
 
 
-# each condition's TypeReport flag, its residual, and the genericity flags
-# it decides, each tested on the relabelings that meet the condition
+# each condition's TypeReport flag, in the order of _residuals, and the
+# genericity flags it decides, each tested on the relabelings that meet it
 _CONDITIONS = (
-    ("type_i", _residual_i, {"generic_i": _generic_i, "generic_strip": _generic_strip}),
-    ("type_ii", _residual_ii, {"generic_ii": _generic_ii}),
-    ("type_iii", _residual_iii, {"generic_iii": _generic_iii}),
-    ("central", _residual_central, {"generic_central": _generic_central}),
+    ("type_i", {"generic_i": _generic_i, "generic_strip": _generic_strip}),
+    ("type_ii", {"generic_ii": _generic_ii}),
+    ("type_iii", {"generic_iii": _generic_iii}),
+    ("central", {"generic_central": _generic_central}),
 )
 
 
@@ -228,8 +220,8 @@ def classify(s: HexagonSpec, tol: float = 1e-9) -> TypeReport:
     """Classify a hexagon spec over all relabelings."""
     labelings = relabelings(s.angles, s.lengths)
     fields = {"tol": tol}
-    for flag, residual, generics in _CONDITIONS:
-        res = [residual(a, l) for a, l in labelings]
+    columns = zip(*itertools.starmap(_residuals, labelings))
+    for (flag, generics), res in zip(_CONDITIONS, columns):
         fields[flag] = holds = min(res) <= tol
         fields["residual_" + flag.removeprefix("type_")] = min(res)
         for name, generic in generics.items():

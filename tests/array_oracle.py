@@ -1,26 +1,34 @@
-"""The all-cells simplicity mask, the dict-walk conformality, the
-per-group OBJ writer, the map-by-map rectangular search and the all-points
-tile assignment of a drape, kept as the reference.
+"""The all-cells simplicity mask, the test-by-test scalar simplicity walk,
+the dict-walk conformality, the per-group OBJ writer, the map-by-map
+rectangular search, the all-points tile assignment of a drape and the
+generator-built classifier, kept as the reference.
 
-These are ``hextorus.geom.simple_mask``, ``hextorus.embed.conformality``,
-``hextorus.cli.write_obj``, ``hextorus.lattice.rectangular_solve`` and
-``hextorus.embed._assign_tiles`` as they were before the mask tested only the
-cells still live, the conformality stencils were built with numpy sorts, the
-OBJ faces were written in one pass, the rectangular search read a cached
-table of map images and the tile assignment tested only the points still
-unlabelled. They are copied unchanged, apart from this header and its
-imports, so that ``test_array_oracle.py`` can compare the new code against
-them bit for bit.
+These are ``hextorus.geom.simple_mask``, ``hextorus.geom.first_violation``,
+``hextorus.embed.conformality``, ``hextorus.cli.write_obj``,
+``hextorus.lattice.rectangular_solve``, ``hextorus.embed._assign_tiles`` and
+``hextorus.hexagon.relabelings`` and ``classify`` as they were before the mask
+tested only the cells still live, the scalar walk worked out each distinct
+check once, the conformality stencils were built with numpy sorts, the OBJ
+faces were written in one pass, the rectangular search read a cached table of
+map images, the tile assignment tested only the points still unlabelled and
+the classifier read index tables. They are copied unchanged, apart from this
+header and its imports, so that ``test_array_oracle.py`` and
+``test_scalar_oracle.py`` can compare the new code against them bit for bit.
+The scalar walk's ``seg_seg_dist`` and ``seg_point_dist`` are the mask's,
+which do the same arithmetic on scalars.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
 from hextorus.embed import _point_in_polygon
 from hextorus.geom import MERGE_TOL
+from hextorus.hexagon import TWO_PI, TWO_THIRDS_PI, HexagonSpec, TypeReport
 from hextorus.lattice import TOL, HnfTriple, LatticeFrame, _search_maps, check_modulus
 
 
@@ -81,6 +89,31 @@ def _gaps(c):
                 yield "cross", i, j, seg_seg_dist(c[i], ends[i], c[j], ends[j])
 
 
+def _side_length(a, b):
+    return abs(b - a)
+
+
+@functools.lru_cache(maxsize=8)
+def _tests(n: int) -> tuple:
+    """The simplicity tests of an n-corner loop in reporting order, as
+    (kind, i, j, distance, picker of its corner arguments): the loop is
+    simple iff every distance exceeds the tolerance."""
+    nxt = [(k + 1) % n for k in range(n)]  # side k runs from corner k to nxt[k]
+    pick = operator.itemgetter
+    tests = [("degenerate", k, nxt[k], _side_length, pick(k, nxt[k])) for k in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j - i == 1 or (i == 0 and j == n - 1):
+                s, t = (n - 1, 0) if (i == 0 and j == n - 1) else (i, j)
+                # adjacent sides share corner t; only the far endpoints may
+                # come near the other side
+                tests.append(("touch", s, t, seg_point_dist, pick(t, nxt[t], s)))
+                tests.append(("touch", s, t, seg_point_dist, pick(s, nxt[s], nxt[t])))
+            else:
+                tests.append(("cross", i, j, seg_seg_dist, pick(i, nxt[i], j, nxt[j])))
+    return tuple(tests)
+
+
 def first_violation(corners, tol: float = MERGE_TOL):
     """First simplicity violation of a corner loop, or None.
 
@@ -88,8 +121,9 @@ def first_violation(corners, tol: float = MERGE_TOL):
     side indices. Unlike :func:`is_simple` this never raises, so callers can
     treat degeneracy as plain rejection.
     """
-    for kind, i, j, gap in _gaps(tuple(complex(z) for z in corners)):
-        if not gap > tol:  # a NaN distance fails, as in simple_mask
+    c = tuple(complex(z) for z in corners)
+    for kind, i, j, dist, pick in _tests(len(c)):
+        if not dist(*pick(c)) > tol:  # a NaN distance fails, as in simple_mask
             return (kind, i, j)
     return None
 
@@ -285,3 +319,126 @@ def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
         )
         labels[miss] = np.argmin(d.min(axis=2), axis=1)
     return labels
+
+
+def relabelings(angles, lengths):
+    """All 12 relabelings: 6 rotations and 6 reflected rotations."""
+    out = []
+    for r in range(6):
+        out.append(
+            (
+                tuple(angles[(i + r) % 6] for i in range(6)),
+                tuple(lengths[(i + r) % 6] for i in range(6)),
+            )
+        )
+    for r in range(6):
+        out.append(
+            (
+                tuple(angles[(r - j) % 6] for j in range(6)),
+                tuple(lengths[(r - j - 1) % 6] for j in range(6)),
+            )
+        )
+    return out
+
+
+def _residual_i(a, l) -> float:
+    return max(abs(a[0] + a[1] + a[2] - TWO_PI), abs(l[2] - l[5]))
+
+
+def _residual_ii(a, l) -> float:
+    return max(
+        abs(a[0] + a[1] + a[3] - TWO_PI),
+        abs(l[1] - l[3]),
+        abs(l[2] - l[5]),
+    )
+
+
+def _residual_iii(a, l) -> float:
+    return max(
+        abs(a[1] - TWO_THIRDS_PI),
+        abs(a[3] - TWO_THIRDS_PI),
+        abs(a[5] - TWO_THIRDS_PI),
+        abs(l[0] - l[1]),
+        abs(l[2] - l[3]),
+        abs(l[4] - l[5]),
+    )
+
+
+def _residual_central(a, l) -> float:
+    # opposite sides parallel and equal reduces to equal opposite angles and
+    # lengths once the angle sum is pinned at 4pi
+    return max(
+        max(abs(a[j] - a[j + 3]) for j in range(3)),
+        max(abs(l[j] - l[j + 3]) for j in range(3)),
+    )
+
+
+def _distinct_from_rest(l, k: int, tol: float) -> bool:
+    return all(abs(l[k] - l[j]) > tol for j in range(6) if j != k)
+
+
+def _generic_i(a, l, tol: float) -> bool:
+    return (
+        _distinct_from_rest(l, 0, tol)
+        and _distinct_from_rest(l, 1, tol)
+        and abs(l[3] - l[4]) > tol
+    )
+
+
+def _generic_strip(a, l, tol: float) -> bool:
+    return (
+        _distinct_from_rest(l, 0, tol)
+        and _distinct_from_rest(l, 1, tol)
+        and abs(l[3] - l[4]) <= tol
+    )
+
+
+def _generic_ii(a, l, tol: float) -> bool:
+    return (
+        _distinct_from_rest(l, 0, tol)
+        and _distinct_from_rest(l, 4, tol)
+        and abs(l[1] - l[2]) > tol
+        and abs(a[2] - a[3]) > tol
+    )
+
+
+def _generic_iii(a, l, tol: float) -> bool:
+    return (
+        abs(l[0] - l[2]) > tol
+        and abs(l[2] - l[4]) > tol
+        and abs(l[0] - l[4]) > tol
+        and all(abs(a[j] - TWO_THIRDS_PI) > tol for j in (0, 2, 4))
+    )
+
+
+def _generic_central(a, l, tol: float) -> bool:
+    return (
+        abs(l[0] - l[1]) > tol
+        and abs(l[1] - l[2]) > tol
+        and abs(l[0] - l[2]) > tol
+    )
+
+
+# each condition's TypeReport flag, its residual, and the genericity flags
+# it decides, each tested on the relabelings that meet the condition
+_CONDITIONS = (
+    ("type_i", _residual_i, {"generic_i": _generic_i, "generic_strip": _generic_strip}),
+    ("type_ii", _residual_ii, {"generic_ii": _generic_ii}),
+    ("type_iii", _residual_iii, {"generic_iii": _generic_iii}),
+    ("central", _residual_central, {"generic_central": _generic_central}),
+)
+
+
+def classify(s: HexagonSpec, tol: float = 1e-9) -> TypeReport:
+    """Classify a hexagon spec over all relabelings."""
+    labelings = relabelings(s.angles, s.lengths)
+    fields = {"tol": tol}
+    for flag, residual, generics in _CONDITIONS:
+        res = [residual(a, l) for a, l in labelings]
+        fields[flag] = holds = min(res) <= tol
+        fields["residual_" + flag.removeprefix("type_")] = min(res)
+        for name, generic in generics.items():
+            fields[name] = holds and any(
+                generic(a, l, tol) for (a, l), r in zip(labelings, res) if r <= tol
+            )
+    return TypeReport(**fields)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import array_oracle
 from hextorus.geom import (
     Congruence,
     DegenerateError,
@@ -20,7 +21,6 @@ from hextorus.geom import (
     Polygon,
     _atoms,
     _crosses,
-    _side_length,
     _tests,
     congruent,
     corner_angle,
@@ -305,30 +305,23 @@ def test_atoms_of_a_hexagon():
     assert all(b == (a + 1) % 6 and p not in (a, b) for a, b, p in distances)
 
 
-def atoms_of(kind, at):
-    """The checks one test of ``_tests`` rests on, from its own corners."""
-    if kind == "degenerate":
-        return [("side", at)]
-    if kind == "touch":
-        return [("distance", at)]
-    a, b, c, d = at
-    ends = ((a, b, c), (a, b, d), (c, d, a), (c, d, b))
-    return [("crossing", at)] + [("distance", x) for x in ends]
-
-
-def atom_passes(name, at, corners, tol):
+def atom_passes(at, corners, tol):
+    """Whether the check on the corners at passes: a crossing (a, b, c, d)
+    where the sides ab and cd do not cross, a distance (a, b, p) or a side
+    (a, b) where it exceeds tol."""
     z = [corners[k] for k in at]
-    if name == "crossing":
+    if len(at) == 4:
         return not _crosses(*z)
-    if name == "distance":
+    if len(at) == 3:
         return seg_point_dist(*z) > tol
-    return _side_length(*z) > tol
+    return abs(z[1] - z[0]) > tol
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_each_test_passes_exactly_when_its_atoms_pass(n):
+    # against the distance of each test as the reference loop works it out
     crossings, distances, sides, _ = _atoms(n)
-    groups = {"crossing": crossings, "distance": distances, "side": sides}
+    groups = {4: crossings, 3: distances, 2: sides}
     rng = np.random.default_rng(n)
     used = set()
     for trial in range(300):
@@ -337,14 +330,21 @@ def test_each_test_passes_exactly_when_its_atoms_pass(n):
         corners = [complex(x, y) for x, y in rng.normal(0.0, 1.0, (n, 2))]
         if trial % 2:
             corners = [complex(round(2 * z.real) / 2, round(2 * z.imag) / 2) for z in corners]
+        reference = list(array_oracle._gaps(tuple(corners)))
+        assert len(reference) == len(_tests(n))
         for tol in (0.0, 1e-9, 0.05):
-            for kind, _, _, dist, pick in _tests(n):
-                at = pick(range(n))
-                atoms = atoms_of(kind, at)
-                for name, x in atoms:
-                    assert x in groups[name]
+            for (kind, i, j, picks), (kind0, i0, j0, gap) in zip(_tests(n), reference):
+                assert (kind, i, j) == (kind0, i0, j0)
+                atoms = [pick(range(n)) for pick in picks]
+                if kind == "cross":
+                    a, b, c, d = atoms[0]
+                    assert atoms[1:] == [(a, b, c), (a, b, d), (c, d, a), (c, d, b)]
+                else:
+                    assert len(atoms) == 1
+                for x in atoms:
+                    assert x in groups[len(x)]
                 used.update(atoms)
-                expected = all(atom_passes(name, x, corners, tol) for name, x in atoms)
-                assert (dist(*pick(corners)) > tol) == expected
+                expected = all(atom_passes(x, corners, tol) for x in atoms)
+                assert (gap > tol) == expected
     # every atom serves some test
-    assert used == {(name, x) for name, group in groups.items() for x in group}
+    assert used == {x for group in groups.values() for x in group}

@@ -107,6 +107,22 @@ class TestHexagonSpec:
         with pytest.raises(ValueError, match="close"):
             HexagonSpec(angles, (1, 1, 1, 1, 1, 2.5))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("position", range(12))
+    def test_non_finite_entries_rejected(self, position, value):
+        # an infinite side once built and classified as type i with
+        # residual 0: its closing gap was NaN, which no comparison refused
+        entries = [TWO_PI / 3] * 6 + [1.0] * 6
+        entries[position] = value
+        with pytest.raises(ValueError) as err:
+            HexagonSpec(tuple(entries[:6]), tuple(entries[6:]))
+        assert "\n" not in str(err.value)
+
+    def test_overflowing_walk_rejected(self):
+        # finite sides whose walk overflows: the closing gap is NaN
+        with pytest.raises(ValueError, match="do not close up"):
+            HexagonSpec((TWO_PI / 3,) * 6, (1.5e308,) * 6)
+
     def test_arity(self):
         with pytest.raises(ValueError):
             HexagonSpec((math.pi,) * 4, (1.0,) * 6)
