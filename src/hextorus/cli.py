@@ -14,8 +14,7 @@ import sys
 import tempfile
 from types import SimpleNamespace
 
-import numpy as np
-
+from ._np import np
 from .construct import (
     OMEGA3,
     TorusTiling,

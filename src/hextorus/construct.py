@@ -60,7 +60,11 @@ class FreeVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "i", complex(self.i))
         object.__setattr__(self, "t", complex(self.t))
-        if abs(self.t - self.i) <= MERGE_TOL:
+        try:
+            short = abs(self.t - self.i) <= MERGE_TOL
+        except OverflowError:  # longer than any float: the hexagon test refuses it
+            short = False
+        if short:
             raise ModuliViolation(
                 f"free vector from {self.i} to {self.t} has zero length",
                 "degenerate",

@@ -8,8 +8,7 @@ tile count, list the sublattice triples whose minimal tiling exists.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._np import np
 from .construct import OMEGA3, TorusTiling, translates
 from .geom import corner_table
 from .lattice import (

@@ -14,8 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .lattice import LatticeFrame, UnimodularMap, sl2_reduce
 from .validate import validate
 

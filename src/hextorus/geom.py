@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
+from ._np import np
 
 Point2 = complex
 
@@ -297,7 +297,9 @@ def first_violation(corners, tol: float = MERGE_TOL):
 
     Returns ("degenerate"|"touch"|"cross", i, j) where i, j are corner or
     side indices. Unlike :func:`is_simple` this never raises, so callers can
-    treat degeneracy as plain rejection. The tests rest on the distinct
+    treat degeneracy as plain rejection; a length past the float range
+    (Python's abs raises OverflowError) fails the first test that reads it,
+    as a NaN one does. The tests rest on the distinct
     checks of ``_atoms``, as :func:`simple_mask` does, each worked out at
     most once per call; only a loop that fails one runs the tests in order.
     """
@@ -307,13 +309,16 @@ def first_violation(corners, tol: float = MERGE_TOL):
     try:
         if _passes_outright(c, check, tol, *atoms):
             return None
-    except OverflowError:  # from abs: raised again only where the tests reach it
+    except OverflowError:  # from abs: decided where the tests reach it
         pass
 
     def value(pick):
         if pick not in check:
             at = pick(c)
-            check[pick] = _CHECK[len(at)](*at)
+            try:
+                check[pick] = _CHECK[len(at)](*at)
+            except OverflowError:  # -inf fails the test, whatever the other distances
+                check[pick] = -math.inf
         return check[pick]
 
     for kind, i, j, picks in tests:

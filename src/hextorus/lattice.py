@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
+from ._np import np
 
 TOL = 1e-9
 

@@ -16,8 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .construct import B_POINT, OMEGA3, R_POINT, hexagon_corners
 from .geom import MERGE_TOL, _atoms, _cross, first_violation, seg_point_dist, simple_mask
 from .lattice import check_lattice, check_modulus, components
@@ -111,7 +110,8 @@ def _normalize_fixed(kind: str, fixed):
 def membership_mask(kind: str, fixed, free, tol: float = MERGE_TOL) -> np.ndarray:
     """Vectorized membership over an array of free parameters."""
     key, fixed = _normalize_fixed(kind, fixed)
-    return simple_mask(hexagon_corners(key, fixed, np.asarray(free, complex)), tol)
+    with np.errstate(all="ignore"):  # overflow and NaN just fail the tests
+        return simple_mask(hexagon_corners(key, fixed, np.asarray(free, complex)), tol)
 
 
 def membership(kind: str, fixed, free: complex, tol: float = MERGE_TOL) -> bool:
@@ -292,7 +292,7 @@ def sample_region(
             ci, cj = _open_cells(sure, xs, ys, bits)
         else:
             ci, cj = (a.ravel() for a in np.indices(bits.shape))
-    bits[ci, cj] = simple_mask(hexagon_corners(key, norm, xs[cj] + 1j * ys[ci]), tol)
+        bits[ci, cj] = simple_mask(hexagon_corners(key, norm, xs[cj] + 1j * ys[ci]), tol)
     return RegionGrid(grid.bbox, grid.nx, grid.ny, bits)
 
 

@@ -52,8 +52,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .geom import (
     MERGE_TOL,
     _cross,
@@ -71,7 +70,7 @@ from .lattice import LatticeFrame, NearPairs, components, covolume
 ANGLE_TOL = 1e-9
 
 # the lattice shifts, in coordinates, around the nearest one
-_NEIGHBOURS = np.array([(ox, oy) for ox in (-1.0, 0.0, 1.0) for oy in (-1.0, 0.0, 1.0)])
+_NEIGHBOURS = [(ox, oy) for ox in (-1.0, 0.0, 1.0) for oy in (-1.0, 0.0, 1.0)]
 _BLOCK = 2048  # candidate pairs per half-vertex test
 _ROUNDING = 1e-12  # half-vertex bounds' margin, relative to the coordinates
 
@@ -218,13 +217,14 @@ class _Analysis:
         slack = (tol + margin) * length + margin * reach  # |cross(side, offset)|
         c, s = NearPairs(frame, mids, reach).pairs(self.reps)
         base = np.round(frame.frac(self.reps)[c] - frame.frac(mids)[s])
-        shifts = _NEIGHBOURS @ frame.basis
+        neighbours = np.array(_NEIGHBOURS)
+        shifts = neighbours @ frame.basis
         shifts = shifts[:, 0] + 1j * shifts[:, 1]
         through = np.zeros(len(c), dtype=bool)
         for lo in range(0, len(c), _BLOCK):
             cb, sb, kb = c[lo : lo + _BLOCK], s[lo : lo + _BLOCK], base[lo : lo + _BLOCK]
             # the offset of the cluster from the midpoint of the base copy,
-            # and then of copy base + _NEIGHBOURS[i], as a (9, block) test
+            # and then of copy base + neighbours[i], as a (9, block) test
             xy = kb @ frame.basis
             w = self.reps[cb] - mids[sb] - (xy[:, 0] + 1j * xy[:, 1])
             i, j = np.nonzero(np.abs(w - shifts[:, None]) <= reach[sb])
@@ -236,7 +236,7 @@ class _Analysis:
             )
             i, j = i[near], j[near]
             # the full test, each shift computed from its lattice coordinates
-            shift_xy = (kb[j] + _NEIGHBOURS[i]) @ frame.basis
+            shift_xy = (kb[j] + neighbours[i]) @ frame.basis
             shift = shift_xy[:, 0] + 1j * shift_xy[:, 1]
             z, a, b = self.reps[cb[j]], self.side_p[sb[j]] + shift, self.side_q[sb[j]] + shift
             on_interior = (
@@ -271,77 +271,77 @@ def _rows(table, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, corners[first[rows][:, None] + np.arange(n)]
 
 
-# overflow and NaN just fail the tests' comparisons, without numpy warnings
-@np.errstate(all="ignore")
 def census(tiling, tol: float = 1e-9) -> TilingCensus:
     """Cluster corners and match sides modulo the lattice; count everything."""
-    return _Analysis(tiling, tol).census()
+    # overflow and NaN just fail the tests' comparisons, without numpy warnings
+    with np.errstate(all="ignore"):
+        return _Analysis(tiling, tol).census()
 
 
-@np.errstate(all="ignore")
 def validate(tiling, tol: float = 1e-9) -> ValidationReport:
     """Full validation: side matching, vertex structure, congruence, area."""
-    failures: list[tuple[str, str]] = []
-    tiles = tiling.tiles
-    table = corner_table(tiles)
-    sizes = table[1]
-    suspect = sizes != 6
-    rows, stack = _rows(table, 6)
-    suspect[rows] = ~simple_rows(stack, tol)
-    for idx in np.flatnonzero(suspect).tolist():
-        if sizes[idx] != 6:
-            failures.append(("bad-side-count", f"tile {idx} has {sizes[idx]} corners"))
-        elif not is_simple(tiles[idx], tol):
-            failures.append(("non-simple-tile", f"tile {idx} is not simple"))
+    with np.errstate(all="ignore"):  # as in census
+        failures: list[tuple[str, str]] = []
+        tiles = tiling.tiles
+        table = corner_table(tiles)
+        sizes = table[1]
+        suspect = sizes != 6
+        rows, stack = _rows(table, 6)
+        suspect[rows] = ~simple_rows(stack, tol)
+        for idx in np.flatnonzero(suspect).tolist():
+            if sizes[idx] != 6:
+                failures.append(("bad-side-count", f"tile {idx} has {sizes[idx]} corners"))
+            elif not is_simple(tiles[idx], tol):
+                failures.append(("non-simple-tile", f"tile {idx} is not simple"))
 
-    analysis = _Analysis(tiling, tol, table)
-    cen = analysis.census()
+        analysis = _Analysis(tiling, tol, table)
+        cen = analysis.census()
 
-    for k in np.flatnonzero(analysis.partner_count != 1).tolist():
-        ti, ci = analysis.owner[k], analysis.position[k]
-        count = analysis.partner_count[k]
-        if count == 0:
-            failures.append(("unmatched-side", f"side {ci} of tile {ti}"))
-        else:
-            failures.append(
-                ("multi-matched-side", f"side {ci} of tile {ti} has {count} partners")
-            )
-
-    # the array sums may differ from the exact ones in the last bits, so the
-    # flag allows for that and each flagged cluster is decided as before
-    off = np.abs(analysis.angle_sums - 2.0 * np.pi) > max(tol, ANGLE_TOL) - 1e-12
-    for c in np.flatnonzero(analysis.is_half | (analysis.sizes != 3) | off).tolist():
-        where = f"vertex near {analysis.reps[c]:.6g}"
-        if analysis.is_half[c]:
-            failures.append(("half-vertex", where))
-            continue
-        members = analysis.members(c)
-        size = len(members)
-        if size != 3:
-            failures.append(("vertex-degree", f"{where} has degree {size}"))
-        angle_sum = float(analysis.angles[members].sum())
-        if abs(angle_sum - 2.0 * np.pi) > max(tol, ANGLE_TOL):
-            failures.append(
-                ("angle-sum", f"{where} angles sum to {angle_sum:.12g}")
-            )
-
-    if len(tiles):
-        rows, stack = _rows(table, sizes[0])
-        rows, stack = rows[1:], stack[1:]  # rows[0] is tile 0
-        for idx in rows[~congruent_rows(tiles[0], stack, tol)].tolist():
-            if congruent(tiles[0], tiles[idx], tol) is None:
+        for k in np.flatnonzero(analysis.partner_count != 1).tolist():
+            ti, ci = analysis.owner[k], analysis.position[k]
+            count = analysis.partner_count[k]
+            if count == 0:
+                failures.append(("unmatched-side", f"side {ci} of tile {ti}"))
+            else:
                 failures.append(
-                    ("non-congruent-tile", f"tile {idx} not congruent to tile 0")
+                    ("multi-matched-side", f"side {ci} of tile {ti} has {count} partners")
                 )
 
-    covol = abs(covolume(tiling.alpha, tiling.beta))
-    total = sum(np.abs(analysis.areas).tolist(), 0.0)
-    if abs(total - covol) > 1e-6 * covol:
-        failures.append(
-            ("area-mismatch", f"tile area {total} vs fundamental domain {covol}")
-        )
+        # the array sums may differ from the exact ones in the last bits, so the
+        # flag allows for that and each flagged cluster is decided as before
+        off = np.abs(analysis.angle_sums - 2.0 * np.pi) > max(tol, ANGLE_TOL) - 1e-12
+        for c in np.flatnonzero(analysis.is_half | (analysis.sizes != 3) | off).tolist():
+            where = f"vertex near {analysis.reps[c]:.6g}"
+            if analysis.is_half[c]:
+                failures.append(("half-vertex", where))
+                continue
+            members = analysis.members(c)
+            size = len(members)
+            if size != 3:
+                failures.append(("vertex-degree", f"{where} has degree {size}"))
+            angle_sum = float(analysis.angles[members].sum())
+            if abs(angle_sum - 2.0 * np.pi) > max(tol, ANGLE_TOL):
+                failures.append(
+                    ("angle-sum", f"{where} angles sum to {angle_sum:.12g}")
+                )
 
-    if not cen.identities_hold:
-        failures.append(("census-identity", f"census {cen} violates the count identities"))
+        if len(tiles):
+            rows, stack = _rows(table, sizes[0])
+            rows, stack = rows[1:], stack[1:]  # rows[0] is tile 0
+            for idx in rows[~congruent_rows(tiles[0], stack, tol)].tolist():
+                if congruent(tiles[0], tiles[idx], tol) is None:
+                    failures.append(
+                        ("non-congruent-tile", f"tile {idx} not congruent to tile 0")
+                    )
 
-    return ValidationReport(not failures, cen, tuple(failures))
+        covol = abs(covolume(tiling.alpha, tiling.beta))
+        total = sum(np.abs(analysis.areas).tolist(), 0.0)
+        if abs(total - covol) > 1e-6 * covol:
+            failures.append(
+                ("area-mismatch", f"tile area {total} vs fundamental domain {covol}")
+            )
+
+        if not cen.identities_hold:
+            failures.append(("census-identity", f"census {cen} violates the count identities"))
+
+        return ValidationReport(not failures, cen, tuple(failures))

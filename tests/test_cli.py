@@ -201,6 +201,13 @@ class TestDocumentRoundTrip:
         assert len(lines) == 1
         assert lines[0].startswith("error: tiles[1].corners[4]: coordinates must not exceed")
 
+    def test_overflowing_parameter_is_the_non_member_error(self, tmp_path, capsys):
+        # a side of the hexagon too long for Python's abs
+        args = ["--type=cs", "--alpha=1,0", "--beta=0,1", "--u=7e307,7e307"]
+        assert main(["construct", *args, "-o", str(tmp_path / "x.json")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: hexagon is not simple: degenerate involving corners/sides 0 and 1"]
+
     def test_missing_file_is_an_error_not_a_crash(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import os
 import pathlib
@@ -13,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hextorus.cli import main
 from hextorus.construct import (
     B_POINT,
     G_PRIME,
@@ -34,6 +36,7 @@ from hextorus.moduli import (
     sample_region,
     type_iii_boundary,
 )
+from test_readme_chain import readme_commands
 
 warnings.simplefilter("ignore", GenericityWarning)
 
@@ -107,6 +110,20 @@ class TestMembership:
             assert not membership(kind, FIXED[kind], z)
             with np.errstate(invalid="ignore"):
                 assert not membership_mask(kind, FIXED[kind], np.array([z]))[0]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_parameter_is_not_a_member(self, kind):
+        # hexagons with a side or distance too long for Python's abs: no
+        # OverflowError and no numpy warning, from any form of the test
+        fixed = (1, 1j) if kind == "cs" else FIXED[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (7e307 + 7e307j, 1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j, 1.7e308 - 1.7e308j):
+                assert not membership(kind, fixed, z)
+                assert not membership_mask(kind, fixed, np.array([z]))[0]
+                assert not constructor_succeeds(kind, fixed, z)
+            grid = sample_region(kind, fixed, (1e300, 1.1e300, 1e300, 1.1e300), 4, 4)
+            assert not grid.bits.any()
 
     def test_flip_equivariance_on_rectangular_torus(self):
         rng = np.random.default_rng(5)
@@ -287,15 +304,24 @@ class TestTypeIiiBoundary:
             type_iii_boundary(1)
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, hextorus; print('scipy' in sys.modules)"
+def fresh_python(code: str, *args: str, cwd=None) -> str:
+    """What code prints when run with args in a fresh interpreter on src."""
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args],
+        env=env,
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_import_does_not_load_scipy():
+    assert fresh_python("import sys, hextorus; print('scipy' in sys.modules)").strip() == "False"
 
 
 def test_labelling_does_not_load_numpy_ma():
@@ -307,10 +333,49 @@ def test_labelling_does_not_load_numpy_ma():
         "count, _ = connected_components(RegionGrid((0, 1, 0, 1), 5, 4, bits))\n"
         "print(count, 'numpy.ma' in sys.modules)"
     )
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["2", "False"]
+    assert fresh_python(code).split() == ["2", "False"]
+
+
+# numpy runs when hextorus first uses it: the README commands that work on
+# scalars alone (the constructors, classify, build_cover, write_svg) never
+# load it, so a module-level use of numpy fails here
+NUMPY_LOADED = "'numpy._core' in sys.modules"
+RUN_COMMANDS = (
+    "import json, sys, warnings\n"
+    "from hextorus.cli import main\n"
+    "warnings.simplefilter('ignore')\n"
+    f"loaded = [{NUMPY_LOADED}]\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert main(argv) == 0, argv\n"
+    f"    loaded.append({NUMPY_LOADED})\n"
+    "print(json.dumps(loaded))\n"
+)
+
+
+def test_import_does_not_load_numpy():
+    assert fresh_python(f"import sys, hextorus; print({NUMPY_LOADED})").strip() == "False"
+
+
+def test_scalar_commands_do_not_load_numpy(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    scalar = [c for c in commands if c[0] in ("construct", "classify", "cover") or c[1] == "svg"]
+    assert [c[0] for c in scalar] == ["construct", "classify", "cover", "render", "construct"]
+    out = fresh_python(RUN_COMMANDS, json.dumps(scalar), cwd=tmp_path)
+    assert json.loads(out.splitlines()[-1]) == [False] * 6
+    # validate loads numpy, and prints the report it prints with numpy loaded
+    [check] = [c for c in commands if c[0] == "validate"]
+    lazy = fresh_python(RUN_COMMANDS, json.dumps([check]), cwd=tmp_path).splitlines()
+    assert json.loads(lazy.pop()) == [False, True]
+    monkeypatch.chdir(tmp_path)
+    assert main(check) == 0
+    assert lazy == capsys.readouterr().out.splitlines()
+
+
+def test_numpy_imported_first_is_the_one_hextorus_uses():
+    code = "import numpy, hextorus; print(hextorus.geom.np is numpy)"
+    assert fresh_python(code).strip() == "True"
+
+
+def test_numpy_imported_after_hextorus_works():
+    code = "import hextorus, numpy; print(numpy.arange(3).sum() == 3, hextorus.geom.np is numpy)"
+    assert fresh_python(code).split() == ["True", "True"]

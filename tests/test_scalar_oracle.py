@@ -5,7 +5,8 @@ first_violation must report the same (kind, i, j), or None, as the
 test-by-test walk: on random loops, on quarter-grid corners (exact touches
 and collinear sides), on corners 1e-10 apart and on corners near
 1e154..1e308, whose distances overflow to inf or NaN, at tol 1e-9, 0,
--1e-3, 0.3 and NaN. On a simple hexagon it works out each of the 24
+-1e-3, 0.3 and NaN; a length whose abs overflows, where the walk raises,
+fails the test that reads it. On a simple hexagon it works out each of the 24
 point-side distances once (the walk works out 48). classify must give the
 same TypeReport on the specs of random hexagons and of the five families'
 prototiles. Each constructor must raise the same ModuliViolation, and warn
@@ -64,13 +65,19 @@ def loops(seed: int, mode: str, count: int = 12):
         yield tuple(complex(w) for w in z)
 
 
-def verdict(walk, corners, tol):
-    """The walk's answer, or the error it raises: Python's abs raises
-    OverflowError where a length overflows, at corners near 1e308."""
-    try:
-        return walk(corners, tol)
-    except OverflowError as e:
-        return repr(e)
+def walk(corners, tol=geom.MERGE_TOL):
+    """The reference walk (``array_oracle.first_violation``), except that a
+    length past the float range, where Python's abs raises OverflowError at
+    corners near 1e308, fails the test that reads it."""
+    c = tuple(complex(z) for z in corners)
+    for kind, i, j, dist, pick in array_oracle._tests(len(c)):
+        try:
+            gap = dist(*pick(c))
+        except OverflowError:
+            return (kind, i, j)
+        if not gap > tol:
+            return (kind, i, j)
+    return None
 
 
 @settings(max_examples=120)
@@ -78,8 +85,7 @@ def verdict(walk, corners, tol):
 def test_first_violation_matches_the_walk(seed, mode):
     for corners in loops(seed, mode):
         for tol in TOLS:
-            expected = verdict(array_oracle.first_violation, corners, tol)
-            assert verdict(first_violation, corners, tol) == expected
+            assert first_violation(corners, tol) == walk(corners, tol)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -87,8 +93,7 @@ def test_first_violation_matches_the_walk_in_bulk(mode):
     for seed in range(40):
         for corners in loops(seed, mode, count=10):
             for tol in TOLS:
-                expected = verdict(array_oracle.first_violation, corners, tol)
-                assert verdict(first_violation, corners, tol) == expected, (corners, tol)
+                assert first_violation(corners, tol) == walk(corners, tol), (corners, tol)
 
 
 # a zero-length side, found first by the walk, and no crossing, with some
@@ -109,6 +114,28 @@ def test_an_overflow_beyond_the_first_violation_is_not_raised(corners):
     kind, *_ = array_oracle.first_violation(corners)
     assert kind == "degenerate"
     assert first_violation(corners) == array_oracle.first_violation(corners)
+
+
+# corners near +-1.7e308, where the first test to reach a length whose abs
+# overflows is a degenerate, a cross and a touch test
+HUGE = {
+    ("degenerate", 4, 5): [0j, 1e308 - 1e308j, 1.7e308 + 1.7e308j, -1e308 - 1e308j,
+                           -1.7e308 - 1.7e308j, -1e308 + 0j],
+    ("cross", 0, 3): [1.7e308 + 1e308j, 1e308j, -1e308 + 1.7e308j, 1e308 + 1.7e308j,
+                      1.7e308j, -1.7e308 - 1e308j],
+    ("touch", 0, 1): [1.7e308j, 1.7e308 + 1.7e308j, 1.7e308 + 0j, 1.7e308 - 1.7e308j,
+                      -1.7e308 - 1.7e308j, -1e308 + 1e308j],
+}
+
+
+@pytest.mark.parametrize("violation", HUGE, ids=[v[0] for v in HUGE])
+def test_an_overflowing_length_fails_the_test_that_reads_it(violation):
+    corners = HUGE[violation]
+    with pytest.raises(OverflowError):
+        array_oracle.first_violation(corners)
+    assert first_violation(corners) == walk(corners) == violation
+    for tol in TOLS:
+        assert first_violation(corners, tol) == walk(corners, tol)
 
 
 def test_first_violation_on_the_family_grids():
@@ -282,6 +309,12 @@ PINNED = [
     ("central", -1 + 1.5j, "touch involving corners/sides 5 and 0"),
     ("strip", 0.9 + 0.525j, "cross involving corners/sides 0 and 4"),
     ("strip", -0.5 + 0.525j, "cross involving corners/sides 0 and 3"),
+    # a side whose abs overflows fails its degenerate test
+    ("type_i", 7e307 + 7e307j, "degenerate involving corners/sides 3 and 4"),
+    ("type_i", -1.7e308 + 1.7e308j, "degenerate involving corners/sides 2 and 3"),
+    ("type_ii", 1.7e308 - 1.7e308j, "degenerate involving corners/sides 1 and 2"),
+    ("type_iii", 1.7e308 + 1.7e308j, "degenerate involving corners/sides 0 and 1"),
+    ("central", 7e307 + 7e307j, "degenerate involving corners/sides 0 and 1"),
 ]
 
 
