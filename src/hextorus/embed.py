@@ -270,7 +270,7 @@ def _grid_quads(n1: int, m1: int) -> np.ndarray:
 
     Quad (i, j) runs (i, j), (i+1, j), (i+1, j+1), (i, j+1), and the quads
     follow row by row too. Every mesh the package builds has this layout,
-    which conformality recognises.
+    the only one conformality measures.
     """
     idx = np.arange(n1 * m1).reshape(n1, m1)
     quads = np.stack(
@@ -363,71 +363,6 @@ def hopf_torus_mesh(
     return _grid_mesh(*_hopf_surface(chart, n_theta, n_phi)), chart.modulus
 
 
-def _stars(quads: np.ndarray, nv: int) -> np.ndarray:
-    """Stencil rows (v, p1, m1, p1', m1', p2, m2, p2', m2') of a quad mesh.
-
-    A vertex qualifies when it has exactly four distinct neighbours. Its
-    first neighbour is the one whose directed edge comes first in the walk
-    over quads, then corners, forward edge before reverse; the opposite of
-    it is the one other neighbour that shares no quad with it through the
-    vertex, and the remaining two, in walk order, form the second axis.
-    Each axis is extended one step through its neighbour's own axis that
-    contains the vertex, and a row is kept only if all four steps exist.
-    """
-    nq = len(quads)
-    ahead = np.roll(quads, -1, axis=1)
-    # directed edges in walk order, at position 8 * quad + 2 * corner + (0
-    # forward, 1 reverse); the stable sort keeps each (src, dst) run in
-    # walk order, so a run starts at its first edge
-    src = np.stack([quads, ahead], axis=2).ravel()
-    dst = np.stack([ahead, quads], axis=2).ravel()
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    run = np.cumsum(starts) - 1  # (src, dst) run of each sorted edge
-    head = np.flatnonzero(starts)  # first sorted edge of each run
-    # the runs of one vertex are consecutive; keep the vertices with four
-    runs4 = np.flatnonzero(np.bincount(src[head], minlength=nv)[src[head]] == 4)
-    runs4 = runs4.reshape(-1, 4)
-    runs4 = np.take_along_axis(runs4, np.argsort(order[head][runs4], axis=1), axis=1)
-    verts = src[head[runs4[:, 0]]]
-    # a neighbour touches the first one when some quad holds both edges
-    first = np.full(nv, -1)
-    first[verts] = runs4[:, 0]
-    in_first = run == first[src]
-    key = src * nq + order // 8  # (vertex, quad) of each sorted edge, packed
-    first_keys = np.sort(key[in_first])
-    other = np.flatnonzero((first[src] >= 0) & ~in_first)
-    at = np.minimum(np.searchsorted(first_keys, key[other]), len(first_keys) - 1)
-    touches = np.zeros(len(head), dtype=bool)
-    touches[run[other[first_keys[at] == key[other]]]] = True
-    apart = ~touches[runs4[:, 1:]]
-    one = apart.sum(axis=1) == 1
-    verts, runs4, apart = verts[one], runs4[one], apart[one]
-    # columns of runs4 in axis order: first, its opposite, the other two
-    cols = np.column_stack([
-        np.zeros(len(verts), dtype=int),
-        1 + np.argmax(apart, axis=1),
-        1 + np.flatnonzero(~apart).reshape(-1, 2) % 3,
-    ])
-    axes = np.full((nv, 4), -1)
-    axes[verts] = dst[head[np.take_along_axis(runs4, cols, axis=1)]]
-
-    def extend(n: np.ndarray) -> np.ndarray:
-        """Step past neighbour n along n's first axis that contains v."""
-        a = axes[n]
-        return np.select(
-            [a[:, k] == verts for k in range(4)], [a[:, 1], a[:, 0], a[:, 3], a[:, 2]], -1
-        )
-
-    p1, m1, p2, m2 = axes[verts].T
-    rows = np.column_stack(
-        [verts, p1, m1, extend(p1), extend(m1), p2, m2, extend(p2), extend(m2)]
-    )
-    return rows[(rows >= 0).all(axis=1)]
-
-
 def _grid_shape(quads: np.ndarray, nv: int) -> tuple[int, int] | None:
     """(n1, m1) when the quads are exactly _grid_quads(n1, m1) over nv
     vertices, else None."""
@@ -443,7 +378,7 @@ def _grid_shape(quads: np.ndarray, nv: int) -> tuple[int, int] | None:
 
 
 # grid offsets (di, dj) of the stencil columns p1, m1, p1', m1', p2, m2, p2',
-# m2' that _stars gives every interior vertex of a _grid_quads mesh
+# m2' of the interior vertex (i, j): one and two steps each way in j, then in i
 _GRID_TAPS = ((0, -1), (0, 1), (0, -2), (0, 2), (-1, 0), (1, 0), (-2, 0), (2, 0))
 
 
@@ -458,31 +393,21 @@ def conformality(mesh: Mesh3) -> float:
     return value is the max over vertices of sqrt(lambda_max/lambda_min)
     - 1 for the pullback metric J^T J (0 for an exactly conformal map).
 
-    When the quads are the vertex grid of _grid_mesh (every mesh the
-    package builds), the stencils are slices of the (n1, m1) grid: the
-    vertices two steps in from its border, with the same rows, axes and
-    signs that _stars finds. Any other quad mesh gets its stencils from
-    sorting the quads' directed edges (see _stars), with no per-edge
-    Python.
+    The quads must be the vertex grid of _grid_mesh, as in every mesh the
+    package builds; the stencils are then slices of the (n1, m1) grid, the
+    vertices two steps in from its border. Any other quad mesh raises
+    ValueError.
     """
-    nv = len(mesh.vertices)
-    grid = _grid_shape(mesh.quads, nv)
-    if grid is None:
-        idx = _stars(mesh.quads, nv)
-        if not len(idx):
-            raise ValueError("mesh has no interior vertices")
+    grid = _grid_shape(mesh.quads, len(mesh.vertices))
+    if grid is None and len(mesh.quads):
+        raise ValueError("mesh quads are not a vertex grid")
+    if grid is None or min(grid) < 5:
+        raise ValueError("mesh has no interior vertices")
+    n1, m1 = grid
 
-        def tap(values: np.ndarray, col: int) -> np.ndarray:
-            return values[idx[:, col]]
-
-    else:
-        n1, m1 = grid
-        if n1 < 5 or m1 < 5:
-            raise ValueError("mesh has no interior vertices")
-
-        def tap(values: np.ndarray, col: int) -> np.ndarray:
-            di, dj = _GRID_TAPS[col - 1]
-            return values.reshape(n1, m1, -1)[2 + di : n1 - 2 + di, 2 + dj : m1 - 2 + dj]
+    def tap(values: np.ndarray, col: int) -> np.ndarray:
+        di, dj = _GRID_TAPS[col - 1]
+        return values.reshape(n1, m1, -1)[2 + di : n1 - 2 + di, 2 + dj : m1 - 2 + dj]
 
     def _deriv(values: np.ndarray, base: int) -> np.ndarray:
         plus1 = tap(values, base)

@@ -17,10 +17,12 @@ from ._np import np
 Point2 = complex
 
 MERGE_TOL = 1e-9
+_BLOCK = 2048  # cells per block of simple_mask: 512 and 1024 were no faster
 
 
 class DegenerateError(ValueError):
-    """Polygon with coincident consecutive corners (a zero-length side)."""
+    """Polygon with coincident consecutive corners (a zero-length side), or
+    with two that are not a finite distance apart."""
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -89,10 +91,6 @@ class Isometry:
                 True,
             )
         return Isometry(1.0 / self.mult, -self.shift / self.mult, False)
-
-
-def identity() -> Isometry:
-    return Isometry()
 
 
 def translation(v: Point2) -> Isometry:
@@ -344,8 +342,8 @@ def _atoms(n: int) -> tuple:
     is its length, and touches are the distances of the touch tests. A cross
     test has its crossing and four distances, each shared with another test
     (for a hexagon 9 crossings, 24 distances and 6 sides for 27 tests). The
-    scalar :func:`first_violation` and the array :func:`simple_mask` and
-    :func:`simple_rows` all rest on this one list.
+    scalar :func:`first_violation` and the array :func:`simple_mask` both
+    rest on this one list.
     """
     crossings, touches, sides = (
         tuple(dict.fromkeys(picks[0](range(n)) for k, _, _, picks in _tests(n) if k == kind))
@@ -368,8 +366,8 @@ def _checks(n: int, tol: float) -> tuple:
         # tol are measured again with np.hypot, which agrees with it
         length = abs(gap)
         ok = length > tol
-        if np.ndim(ok):
-            near = np.abs(length - tol) <= 4.0 * np.spacing(tol)
+        near = np.abs(length - tol) <= 4.0 * np.spacing(tol)
+        if near.any():
             ok[near] = np.hypot(gap.real[near], gap.imag[near]) > tol
         return ok
 
@@ -391,62 +389,31 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     """Array form of :func:`first_violation`: True where the loop is simple.
 
     The corners are complex arrays or scalars that broadcast to one shape.
-    The distinct checks of the tests (``_checks``, on the atom list
-    ``_atoms`` that the scalar form shares) run one at a time, each only on
-    the cells that passed every earlier one: the crossings, which reject
-    most loops, then each point-side distance once, then the sides.
-    Array corners are gathered down to the live cells whenever a check
-    rejects some, while scalar corners stay scalars. A cell's bit is the
-    AND of the comparisons its tests make in array arithmetic, except that
-    a length within a few ulps of tol is measured as Python's abs does.
+    They are stacked into one row of corners per cell, and the cells are
+    decided _BLOCK at a time: each kind of distinct check (``_checks``, on
+    the atom list ``_atoms`` that the scalar form shares) runs as one pass
+    over the block's live cells, and the cells it rejects are dropped before
+    the next kind: the crossings, which reject most loops, then each
+    point-side distance once, then the sides. A cell's bit is the AND of the
+    comparisons its tests make in array arithmetic, except that a length
+    within a few ulps of tol is measured as Python's abs does. NaN and
+    overflow just fail or pass comparisons, without numpy warnings.
     """
     corners = tuple(corners)
     shape = np.broadcast_shapes(*map(np.shape, corners))
-    live = None  # flat indices of the cells still live, None while all are
-    for check, group in _checks(len(corners), tol):
-        for at in group:
-            ok = check(*(corners[k] for k in at))
-            ok = np.broadcast_to(ok, shape if live is None else live.shape)
-            keep = np.flatnonzero(ok)
-            if len(keep) == ok.size:
-                continue
-            live = keep if live is None else live[keep]
-            corners = tuple(_gather(z, ok.shape, keep) for z in corners)
-            if not len(live):
-                return np.zeros(shape, dtype=bool)
-    if live is None:
-        return np.ones(shape, dtype=bool)
-    bits = np.zeros(math.prod(shape), dtype=bool)
-    bits[live] = True
+    stack = np.stack(np.broadcast_arrays(*corners)).reshape(len(corners), -1)
+    checks = [(check, np.array(group).T) for check, group in _checks(len(corners), tol) if group]
+    bits = np.zeros(stack.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(bits), _BLOCK):
+            block = stack[:, lo : lo + _BLOCK]
+            live = np.arange(lo, lo + block.shape[1])
+            for check, at in checks:  # at[k] is corner k of each check
+                keep = np.flatnonzero(check(*block[at]).all(axis=0))
+                if len(keep) < len(live):
+                    block, live = block[:, keep], live[keep]
+            bits[live] = True
     return bits.reshape(shape)
-
-
-def simple_rows(stack, tol: float = MERGE_TOL) -> np.ndarray:
-    """Row form of :func:`first_violation`: True where row k of the (f, n)
-    complex array ``stack`` is a simple loop.
-
-    One call per kind of check (``_checks``) evaluates it on every row at
-    once, with the arithmetic of the scalar tests, so a row passes exactly
-    when ``first_violation`` finds nothing; where a distance is NaN the
-    scalar ``min`` may pass it, so callers re-decide failed rows with the
-    scalar test.
-    """
-    stack = np.asarray(stack, dtype=complex)
-    ok = np.ones(len(stack), dtype=bool)
-    for check, group in _checks(stack.shape[1], tol):
-        if group:
-            ok &= check(*(stack[:, col] for col in np.array(group).T)).all(axis=1)
-    return ok
-
-
-def _gather(z, shape, at):
-    """A corner broadcast to ``shape``, at the flat indices ``at``; a scalar
-    stays a scalar."""
-    if np.ndim(z) == 0:
-        return z
-    if np.shape(z) == shape:
-        return np.ravel(z)[at]
-    return np.broadcast_to(z, shape).flat[at]
 
 
 def is_simple(p, tol: float = MERGE_TOL) -> bool:
@@ -455,7 +422,13 @@ def is_simple(p, tol: float = MERGE_TOL) -> bool:
     c = _corners(p)
     violation = first_violation(c, tol)
     if violation is not None and violation[0] == "degenerate":
-        raise DegenerateError(f"corners {violation[1]} and {violation[2]} coincide")
+        _, i, j = violation
+        try:
+            finite = math.isfinite(abs(c[j] - c[i]))
+        except OverflowError:
+            finite = False
+        apart = "coincide" if finite else "are not a finite distance apart"
+        raise DegenerateError(f"corners {i} and {j} {apart}")
     return violation is None
 
 

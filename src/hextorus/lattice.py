@@ -103,10 +103,6 @@ class UnimodularMap:
 IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)
 
 
-def sl2_apply(mu: UnimodularMap, tau: complex) -> complex:
-    return mu(check_modulus(tau))
-
-
 @dataclass(frozen=True)
 class IntBasis:
     """Sublattice of Z + Z*tau generated by a + b*tau and c + d*tau."""

@@ -28,9 +28,9 @@ while time and memory grow with the corner count instead of its square.
 The per-tile checks run as a few array passes over one flat corner table
 (``geom.corner_table``) instead of Python loops over tiles, corners and
 clusters, each with the formulas of the scalar code:
-- simplicity of the 6-corner tiles, one call per kind of check over the
-  (f, 6) stack: 9 side crossings, each point-side distance once (24) and
-  6 side lengths (``geom.simple_rows``);
+- simplicity of the 6-corner tiles, one pass per kind of check over the
+  (f, 6) stack, a block of tiles at a time: 9 side crossings, each
+  point-side distance once (24) and 6 side lengths (``geom.simple_mask``);
 - orientation, tile areas and corner angles, from per-tile shoelace sums in
   corner order and ``math.atan2``, so every value is the scalar one;
 - vertex degrees and angle sums per cluster, through ``np.bincount``;
@@ -63,7 +63,7 @@ from .geom import (
     corner_table,
     is_simple,
     seg_point_dist,
-    simple_rows,
+    simple_mask,
 )
 from .lattice import LatticeFrame, NearPairs, components, covolume
 
@@ -140,7 +140,7 @@ class _Analysis:
         e_in, e_out = corners - corners[self.prev], self.side_q - corners
         if (np.abs(e_in) <= MERGE_TOL).any():  # e_out is e_in of the next corner
             # corner_angles raises the DegenerateError of the first such tile
-            self.angles = np.array([a for tile in tiles for a in corner_angles(tile)])
+            self.angles = np.array([a for tile in tiles for a in corner_angles(tile.corners)])
         else:
             turn = np.fromiter(
                 map(math.atan2, _cross(e_in, e_out).tolist(), _dot(e_in, e_out).tolist()),
@@ -287,11 +287,11 @@ def validate(tiling, tol: float = 1e-9) -> ValidationReport:
         sizes = table[1]
         suspect = sizes != 6
         rows, stack = _rows(table, 6)
-        suspect[rows] = ~simple_rows(stack, tol)
+        suspect[rows] = ~simple_mask(stack.T, tol)
         for idx in np.flatnonzero(suspect).tolist():
             if sizes[idx] != 6:
                 failures.append(("bad-side-count", f"tile {idx} has {sizes[idx]} corners"))
-            elif not is_simple(tiles[idx], tol):
+            elif not is_simple(tiles[idx].corners, tol):
                 failures.append(("non-simple-tile", f"tile {idx} is not simple"))
 
         analysis = _Analysis(tiling, tol, table)
@@ -328,8 +328,8 @@ def validate(tiling, tol: float = 1e-9) -> ValidationReport:
         if len(tiles):
             rows, stack = _rows(table, sizes[0])
             rows, stack = rows[1:], stack[1:]  # rows[0] is tile 0
-            for idx in rows[~congruent_rows(tiles[0], stack, tol)].tolist():
-                if congruent(tiles[0], tiles[idx], tol) is None:
+            for idx in rows[~congruent_rows(tiles[0].corners, stack, tol)].tolist():
+                if congruent(tiles[0].corners, tiles[idx].corners, tol) is None:
                     failures.append(
                         ("non-congruent-tile", f"tile {idx} not congruent to tile 0")
                     )

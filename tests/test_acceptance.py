@@ -42,7 +42,6 @@ from hextorus.lattice import (
     UnimodularMap,
     enumerate_hnf,
     hnf_of_basis,
-    sl2_apply,
     sl2_reduce,
 )
 from hextorus.moduli import (
@@ -303,7 +302,7 @@ def test_criterion_09():
                 break
             mu = nxt
         reduced, _ = sl2_reduce(tau)
-        mapped, _ = sl2_reduce(sl2_apply(mu, tau))
+        mapped, _ = sl2_reduce(mu(tau))
         assert abs(reduced - mapped) <= 1e-9, (tau, mu)
 
 

@@ -1,14 +1,16 @@
-"""The live-cell simplicity mask, the sort-built and grid-sliced
-conformality stencils, the bulk OBJ writer, the table-driven rectangular
-search and the unlabelled-points tile assignment against the reference
-copies in ``array_oracle``.
+"""The blocked simplicity mask, the grid-sliced conformality stencils, the
+bulk OBJ writer, the table-driven rectangular search and the
+unlabelled-points tile assignment against the reference copies in
+``array_oracle``.
 
 The mask must give the same bits, conformality the same float bit for bit
 (or the same error) and write_obj the same text, on the moduli grids of the
-benchmark, non-finite parameters, scalar, empty and broadcast corners, the
-meshes the package builds (square and not), meshes with shuffled, rotated or
-reversed quads, holes, boundaries and vertices of valence other than four,
-and random OBJ records. rectangular_solve must give the same modulus bit for
+benchmark, non-finite parameters, scalar, empty and broadcast corners, stacks
+of rows with bad loops planted at the block edges, the meshes the package
+builds (square and not), open grid patches, and random OBJ records;
+conformality refuses quad meshes that are not vertex grids (shuffled, rotated
+or reversed quads, holes, stitched seams, vertices of valence other than
+four). rectangular_solve must give the same modulus bit for
 bit, or None, or the same exception, on HNF triples of indices 1..60 at four
 search bounds, for square-root, random and extreme targets, also while its
 cache evicts. Drapes must group their quads as the all-points loop does,
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import array_oracle
-from hextorus import embed
+from hextorus import embed, geom
 from hextorus.cli import write_obj
 from hextorus.construct import (
     OMEGA3,
@@ -42,7 +44,6 @@ from hextorus.construct import (
 )
 from hextorus.covering import build_cover, enumerate_coverings
 from hextorus.embed import (
-    _GRID_TAPS,
     OMEGA3_CURVE,
     HopfEmbedding,
     Mesh3,
@@ -50,7 +51,6 @@ from hextorus.embed import (
     _grid_quads,
     _grid_shape,
     _point_in_polygon,
-    _stars,
     conformality,
     drape_tiling,
     hopf_torus_mesh,
@@ -65,7 +65,6 @@ from hextorus.geom import (
     first_violation,
     seg_point_dist,
     simple_mask,
-    simple_rows,
 )
 from hextorus.lattice import (
     HnfTriple,
@@ -194,6 +193,10 @@ def assert_same_defect(mesh):
     assert outcome(conformality, mesh) == outcome(array_oracle.conformality, mesh)
 
 
+def assert_refused(mesh):
+    assert outcome(conformality, mesh) == (ValueError, "mesh quads are not a vertex grid")
+
+
 @pytest.mark.parametrize("res", [64, 128, 256])
 def test_rect_meshes(res):
     assert_same_defect(rect_torus_mesh(1.0, res, res))
@@ -282,19 +285,19 @@ def polar_patch(k, rings, seed=0):
 def test_shuffled_quad_order():
     rng = np.random.default_rng(1)
     for mesh in (rect_torus_mesh(1.0, 32, 24), patch(9, 8, jitter=0.03), polar_patch(5, 4)):
-        assert_same_defect(remesh(mesh, mesh.quads[rng.permutation(len(mesh.quads))]))
+        assert_refused(remesh(mesh, mesh.quads[rng.permutation(len(mesh.quads))]))
 
 
 def test_rotated_and_reversed_quads():
     rng = np.random.default_rng(2)
     for mesh in (rect_torus_mesh(1.0, 24, 32), patch(8, 9, jitter=0.03), polar_patch(3, 4)):
         quads = np.array([np.roll(q, int(rng.integers(4))) for q in mesh.quads])
-        assert_same_defect(remesh(mesh, quads))
+        assert_refused(remesh(mesh, quads))
         quads = quads.copy()  # Mesh3 froze the first copy
         flip = rng.random(len(quads)) < 0.5
         quads[flip] = quads[flip, ::-1]
-        assert_same_defect(remesh(mesh, quads))
-        assert_same_defect(remesh(mesh, quads[rng.permutation(len(quads))]))
+        assert_refused(remesh(mesh, quads))
+        assert_refused(remesh(mesh, quads[rng.permutation(len(quads))]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -304,32 +307,29 @@ def test_open_patches(seed):
 
 
 def test_stitched_torus():
-    # every vertex has a full star, and the stencils across the seam see
-    # the jump of the flat coordinates by one period
-    assert_same_defect(stitched_torus(16, 12))
+    # every vertex has a full star, but the quads wrap around: not a grid
+    assert_refused(stitched_torus(16, 12))
 
 
 @pytest.mark.parametrize("k", [3, 5, 6])
 def test_valence_other_than_four(k):
     for seed in range(3):
-        assert_same_defect(polar_patch(k, 4, seed))
-        assert_same_defect(polar_patch(k, 2, seed))
+        assert_refused(polar_patch(k, 4, seed))
+        assert_refused(polar_patch(k, 2, seed))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_holes_and_notches(seed):
-    # missing quads leave boundary vertices with four neighbours but only
-    # three quads, whose first neighbour decides whether they get axes
+    # a grid with quads missing is not a grid
     rng = np.random.default_rng(seed)
     for n, m in ((8, 7), (14, 11)):
         keep = rng.random((n, m)) > 0.12
-        assert_same_defect(patch(n, m, keep, jitter=0.03, seed=seed))
+        assert_refused(patch(n, m, keep, jitter=0.03, seed=seed))
     ell = np.ones((7, 7), dtype=bool)
     ell[4:, 4:] = False
-    assert_same_defect(patch(7, 7, ell, jitter=0.03, seed=seed))
-    # a single small patch has few stencil rows, so each one shows
+    assert_refused(patch(7, 7, ell, jitter=0.03, seed=seed))
     keep = rng.random((5, 5)) > 0.2
-    assert_same_defect(patch(5, 5, keep, jitter=0.05, seed=seed))
+    assert_refused(patch(5, 5, keep, jitter=0.05, seed=seed))
 
 
 def test_sheared_chart():
@@ -527,7 +527,7 @@ def test_a_crossing_clears_its_test_below_zero():
             assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
             assert simple_mask(corners, tol).tolist() == [expected]
             assert simple_mask(loop, tol) == expected
-            assert simple_rows(np.array([loop]), tol).tolist() == [expected]
+            assert simple_mask(tuple(np.array([loop]).T), tol).tolist() == [expected]
 
 
 def test_scalar_corners_with_nan():
@@ -543,25 +543,62 @@ def test_scalar_corners_with_nan():
                 assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
 
 
+# blocks ------------------------------------------------------------------------
+# the mask decides a stack of rows _BLOCK at a time, dropping the rows each
+# kind of check rejects; bad loops at the edges of every block must keep
+# their bits, and so must the rows around them
+
+STACK_TOLS = (0.0, 1e-9, 1e-3, 0.05, -1e-3, math.nan)
+
+
+def plant(row, defect):
+    """The hexagon row with one defect: a bow tie, corner 2 folded back onto
+    side 0 (a touch), a zero-length side, a NaN or an infinite corner."""
+    row = row.copy()
+    if defect == "bow tie":
+        row[[0, 1]] = row[[1, 0]]
+    elif defect == "touch":
+        row[2] = (row[0] + row[1]) / 2.0
+    elif defect == "degenerate":
+        row[1] = row[0]
+    else:
+        row[3] = complex(math.nan, 0.0) if defect == "nan" else complex(math.inf, 0.0)
+    return row
+
+
+def assert_stack_bits(stack, tol):
+    bits = simple_mask(tuple(stack.T), tol)
+    assert_same_bits(bits, array_oracle.simple_mask(tuple(stack.T), tol))
+    finite = np.isfinite(stack).all(axis=1)
+    expected = [first_violation(row, tol) is None for row in stack[finite].tolist()]
+    assert bits[finite].tolist() == expected
+
+
+@pytest.mark.parametrize("defect", ["bow tie", "touch", "degenerate", "nan", "inf"])
+def test_defects_at_block_edges(defect):
+    block = geom._BLOCK
+    rng = np.random.default_rng(17)
+    regular = np.exp(1j * np.pi * np.arange(6) / 3)
+    jitter = rng.normal(0.0, 0.6, (2 * block + 3, 6)) + 1j * rng.normal(0.0, 0.6, (2 * block + 3, 6))
+    stack = regular + jitter  # about a quarter of the rows not simple at tol >= 0
+    for k in (0, block - 1, block, 2 * block - 1, 2 * block, 2 * block + 2):
+        stack[k] = plant(stack[k], defect)
+    with np.errstate(all="ignore"):
+        for tol in STACK_TOLS:
+            assert_stack_bits(stack, tol)
+
+
+def test_empty_and_one_row_stacks():
+    regular = np.exp(1j * np.pi * np.arange(6) / 3)
+    with np.errstate(all="ignore"):
+        for tol in STACK_TOLS:
+            assert_stack_bits(np.zeros((0, 6), dtype=complex), tol)
+            for defect in (None, "bow tie", "touch", "degenerate", "nan", "inf"):
+                row = regular if defect is None else plant(regular, defect)
+                assert_stack_bits(row[None, :], tol)
+
+
 # grid stencils ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n1, m1", [(5, 5), (5, 9), (9, 5), (6, 6), (33, 25)])
-def test_stars_of_a_grid_are_its_inner_vertices(n1, m1):
-    rows = _stars(_grid_quads(n1, m1), n1 * m1)
-    inner = np.arange(n1 * m1).reshape(n1, m1)[2:-2, 2:-2].ravel()
-    assert np.array_equal(np.sort(rows[:, 0]), inner)
-    # each axis steps +s, -s, +2s, -2s from the vertex, with s one grid step
-    steps = []
-    for base in (1, 5):
-        s = rows[:, base] - rows[:, 0]
-        assert np.array_equal(rows[:, base : base + 4] - rows[:, :1], np.outer(s, [1, -1, 2, -2]))
-        assert set(np.abs(s).tolist()) <= {1, m1}
-        steps.append(np.abs(s))
-    assert np.array_equal(steps[0] + steps[1], np.full(len(rows), 1 + m1))
-    # and they are the slices conformality takes, in the same row order
-    for col, (di, dj) in enumerate(_GRID_TAPS, start=1):
-        assert np.array_equal(rows[:, col], rows[:, 0] + di * m1 + dj)
 
 
 NON_SQUARE = {

@@ -26,7 +26,6 @@ from hextorus.geom import (
     corner_angle,
     first_violation,
     glide,
-    identity,
     is_simple,
     reflection,
     rotation,
@@ -100,6 +99,17 @@ class TestIsSimple:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateError):
             is_simple([0j, 0j, 1 + 0j, 1j])
+
+    def test_unmeasurable_side_is_not_called_coincident(self):
+        # a NaN corner, or a side whose length overflows Python's abs
+        hexagon = [cmath.exp(1j * math.pi * k / 3) for k in range(6)]
+        nan = [complex(math.nan, 0.0)] + hexagon[1:]
+        huge = [0j, 1.5e308 + 1.5e308j] + hexagon[2:]
+        for corners in (nan, huge):
+            with pytest.raises(DegenerateError, match="^corners 0 and 1 are not a finite distance apart$"):
+                is_simple(corners)
+        with pytest.raises(DegenerateError, match="^corners 0 and 1 coincide$"):
+            is_simple([0j, 5e-10 + 0j] + hexagon[2:])
 
     def test_polygon_constructor_rejects_coincident(self):
         with pytest.raises(DegenerateError):
@@ -229,7 +239,7 @@ class TestIsometry:
     def test_linear_part_orthogonal(self):
         import numpy as np
 
-        for g in (rotation(0.93, 2j), reflection(1 + 1j, 0.4), identity()):
+        for g in (rotation(0.93, 2j), reflection(1 + 1j, 0.4), Isometry()):
             m = g.linear
             assert np.allclose(m @ m.T, np.eye(2), atol=1e-12)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

@@ -31,7 +31,6 @@ from hextorus.lattice import (
     hnf_of_basis,
     lattices_isometric,
     rectangular_solve,
-    sl2_apply,
     sl2_reduce,
 )
 
@@ -277,25 +276,25 @@ class TestCoveringModulus:
 
 class TestSl2Apply:
     def test_identity(self):
-        assert sl2_apply(IDENTITY_MAP, 0.4 + 2j) == 0.4 + 2j
+        assert IDENTITY_MAP(0.4 + 2j) == 0.4 + 2j
 
     def test_translation_map(self):
-        assert sl2_apply(UnimodularMap(1, 0, 1, 1), 1j) == pytest.approx(1 + 1j)
+        assert UnimodularMap(1, 0, 1, 1)(1j) == pytest.approx(1 + 1j)
 
     def test_inversion_map(self):
-        got = sl2_apply(UnimodularMap(0, 1, -1, 0), 2j)
+        got = UnimodularMap(0, 1, -1, 0)(2j)
         assert got == pytest.approx(0.5j, abs=1e-15)
 
     @given(moduli, unimodular_words)
     def test_upper_half_plane_preserved(self, tau, word):
         mu = word_to_map(word)
-        assert sl2_apply(mu, tau).imag > 0
+        assert mu(tau).imag > 0
 
     @given(moduli, unimodular_words, unimodular_words)
     def test_composition_action(self, tau, w1, w2):
         mu, nu = word_to_map(w1), word_to_map(w2)
-        lhs = sl2_apply(mu.compose(nu), tau)
-        rhs = sl2_apply(mu, sl2_apply(nu, tau))
+        lhs = mu.compose(nu)(tau)
+        rhs = mu(nu(tau))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
@@ -309,7 +308,7 @@ class TestSl2Reduce:
     def test_translate(self):
         got, mu = sl2_reduce(1 + 1j)
         assert got == pytest.approx(1j, abs=1e-12)
-        assert sl2_apply(mu, 1 + 1j) == pytest.approx(got, abs=1e-12)
+        assert mu(1 + 1j) == pytest.approx(got, abs=1e-12)
 
     def test_boundary_tie_break(self):
         got, _ = sl2_reduce((1 + math.sqrt(3) * 1j) / 2)
@@ -318,7 +317,7 @@ class TestSl2Reduce:
     def test_witness_is_consistent(self):
         for tau in (0.37 + 0.02j, -4.3 + 0.11j, 0.499 + 1.0001j):
             got, mu = sl2_reduce(tau)
-            assert sl2_apply(mu, tau) == pytest.approx(got, rel=1e-9)
+            assert mu(tau) == pytest.approx(got, rel=1e-9)
             assert -0.5 - 1e-9 <= got.real <= 0.5 + 1e-9
             assert abs(got) >= 1 - 1e-9
 
@@ -326,7 +325,7 @@ class TestSl2Reduce:
     def test_orbit_invariance(self, tau, word):
         mu = word_to_map(word)
         a, _ = sl2_reduce(tau)
-        b, _ = sl2_reduce(sl2_apply(mu, tau))
+        b, _ = sl2_reduce(mu(tau))
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 

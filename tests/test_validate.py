@@ -20,7 +20,7 @@ from hextorus.construct import (
     type_iii_minimal,
 )
 from hextorus.covering import build_cover
-from hextorus.geom import Polygon
+from hextorus.geom import DegenerateError, Polygon
 from hextorus.lattice import HnfTriple
 from hextorus.validate import ToleranceAmbiguityError, census, validate
 
@@ -166,6 +166,22 @@ class TestValidateFailures:
         report = validate(broken)
         for code, detail in report.failures:
             assert isinstance(code, str) and isinstance(detail, str)
+
+    def test_duck_typed_tiles_give_the_polygon_report(self):
+        # tiles that carry only .corners, which census already accepts: the
+        # scalar re-checks of simplicity, congruence and angles read them too
+        t = type_i_minimal(0.6j, (0.24 + 0.17j, -0.18 + 0.27j))  # the README's
+        t1, t2 = t.tiles
+        c = t2.corners
+        tiles = (t1, Polygon((c[1], c[0]) + c[2:]), t2.translated(0.05 + 0.02j))
+        polygons = SimpleNamespace(alpha=t.alpha, beta=t.beta, tiles=tiles)
+        duck = SimpleNamespace(corners=t1.corners)
+        report = validate(SimpleNamespace(alpha=t.alpha, beta=t.beta, tiles=(duck,) + tiles[1:]))
+        assert report == validate(polygons)
+        assert {"non-simple-tile", "non-congruent-tile"} <= set(codes(report))
+        flat = SimpleNamespace(corners=(c[0], c[0]) + c[2:])  # a zero-length side
+        with pytest.raises(DegenerateError, match="zero-length side at corner 0"):
+            census(SimpleNamespace(alpha=t.alpha, beta=t.beta, tiles=(duck, flat)))
 
     def test_ambiguous_corner_distance_raises(self):
         pert = Polygon(
