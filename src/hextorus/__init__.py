@@ -4,7 +4,12 @@ Constructs the minimal side-to-side tilings of a flat torus by congruent
 hexagons, validates arbitrary candidate tilings, enumerates their coverings
 through Hermite-normal-form sublattices, samples the moduli regions of the
 constructions, and renders conformal pictures in the plane and in R3.
+
+``embed`` and ``moduli``, and the names they export, load on first use
+(PEP 562), so a program that neither renders nor samples never imports them.
 """
+
+import importlib
 
 from .construct import (
     B_POINT,
@@ -25,22 +30,6 @@ from .construct import (
     type_iii_minimal,
 )
 from .covering import MINIMAL_TILE_COUNT, build_cover, enumerate_coverings, is_minimal
-from .embed import (
-    AccuracyError,
-    CurveParams,
-    HopfEmbedding,
-    IncompatibilityError,
-    Mesh3,
-    OMEGA3_CURVE,
-    PoleError,
-    RectEmbedding,
-    conformality,
-    curve_invariants,
-    drape_tiling,
-    hopf_torus_mesh,
-    rect_embed,
-    rect_torus_mesh,
-)
 from .geom import (
     Congruence,
     DegenerateError,
@@ -67,15 +56,6 @@ from .lattice import (
     rectangular_solve,
     sl2_reduce,
 )
-from .moduli import (
-    Arc,
-    RegionGrid,
-    connected_components,
-    membership,
-    membership_mask,
-    sample_region,
-    type_iii_boundary,
-)
 from .validate import (
     TilingCensus,
     ToleranceAmbiguityError,
@@ -85,6 +65,49 @@ from .validate import (
 )
 
 __version__ = "0.1.0"
+
+# the submodules that load on first use, with the names served from each
+_LAZY = {
+    "embed": (
+        "AccuracyError",
+        "CurveParams",
+        "HopfEmbedding",
+        "IncompatibilityError",
+        "Mesh3",
+        "OMEGA3_CURVE",
+        "PoleError",
+        "RectEmbedding",
+        "conformality",
+        "curve_invariants",
+        "drape_tiling",
+        "hopf_torus_mesh",
+        "rect_embed",
+        "rect_torus_mesh",
+    ),
+    "moduli": (
+        "Arc",
+        "RegionGrid",
+        "connected_components",
+        "membership",
+        "membership_mask",
+        "sample_region",
+        "type_iii_boundary",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY_HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
 
 __all__ = [
     "AccuracyError",

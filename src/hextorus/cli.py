@@ -25,11 +25,9 @@ from .construct import (
     type_iii_minimal,
 )
 from .covering import build_cover, enumerate_coverings
-from .embed import CurveParams, HopfEmbedding, OMEGA3_CURVE, RectEmbedding, drape_tiling
 from .geom import Polygon
 from .hexagon import classify, spec_from_polygon
 from .lattice import HnfTriple, covolume
-from .moduli import sample_region
 from .validate import ValidationReport, validate
 
 FORMAT_TAG = "tiling-document/1"
@@ -403,22 +401,42 @@ def _parse_tau(text: str) -> complex:
 
 
 def _parse_embed(text: str):
+    from .embed import CurveParams, OMEGA3_CURVE
+
     head, _, rest = text.partition(":")
     head = head.strip().lower()
     if head == "rect":
         if not rest:
             return ("rect", None)
-        return ("rect", float(rest))
+        try:
+            return ("rect", float(rest))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected rect or rect:A, got {text!r}") from None
     if head == "hopf":
         if rest.strip().lower() in ("w3", "omega3"):
             return ("hopf", OMEGA3_CURVE)
-        parts = rest.split(",")
-        if len(parts) != 3:
+        try:
+            a, b, k = rest.split(",")
+            a, b, k = float(a), float(b), int(k)
+        except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected hopf:a,b,k or hopf:w3, got {text!r}"
-            )
-        return ("hopf", CurveParams(float(parts[0]), float(parts[1]), int(parts[2])))
+                f"expected hopf:a,b,k with an integer k, or hopf:w3, got {text!r}"
+            ) from None
+        try:
+            return ("hopf", CurveParams(a, b, k))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown embedding {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+        if 0.0 <= tol < math.inf:
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 
 
 def _require(args, names: list[str], kind: str) -> None:
@@ -497,6 +515,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_moduli_sample(args) -> int:
+    from .moduli import sample_region
+
     names = _MODULI_FIXED[args.type]
     _require(args, names, args.type)
     nx, ny = args.grid
@@ -513,6 +533,8 @@ def _cmd_render_svg(args) -> int:
 
 
 def _cmd_render_obj(args) -> int:
+    from .embed import HopfEmbedding, RectEmbedding, drape_tiling
+
     tiling = _load_tiling(args.doc)
     family, param = args.embed
     if family == "rect":
@@ -571,12 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a tiling document")
     p.add_argument("doc", nargs="?", default="-")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("classify", help="classify the prototile")
     p.add_argument("doc", nargs="?", default="-")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("cover", help="build a covering tiling")
@@ -626,7 +648,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the variables OpenBLAS reads for its thread count when numpy starts
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    # hextorus's BLAS calls are (n, 2) @ (2, 2) products and 2x2 inverses,
+    # which gain nothing from worker threads, and starting them costs a cold
+    # command about 70 ms; a user's own setting wins, and a numpy already
+    # started keeps its threads
+    if "numpy._core" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -24,6 +24,11 @@ from .lattice import check_lattice, check_modulus, components
 KINDS = ("i", "ii", "iii", "cs")
 
 
+def _check_resolution(nx, ny) -> None:
+    if nx < 2 or ny < 2:
+        raise ValueError("grid resolution must be at least 2x2")
+
+
 @dataclass(frozen=True)
 class RegionGrid:
     """Boolean occupancy sampled over an axis-aligned box.
@@ -44,8 +49,7 @@ class RegionGrid:
             raise ValueError(f"bbox must be finite, got {self.bbox}")
         if not (xmax > xmin and ymax > ymin):
             raise ValueError(f"degenerate bbox {self.bbox}")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid resolution must be at least 2x2")
+        _check_resolution(self.nx, self.ny)
         bits = np.asarray(self.bits, dtype=bool)
         if bits.shape != (self.ny, self.nx):
             raise ValueError(f"bits shape {bits.shape} != (ny, nx)")
@@ -282,7 +286,9 @@ def sample_region(
     key, norm = _normalize_fixed(kind, fixed)
     if bbox is None:
         bbox = _default_bbox(key, norm)
-    grid = RegionGrid(tuple(bbox), int(nx), int(ny), np.zeros((ny, nx), dtype=bool))
+    nx, ny = int(nx), int(ny)
+    _check_resolution(nx, ny)
+    grid = RegionGrid(tuple(bbox), nx, ny, np.zeros((ny, nx), dtype=bool))
     xs, ys = grid.axes()
     bits = np.zeros((grid.ny, grid.nx), dtype=bool)
     lo, hi = _MARGIN_RANGE

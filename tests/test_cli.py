@@ -46,6 +46,18 @@ def construct_doc(tmp_path, kind: str, name: str = "tiling.json") -> str:
     return path
 
 
+def usage_error(capsys, argv: list[str]) -> str:
+    """The error line argparse prints for argv, after checking it exits 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: hextorus ")
+    return lines[-1]
+
+
 class TestConstructAndValidate:
     @pytest.mark.parametrize("kind", sorted(CONSTRUCT_ARGS))
     def test_construct_then_validate(self, tmp_path, capsys, kind):
@@ -229,6 +241,19 @@ class TestClassifyCommand:
         assert "generic_i:" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_non_finite_or_negative_tolerance_is_a_usage_error(
+    tmp_path, capsys, command, value
+):
+    path = construct_doc(tmp_path, "i")
+    line = usage_error(capsys, [command, path, f"--tol={value}"])
+    assert line == (
+        f"hextorus {command}: error: argument --tol: "
+        f"expected a finite number >= 0, got {value!r}"
+    )
+
+
 class TestCoverCommand:
     def test_cover_multiplies_tiles(self, tmp_path, capsys):
         path = construct_doc(tmp_path, "i")
@@ -288,6 +313,15 @@ class TestModuliSampleCommand:
         assert main(["moduli", "sample", "--type", "i", "--grid", "32,32"]) == 1
         assert "--tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0,0", "-3,4", "4,-3", "1,4"])
+    def test_grid_below_two_by_two_is_one_error_line(self, tmp_path, capsys, grid):
+        out = tmp_path / "region.pgm"
+        args = ["moduli", "sample", "--type=iii", f"--grid={grid}", "-o", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: grid resolution must be at least 2x2"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("value", ["inf", "-inf"])
@@ -371,6 +405,23 @@ class TestRenderObj:
             ["render", "obj", path, "--embed", "rect:2", "--res", "48"]
         ) == 1
         assert "reduces to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "embed,reason",
+        [
+            (
+                "hopf:1,2,3",
+                "curve must stay strictly between the poles: "
+                "need 0 < a-|b| and a+|b| < pi, got a=1.0, b=2.0",
+            ),
+            ("rect:x", "expected rect or rect:A, got 'rect:x'"),
+            ("hopf:1,2,x", "expected hopf:a,b,k with an integer k, or hopf:w3, got 'hopf:1,2,x'"),
+        ],
+    )
+    def test_bad_embed_is_a_usage_error_with_its_reason(self, tmp_path, capsys, embed, reason):
+        path = construct_doc(tmp_path, "i")
+        line = usage_error(capsys, ["render", "obj", path, f"--embed={embed}"])
+        assert line == f"hextorus render obj: error: argument --embed: {reason}"
 
     @pytest.mark.parametrize("res", ["0", "-3"])
     @pytest.mark.parametrize("kind,embed", [("i", "rect"), ("iii", "hopf:w3")])

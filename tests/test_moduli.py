@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hextorus
 from hextorus.cli import main
 from hextorus.construct import (
     B_POINT,
@@ -186,6 +187,11 @@ class TestSampleRegion:
         with pytest.raises(ValueError):
             RegionGrid((0, 1, 0, 1), 4, 4, np.zeros((4, 5), bool))
 
+    @pytest.mark.parametrize("nx,ny", [(0, 0), (-3, 4), (4, -3), (1, 4)])
+    def test_grid_below_two_by_two_rejected(self, nx, ny):
+        with pytest.raises(ValueError, match=r"^grid resolution must be at least 2x2$"):
+            sample_region("iii", (), nx=nx, ny=ny)
+
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_non_finite_bbox_rejected(self, slot, value):
@@ -304,9 +310,13 @@ class TestTypeIiiBoundary:
             type_iii_boundary(1)
 
 
-def fresh_python(code: str, *args: str, cwd=None) -> str:
-    """What code prints when run with args in a fresh interpreter on src."""
-    env = dict(os.environ)
+def fresh_python(code: str, *args: str, cwd=None, env=None) -> str:
+    """What code prints when run with args in a fresh interpreter on src.
+
+    The interpreter gets env (by default this process's environment) with
+    src on PYTHONPATH.
+    """
+    env = dict(os.environ if env is None else env)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -340,20 +350,115 @@ def test_labelling_does_not_load_numpy_ma():
 # scalars alone (the constructors, classify, build_cover, write_svg) never
 # load it, so a module-level use of numpy fails here
 NUMPY_LOADED = "'numpy._core' in sys.modules"
-RUN_COMMANDS = (
-    "import json, sys, warnings\n"
-    "from hextorus.cli import main\n"
-    "warnings.simplefilter('ignore')\n"
-    f"loaded = [{NUMPY_LOADED}]\n"
-    "for argv in json.loads(sys.argv[1]):\n"
-    "    assert main(argv) == 0, argv\n"
-    f"    loaded.append({NUMPY_LOADED})\n"
-    "print(json.dumps(loaded))\n"
-)
+
+
+def run_commands(probe: str) -> str:
+    """Code that runs the argv lists in sys.argv[1] through main, one after
+    another, and prints the value of probe before and after each as JSON."""
+    return (
+        "import json, sys, warnings\n"
+        "from hextorus.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        f"loaded = [{probe}]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        f"    loaded.append({probe})\n"
+        "print(json.dumps(loaded))\n"
+    )
+
+
+RUN_COMMANDS = run_commands(NUMPY_LOADED)
 
 
 def test_import_does_not_load_numpy():
     assert fresh_python(f"import sys, hextorus; print({NUMPY_LOADED})").strip() == "False"
+
+
+# embed and moduli load only for the commands that render or sample
+LAZY_MODULES = ("hextorus.embed", "hextorus.moduli", "numpy._core")
+LOADED = f"[m for m in {LAZY_MODULES!r} if m in sys.modules]"
+
+
+def test_import_loads_neither_embed_nor_moduli():
+    code = f"import sys, hextorus, hextorus.cli; print({LOADED})"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_only_render_obj_loads_embed_and_only_moduli_sample_loads_moduli(tmp_path):
+    commands = readme_commands()
+    names = [c[0] if c[0] != "render" else f"render {c[1]}" for c in commands]
+    code = run_commands(LOADED) + "import hextorus; print(type(hextorus.validate).__name__)\n"
+    out = fresh_python(code, json.dumps(commands), cwd=tmp_path).splitlines()
+    assert out.pop() == "function"
+    lazy = [sorted(set(modules) - {"numpy._core"}) for modules in json.loads(out.pop())]
+    sampled = 1 + names.index("moduli")
+    rendered = 1 + names.index("render obj")
+    assert lazy == (
+        [[]] * sampled
+        + [["hextorus.moduli"]] * (rendered - sampled)
+        + [["hextorus.embed", "hextorus.moduli"]] * (len(lazy) - rendered)
+    )
+
+
+def test_lazy_names_resolve():
+    code = (
+        "import hextorus, types\n"
+        "star = {}\n"
+        "exec('from hextorus import *', star)\n"
+        "print(type(hextorus.embed).__name__, type(hextorus.moduli).__name__)\n"
+        "print(hextorus.drape_tiling is hextorus.embed.drape_tiling)\n"
+        "print(type(hextorus.validate).__name__)\n"
+        "print(set(hextorus.__all__) <= set(star), set(hextorus.__all__) <= set(dir(hextorus)))\n"
+    )
+    assert fresh_python(code).split() == ["module", "module", "True", "function", "True", "True"]
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        hextorus.nonexistent
+
+
+# the CLI starts numpy with one BLAS thread unless the user chose a count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+VALIDATE_THEN_PROBE_BLAS = (
+    "import os, sys\n"
+    "from hextorus.cli import main\n"
+    "assert main(['validate', sys.argv[1]]) == 0\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "status = '/proc/self/status'\n"
+    "threads = [s.split()[1] for s in open(status) if s.startswith('Threads:')] "
+    "if os.path.exists(status) else ['absent']\n"
+    "print(*threads)\n"
+)
+
+
+def validate_in_fresh_python(tmp_path, **blas_vars) -> tuple[str, str]:
+    """OPENBLAS_NUM_THREADS and the thread count after a cold validate."""
+    doc = str(tmp_path / "star.json")
+    assert main(["construct", "--type=iii", "--p=0.05,0.22", "-o", doc]) == 0
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    out = fresh_python(VALIDATE_THEN_PROBE_BLAS, doc, env={**env, **blas_vars})
+    variable, threads = out.splitlines()[-2:]
+    return variable, threads
+
+
+def test_cli_starts_numpy_with_one_blas_thread(tmp_path):
+    variable, threads = validate_in_fresh_python(tmp_path)
+    assert variable == "1"
+    if threads == "absent":
+        pytest.skip("no /proc/self/status to count threads")
+    assert threads == "1"
+
+
+def test_cli_keeps_a_user_blas_setting(tmp_path):
+    variable, _ = validate_in_fresh_python(tmp_path, OMP_NUM_THREADS="2")
+    assert variable == "None"
+
+
+def test_cli_after_numpy_started_leaves_the_environment(tmp_path):
+    doc = str(tmp_path / "star.json")
+    assert main(["construct", "--type=iii", "--p=0.05,0.22", "-o", doc]) == 0
+    assert "numpy._core" in sys.modules
+    before = dict(os.environ)
+    assert main(["validate", doc]) == 0
+    assert dict(os.environ) == before
 
 
 def test_scalar_commands_do_not_load_numpy(tmp_path, monkeypatch, capsys):
