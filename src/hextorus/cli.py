@@ -16,9 +16,11 @@ from types import SimpleNamespace
 
 from ._np import np
 from .construct import (
+    FAMILIES,
     OMEGA3,
     TorusTiling,
     central_minimal,
+    family,
     strip_tiling,
     type_i_minimal,
     type_ii_minimal,
@@ -28,7 +30,7 @@ from .covering import build_cover, enumerate_coverings
 from .geom import Polygon
 from .hexagon import classify, spec_from_polygon
 from .lattice import HnfTriple, covolume
-from .validate import ValidationReport, validate
+from .validate import validate
 
 FORMAT_TAG = "tiling-document/1"
 
@@ -159,24 +161,8 @@ def _provenance_json(value):
     return str(value)
 
 
-def _validation_json(report: ValidationReport) -> dict:
-    c = report.census
+def document_from_tiling(tiling) -> dict:
     return {
-        "passed": report.passed,
-        "census": {
-            "v": c.v,
-            "h": c.h,
-            "e": c.e,
-            "f": c.f,
-            "v_k": [[k, n] for k, n in sorted(c.v_k.items())],
-            "h_l": [[k, n] for k, n in sorted(c.h_l.items())],
-        },
-        "failures": [[code, detail] for code, detail in report.failures],
-    }
-
-
-def document_from_tiling(tiling, validation: ValidationReport | None = None) -> dict:
-    doc = {
         "format": FORMAT_TAG,
         "lattice": {
             "alpha": [tiling.alpha.real, tiling.alpha.imag],
@@ -191,9 +177,6 @@ def document_from_tiling(tiling, validation: ValidationReport | None = None) -> 
         ],
         "provenance": _provenance_json(tiling.provenance),
     }
-    if validation is not None:
-        doc["validation"] = _validation_json(validation)
-    return doc
 
 
 def tiling_from_document(doc: dict, strict: bool = True):
@@ -384,20 +367,24 @@ def write_obj(mesh) -> str:
 # argument helpers
 
 
-def _parse_complex(text: str, allow_w3: bool = False) -> complex:
-    if allow_w3 and text.strip().lower() in ("w3", "omega3"):
-        return OMEGA3
+def _comma_list(text: str, kinds, form: str) -> tuple:
+    """The comma-separated values of text converted by kinds, one each, or
+    a usage error that shows the expected form."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}") from exc
+    if len(parts) == len(kinds):
+        try:
+            return tuple(kind(part) for kind, part in zip(kinds, parts))
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+
+def _parse_complex(text: str) -> complex:
+    return complex(*_comma_list(text, (float, float), "RE,IM"))
 
 
 def _parse_tau(text: str) -> complex:
-    return _parse_complex(text, allow_w3=True)
+    return OMEGA3 if text.strip().lower() in ("w3", "omega3") else _parse_complex(text)
 
 
 def _parse_embed(text: str):
@@ -439,8 +426,8 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 
 
-def _require(args, names: list[str], kind: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
+def _require(args, names: tuple[str, ...], kind: str) -> None:
+    missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
         flags = ", ".join(f"--{n}" for n in missing)
         raise ValueError(f"--type {kind} requires {flags}")
@@ -452,18 +439,15 @@ def _require(args, names: list[str], kind: str) -> None:
 
 # per construct --type: the flags it needs and the constructor call
 _CONSTRUCTORS = {
-    "i": (["tau", "i", "t"], lambda a: type_i_minimal(a.tau, (a.i, a.t))),
-    "ii": (["y", "i", "t"], lambda a: type_ii_minimal(a.y, (a.i, a.t))),
-    "iii": (["p"], lambda a: type_iii_minimal(a.p)),
-    "cs": (["alpha", "beta", "u"], lambda a: central_minimal(a.alpha, a.beta, a.u)),
+    "i": (("tau", "i", "t"), lambda a: type_i_minimal(a.tau, (a.i, a.t))),
+    "ii": (("y", "i", "t"), lambda a: type_ii_minimal(a.y, (a.i, a.t))),
+    "iii": (("p",), lambda a: type_iii_minimal(a.p)),
+    "cs": (("alpha", "beta", "u"), lambda a: central_minimal(a.alpha, a.beta, a.u)),
     "strip": (
-        ["h", "w", "s", "i", "t", "signs"],
+        ("h", "w", "s", "i", "t", "signs"),
         lambda a: strip_tiling(a.h, a.w, a.s, (a.i, a.t), a.signs),
     ),
 }
-
-# per moduli sample --type: the flags of its fixed parameters, in order
-_MODULI_FIXED = {"i": ["tau", "i"], "ii": ["y", "i"], "iii": [], "cs": ["alpha", "beta"]}
 
 
 def _cmd_construct(args) -> int:
@@ -517,11 +501,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_moduli_sample(args) -> int:
     from .moduli import sample_region
 
-    names = _MODULI_FIXED[args.type]
+    names = family(args.type).fixed
     _require(args, names, args.type)
-    nx, ny = args.grid
     fixed = tuple(getattr(args, name) for name in names)
-    grid = sample_region(args.type, fixed, bbox=args.bbox, nx=nx, ny=ny)
+    grid = sample_region(args.type, fixed, args.bbox, *args.grid)
     _write_bytes(args.output, write_pgm(grid))
     return 0
 
@@ -536,8 +519,8 @@ def _cmd_render_obj(args) -> int:
     from .embed import HopfEmbedding, RectEmbedding, drape_tiling
 
     tiling = _load_tiling(args.doc)
-    family, param = args.embed
-    if family == "rect":
+    surface, param = args.embed
+    if surface == "rect":
         if param is None:
             tau = tiling.modulus
             if abs(tau.real) > 1e-9:
@@ -554,17 +537,11 @@ def _cmd_render_obj(args) -> int:
 
 
 def _grid_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected NX,NY, got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    return _comma_list(text, (int, int), "NX,NY")
 
 
 def _bbox_quad(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected X0,X1,Y0,Y1, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return _comma_list(text, (float,) * 4, "X0,X1,Y0,Y1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a minimal tiling")
-    p.add_argument("--type", required=True, choices=["i", "ii", "iii", "cs", "strip"])
+    p.add_argument("--type", required=True, choices=list(_CONSTRUCTORS))
     p.add_argument("--tau", type=_parse_tau, help="modulus RE,IM (or w3)")
     p.add_argument("--i", type=_parse_complex, help="free vector base point RE,IM")
     p.add_argument("--t", type=_parse_complex, help="free vector tip RE,IM")
@@ -610,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("enumerate", help="list coverings with a given tile count")
-    p.add_argument("--type", required=True, choices=["i", "ii", "iii", "cs"])
+    p.add_argument("--type", required=True, choices=list(FAMILIES))
     p.add_argument("--tau", type=_parse_tau, required=True)
     p.add_argument("--tiles", type=int, required=True)
     p.add_argument("--bound", type=int, default=64)
@@ -619,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moduli", help="moduli space tools")
     msub = p.add_subparsers(dest="moduli_command", required=True)
     ps = msub.add_parser("sample", help="sample a moduli region to PGM")
-    ps.add_argument("--type", required=True, choices=["i", "ii", "iii", "cs"])
+    ps.add_argument("--type", required=True, choices=list(FAMILIES))
     ps.add_argument("--tau", type=_parse_tau)
     ps.add_argument("--i", type=_parse_complex)
     ps.add_argument("--y", type=float)

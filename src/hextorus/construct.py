@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .geom import (
@@ -23,7 +24,7 @@ from .geom import (
     signed_area,
 )
 from .hexagon import _spec, classify, spec_from_polygon
-from .lattice import check_lattice, check_modulus, covolume
+from .lattice import check_height, check_lattice, check_modulus, covolume
 
 OMEGA3 = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -125,12 +126,59 @@ def _glide_ii(y: float) -> Isometry:
     return Isometry(-1.0 + 0j, 0.5 + 0.5j * y, True)  # glide along x = 1/4
 
 
+@dataclass(frozen=True)
+class Family:
+    """A family of minimal tilings with a moduli space: its fixed parameters'
+    names in order, their check (returning them normalized), the lattice
+    generators (alpha, beta) they fix, and its minimal tile count."""
+
+    kind: str
+    fixed: tuple[str, ...]
+    normalize: Callable[..., tuple]
+    lattice: Callable[..., tuple[complex, complex]]
+    tiles: int
+
+    def check(self, fixed) -> tuple:
+        """The fixed parameters, a sequence (None for none), normalized."""
+        try:
+            values = () if fixed is None else tuple(fixed)
+        except TypeError:  # a scalar
+            values = None
+        if values is None or len(values) != len(self.fixed):
+            if not self.fixed:
+                raise ValueError(f"type {self.kind} has no fixed parameters")
+            raise ValueError(f"type {self.kind} takes the fixed parameters {self.fixed}")
+        return self.normalize(*values)
+
+
+FAMILIES = {
+    f.kind: f
+    for f in (
+        Family("i", ("tau", "i"), lambda tau, i: (check_modulus(tau), complex(i)),
+               lambda tau, i: (1.0 + 0j, tau), 2),
+        Family("ii", ("y", "i"), lambda y, i: (check_height(y, "y"), complex(i)),
+               lambda y, i: (1.0 + 0j, 1j * y), 4),
+        Family("iii", (), lambda: (), lambda: (1.0 + 0j, OMEGA3), 3),
+        Family("cs", ("alpha", "beta"), check_lattice, lambda alpha, beta: (alpha, beta), 1),
+    )
+}
+
+
+def family(kind) -> Family:
+    """The family of a kind ("i", "ii", "iii" or "cs", in any case)."""
+    key = str(kind).strip().lower()
+    if key not in FAMILIES:
+        raise ValueError(f"kind must be one of {tuple(FAMILIES)}")
+    return FAMILIES[key]
+
+
 def hexagon_corners(kind: str, fixed, free) -> tuple:
     """The six prototile corners of a family, affine in its free parameter.
 
-    ``fixed`` is (tau, i) for "i", (y, i) for "ii", () for "iii", (alpha,
-    beta) for "cs" and (u, v, i) for "strip"; ``free`` is t (P for "iii", u
-    for "cs"), a complex scalar or array, and the corners follow suit.
+    ``fixed`` holds the normalized fixed parameters that the family's
+    :data:`FAMILIES` entry names, and (u, v, i) for "strip"; ``free`` is t
+    (P for "iii", u for "cs"), a complex scalar or array, and the corners
+    follow suit.
     """
     if kind in ("i", "strip"):
         u, v, i = (1.0, *fixed) if kind == "i" else fixed
@@ -206,9 +254,7 @@ def type_ii_minimal(y: float, sigma) -> TorusTiling:
     origin and the glide reflection along the vertical line x = 1/4 with
     shift y/2.
     """
-    y = float(y)
-    if not (math.isfinite(y) and y > 0):
-        raise ValueError(f"y must be positive, got {y}")
+    y = check_height(y, "y")
     sigma = _free_vector(sigma)
     i, t = sigma.i, sigma.t
     rho = rotation(math.pi)  # z -> -z
@@ -251,14 +297,10 @@ def central_minimal(alpha: complex, beta: complex, u: complex) -> TorusTiling:
 
 def _parse_signs(signs) -> tuple[int, ...]:
     if isinstance(signs, str):
-        word = []
-        for ch in signs:
-            if ch == "+":
-                word.append(1)
-            elif ch == "-":
-                word.append(-1)
-            else:
-                raise ValueError(f"sign word may only contain + and -, got {ch!r}")
+        bad = [ch for ch in signs if ch not in "+-"]
+        if bad:
+            raise ValueError(f"sign word may only contain + and -, got {bad[0]!r}")
+        word = [1 if ch == "+" else -1 for ch in signs]
     else:
         word = [int(v) for v in signs]
         if any(v not in (1, -1) for v in word):

@@ -9,7 +9,7 @@ tile count, list the sublattice triples whose minimal tiling exists.
 from __future__ import annotations
 
 from ._np import np
-from .construct import OMEGA3, TorusTiling, translates
+from .construct import FAMILIES, OMEGA3, TorusTiling, family, translates
 from .geom import corner_table
 from .lattice import (
     HnfTriple,
@@ -24,7 +24,7 @@ from .lattice import (
     rectangular_solve,
 )
 
-MINIMAL_TILE_COUNT = {"i": 2, "ii": 4, "iii": 3, "cs": 1}
+MINIMAL_TILE_COUNT = {kind: f.tiles for kind, f in FAMILIES.items()}
 
 
 def build_cover(t: TorusTiling, h: HnfTriple) -> TorusTiling:
@@ -116,11 +116,9 @@ def enumerate_coverings(
     table has about 1.2*bound**2 maps (5,040 at 64), so the cost and memory
     grow with the square of the bound.
     """
-    key = str(kind).strip().lower()
-    if key not in MINIMAL_TILE_COUNT:
-        raise ValueError(f"kind must be one of {sorted(MINIMAL_TILE_COUNT)}")
+    fam = family(kind)
+    key, f0 = fam.kind, fam.tiles
     target = check_modulus(target)
-    f0 = MINIMAL_TILE_COUNT[key]
     tile_count = int(tile_count)
     if tile_count < 1 or tile_count % f0 != 0:
         raise ValueError(

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
-from .lattice import LatticeFrame, UnimodularMap, sl2_reduce
+from .lattice import LatticeFrame, UnimodularMap, check_height, sl2_reduce
 from .validate import validate
 
 
@@ -37,9 +37,7 @@ def rect_embed(a: float, u, v) -> np.ndarray:
     The image is the torus of revolution (sqrt(x^2+y^2) - sqrt(a^2+1))^2 +
     z^2 = a^2; the pullback metric is (2 pi r)^2 (du^2 + dv^2).
     """
-    a = float(a)
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be positive, got {a}")
+    a = check_height(a, "a")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     phi = 2.0 * np.pi * v / a
@@ -97,15 +95,13 @@ def _periodic_means(curve: CurveParams, n: int) -> tuple[float, float]:
     return length, area
 
 
-def curve_invariants(
-    curve: CurveParams, quad_samples: int = 256
-) -> tuple[float, float, complex]:
+def curve_invariants(curve: CurveParams) -> tuple[float, float, complex]:
     """Length L, enclosed area A (from the north pole), modulus (A+iL)/(4 pi).
 
     Periodic trapezoid quadrature, refined until the relative change of both
     integrals drops below 1e-10.
     """
-    n = max(16, int(quad_samples))
+    n = 256  # the first quadrature, doubled until it converges
     length, area = _periodic_means(curve, n)
     while True:
         n *= 2
@@ -253,12 +249,7 @@ class Mesh3:
             raise ValueError("mesh quad areas overflow")
         if quads.size and np.min(area) <= 1e-12:
             raise ValueError("degenerate quad in mesh")
-        for name, arr in (
-            ("vertices", vertices),
-            ("quads", quads),
-            ("groups", groups),
-            ("uv", uv),
-        ):
+        for name, arr in zip(("vertices", "quads", "groups", "uv"), (vertices, quads, groups, uv)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "polylines", polylines)
@@ -273,15 +264,8 @@ def _grid_quads(n1: int, m1: int) -> np.ndarray:
     the only one conformality measures.
     """
     idx = np.arange(n1 * m1).reshape(n1, m1)
-    quads = np.stack(
-        [
-            idx[:-1, :-1].ravel(),
-            idx[1:, :-1].ravel(),
-            idx[1:, 1:].ravel(),
-            idx[:-1, 1:].ravel(),
-        ],
-        axis=1,
-    )
+    corners = (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:])
+    quads = np.stack(corners, axis=-1).reshape(-1, 4)
     quads.setflags(write=False)
     return quads
 
@@ -377,11 +361,6 @@ def _grid_shape(quads: np.ndarray, nv: int) -> tuple[int, int] | None:
     return (n1, m1) if np.array_equal(quads, _grid_quads(n1, m1)) else None
 
 
-# grid offsets (di, dj) of the stencil columns p1, m1, p1', m1', p2, m2, p2',
-# m2' of the interior vertex (i, j): one and two steps each way in j, then in i
-_GRID_TAPS = ((0, -1), (0, 1), (0, -2), (0, 2), (-1, 0), (1, 0), (-2, 0), (2, 0))
-
-
 def conformality(mesh: Mesh3) -> float:
     """Worst anisotropy of the uv -> R3 map over interior vertices.
 
@@ -405,42 +384,26 @@ def conformality(mesh: Mesh3) -> float:
         raise ValueError("mesh has no interior vertices")
     n1, m1 = grid
 
-    def tap(values: np.ndarray, col: int) -> np.ndarray:
-        di, dj = _GRID_TAPS[col - 1]
-        return values.reshape(n1, m1, -1)[2 + di : n1 - 2 + di, 2 + dj : m1 - 2 + dj]
+    def derivs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Five-point differences of the values along j and along i, one
+        row per vertex two steps in from the border of the grid."""
+        v = values.reshape(n1, m1, -1)
+        d_j = (8.0 * (v[2:-2, 1:-3] - v[2:-2, 3:-1]) - (v[2:-2, :-4] - v[2:-2, 4:])) / 12.0
+        d_i = (8.0 * (v[1:-3, 2:-2] - v[3:-1, 2:-2]) - (v[:-4, 2:-2] - v[4:, 2:-2])) / 12.0
+        return d_j.reshape(-1, values.shape[1]), d_i.reshape(-1, values.shape[1])
 
-    def _deriv(values: np.ndarray, base: int) -> np.ndarray:
-        plus1 = tap(values, base)
-        minus1 = tap(values, base + 1)
-        plus2 = tap(values, base + 2)
-        minus2 = tap(values, base + 3)
-        d = (8.0 * (plus1 - minus1) - (plus2 - minus2)) / 12.0
-        return d.reshape(-1, values.shape[1])
-
-    m_x = np.stack(
-        [_deriv(mesh.vertices, 1), _deriv(mesh.vertices, 5)], axis=1
-    )  # (n, 2, 3) rows d xyz / d index
-    m_uv = np.stack(
-        [_deriv(mesh.uv, 1), _deriv(mesh.uv, 5)], axis=1
-    )  # (n, 2, 2) rows d uv / d index
-    det_uv = m_uv[:, 0, 0] * m_uv[:, 1, 1] - m_uv[:, 0, 1] * m_uv[:, 1, 0]
+    x_j, x_i = derivs(mesh.vertices)  # d xyz / d index
+    (u_j, v_j), (u_i, v_i) = (d.T for d in derivs(mesh.uv))  # d uv / d index
+    det_uv = u_j * v_i - v_j * u_i
     if np.min(np.abs(det_uv)) <= 1e-300:
         return math.inf
-    inv_uv = (
-        np.stack(
-            [
-                np.stack([m_uv[:, 1, 1], -m_uv[:, 0, 1]], axis=-1),
-                np.stack([-m_uv[:, 1, 0], m_uv[:, 0, 0]], axis=-1),
-            ],
-            axis=1,
-        )
-        / det_uv[:, None, None]
-    )
-    # rows of J^T, each a sum of two products built in place: einsum's bits and peak memory
-    jt = np.empty(m_x.shape)
-    for a in range(2):
-        np.multiply(inv_uv[:, a, 0, None], m_x[:, 0], out=jt[:, a])
-        jt[:, a] += inv_uv[:, a, 1, None] * m_x[:, 1]
+    # rows of J^T: the rows of the inverse of [[u_j, v_j], [u_i, v_i]] times
+    # (x_j, x_i), each a sum of two products built in place: einsum's bits
+    # and peak memory
+    jt = np.empty((len(x_j), 2, 3))
+    for row, (a, b) in enumerate(((v_i, -v_j), (-u_i, u_j))):
+        np.multiply((a / det_uv)[:, None], x_j, out=jt[:, row])
+        jt[:, row] += (b / det_uv)[:, None] * x_i
     g = np.einsum("nab,ncb->nac", jt, jt)  # pullback metric (n, 2, 2)
     tr = g[:, 0, 0] + g[:, 1, 1]
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
@@ -459,9 +422,7 @@ class RectEmbedding:
     a: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"a must be positive, got {self.a}")
+        object.__setattr__(self, "a", check_height(self.a, "a"))
 
     @property
     def modulus(self) -> complex:
@@ -511,16 +472,9 @@ def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
     # Boundary-of-tile centers can escape the even-odd test; snap them to
     # the nearest tile centroid so every quad gets a group.
     if len(todo):
-        centroids = np.array(
-            [np.mean(np.array(t.corners)) for t in tiling.tiles], dtype=complex
-        )
-        offsets = np.array(
-            [da * alpha + db * beta for da in (-1, 0, 1) for db in (-1, 0, 1)]
-        )
-        pts = reduced[todo]
-        d = np.abs(
-            pts[:, None, None] - (centroids[None, :, None] + offsets[None, None, :])
-        )
+        centroids = np.array([np.mean(np.array(t.corners)) for t in tiling.tiles], dtype=complex)
+        offsets = np.array([da * alpha + db * beta for da in (-1, 0, 1) for db in (-1, 0, 1)])
+        d = np.abs(reduced[todo][:, None, None] - (centroids[:, None] + offsets))
         labels[todo] = np.argmin(d.min(axis=2), axis=1)
     return labels
 

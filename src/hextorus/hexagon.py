@@ -53,20 +53,20 @@ class HexagonSpec:
         if abs(sum(angles) - 2.0 * TWO_PI) > 1e-9:
             raise ValueError("corner angles must sum to 4pi")
         scale = max(1.0, max(lengths))
-        walk = self._walk(0j, 0.0)
+        walk = self._walk()
         gap = abs(walk[0] - walk[6])
         if not gap <= 1e-9 * scale:  # a NaN gap does not close up either
             raise ValueError(f"sides do not close up (gap {gap})")
 
-    def corners(self, start: complex = 0j, heading: float = 0.0) -> tuple[complex, ...]:
-        """Corner coordinates traced counterclockwise from ``start``."""
-        return tuple(self._walk(start, heading)[:6])
+    def corners(self) -> tuple[complex, ...]:
+        """Corner coordinates traced counterclockwise from corner 0 at the
+        origin, side 0 along the positive real axis."""
+        return tuple(self._walk()[:6])
 
-    def _walk(self, start: complex, heading: float) -> list[complex]:
+    def _walk(self) -> list[complex]:
         """The six corners, then the end of side 5, where a closed walk
-        returns to ``start``."""
-        pts = [complex(start)]
-        theta = heading
+        returns to the origin."""
+        pts, theta = [0j], 0.0
         for k in range(6):
             pts.append(pts[-1] + cmath.rect(self.lengths[k], theta))
             theta += math.pi - self.angles[(k + 1) % 6]

@@ -38,6 +38,15 @@ def check_modulus(tau: complex) -> complex:
     return tau
 
 
+def check_height(y, name: str) -> float:
+    """The height of a rectangular modulus i*y as a float; ValueError unless
+    it is finite and positive."""
+    y = float(y)
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"{name} must be positive, got {y}")
+    return y
+
+
 def covolume(alpha: complex, beta: complex) -> float:
     """Signed area alpha.real*beta.imag - alpha.imag*beta.real of the cell
     spanned by alpha and then beta; positive iff Im(beta/alpha) > 0."""

@@ -1,9 +1,11 @@
 """Moduli spaces of the minimal tilings: membership, sampling, components.
 
 A free parameter is admissible exactly when the corresponding constructor
-succeeds, i.e. its hexagon is simple. Membership applies the constructors' own
-corner formulas (:func:`hextorus.construct.hexagon_corners`) and simplicity
-test (:mod:`hextorus.geom`), to one parameter or to a whole grid at once.
+succeeds, i.e. its hexagon is simple. The family table
+(:data:`hextorus.construct.FAMILIES`) checks a family's fixed parameters and
+gives the lattice that frames its default box. Membership applies the
+constructors' own corner formulas (:func:`hextorus.construct.hexagon_corners`)
+and simplicity test (:mod:`hextorus.geom`), to one parameter or a whole grid.
 :func:`sample_region` gives the bits of that test at every cell centre, but
 decides whole blocks of cells at once where certified bounds on its checks
 allow, and runs the per-cell test only on cells near a region boundary.
@@ -17,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
-from .construct import B_POINT, OMEGA3, R_POINT, hexagon_corners
+from .construct import B_POINT, FAMILIES, R_POINT, family, hexagon_corners
 from .geom import MERGE_TOL, _atoms, _cross, first_violation, seg_point_dist, simple_mask
-from .lattice import check_lattice, check_modulus, components
+from .lattice import components
 
-KINDS = ("i", "ii", "iii", "cs")
+KINDS = tuple(FAMILIES)
 
 
 def _check_resolution(nx, ny) -> None:
@@ -70,45 +72,9 @@ class RegionGrid:
         return xs[None, :] + 1j * ys[:, None]
 
 
-def _fixed_i(fixed):
-    tau, i = fixed
-    return check_modulus(tau), complex(i)
-
-
-def _fixed_ii(fixed):
-    y, i = fixed
-    y = float(y)
-    if not (math.isfinite(y) and y > 0):
-        raise ValueError(f"y must be positive, got {y}")
-    return y, complex(i)
-
-
-def _fixed_iii(fixed):
-    if fixed not in (None, (), []):
-        raise ValueError("type iii has no fixed parameters")
-    return ()
-
-
-def _fixed_cs(fixed):
-    alpha, beta = fixed
-    return check_lattice(alpha, beta)
-
-
-# per family: its fixed parameters checked and normalized, and the lattice
-# generators they give
-_FAMILIES = {
-    "i": (_fixed_i, lambda f: (1.0 + 0j, f[0])),
-    "ii": (_fixed_ii, lambda f: (1.0 + 0j, 1j * f[0])),
-    "iii": (_fixed_iii, lambda f: (1.0 + 0j, OMEGA3)),
-    "cs": (_fixed_cs, lambda f: f),
-}
-
-
 def _normalize_fixed(kind: str, fixed):
-    key = str(kind).strip().lower()
-    if key not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    return key, _FAMILIES[key][0](fixed)
+    fam = family(kind)
+    return fam.kind, fam.check(fixed)
 
 
 def membership_mask(kind: str, fixed, free, tol: float = MERGE_TOL) -> np.ndarray:
@@ -125,11 +91,10 @@ def membership(kind: str, fixed, free: complex, tol: float = MERGE_TOL) -> bool:
 
 
 def _default_bbox(key: str, fixed) -> tuple[float, float, float, float]:
-    g1, g2 = _FAMILIES[key][1](fixed)
-    xs = [0.0, g1.real, g2.real, (g1 + g2).real]
-    ys = [0.0, g1.imag, g2.imag, (g1 + g2).imag]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    g1, g2 = FAMILIES[key].lattice(*fixed)
+    cell = (0j, g1, g2, g1 + g2)
+    x0, x1 = min(z.real for z in cell), max(z.real for z in cell)
+    y0, y1 = min(z.imag for z in cell), max(z.imag for z in cell)
     w, h = x1 - x0, y1 - y0
     return (x0 - 1.5 * w, x1 + 1.5 * w, y0 - 1.5 * h, y1 + 1.5 * h)
 

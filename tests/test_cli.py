@@ -116,6 +116,19 @@ class TestDocumentRoundTrip:
         for a, b in zip(tiling.tiles, again.tiles):
             assert a.corners == b.corners
 
+    def test_keys_the_writer_does_not_write_are_kept(self, tmp_path, capsys):
+        """A document with a validation report and another extra key still
+        parses, validates and round-trips byte for byte."""
+        doc = parse_document(open(construct_doc(tmp_path, "ii")).read())
+        doc["validation"] = {"passed": True, "census": {"v": 8, "h": 8}, "failures": []}
+        doc["note"] = "written by another tool"
+        text = serialize_document(doc)
+        assert serialize_document(parse_document(text)) == text
+        path = tmp_path / "extra.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 0
+        assert "passed: yes" in capsys.readouterr().out
+
     def test_malformed_json_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -312,6 +325,19 @@ class TestModuliSampleCommand:
     def test_missing_fixed_parameters(self, capsys):
         assert main(["moduli", "sample", "--type", "i", "--grid", "32,32"]) == 1
         assert "--tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, form",
+        [
+            (["moduli", "sample", "--type=iii", "--grid=3,4.5"], "NX,NY"),
+            (["moduli", "sample", "--type=iii", "--bbox=0,1,a,2"], "X0,X1,Y0,Y1"),
+            (["construct", "--type=iii", "--p=1,x"], "RE,IM"),
+        ],
+    )
+    def test_bad_comma_list_names_its_form(self, capsys, argv, form):
+        flag, _, value = argv[-1].partition("=")
+        line = usage_error(capsys, argv)
+        assert line.endswith(f"argument {flag}: expected {form}, got {value!r}")
 
     @pytest.mark.parametrize("grid", ["0,0", "-3,4", "4,-3", "1,4"])
     def test_grid_below_two_by_two_is_one_error_line(self, tmp_path, capsys, grid):

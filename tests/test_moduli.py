@@ -23,10 +23,12 @@ from hextorus.construct import (
     ModuliViolation,
     R_POINT,
     central_minimal,
+    family,
     type_i_minimal,
     type_ii_minimal,
     type_iii_minimal,
 )
+from hextorus.covering import MINIMAL_TILE_COUNT, enumerate_coverings
 from hextorus.moduli import (
     Arc,
     KINDS,
@@ -65,15 +67,23 @@ FIXED = {
 }
 
 
-def constructor_succeeds(kind, fixed, free) -> bool:
+# a member free parameter of each family at FIXED
+MEMBER = {"i": -0.15 + 0.25j, "ii": 0.12 + 0.15j, "iii": 0.05 + 0.22j, "cs": 0.6 + 0.4j}
+
+
+def construct(kind, fixed, free):
     builders = {
         "i": lambda: type_i_minimal(fixed[0], (fixed[1], free)),
         "ii": lambda: type_ii_minimal(fixed[0], (fixed[1], free)),
         "iii": lambda: type_iii_minimal(free),
         "cs": lambda: central_minimal(fixed[0], fixed[1], free),
     }
+    return builders[kind]()
+
+
+def constructor_succeeds(kind, fixed, free) -> bool:
     try:
-        builders[kind]()
+        construct(kind, fixed, free)
         return True
     except ModuliViolation:
         return False
@@ -142,6 +152,54 @@ class TestMembership:
     def test_type_iii_rejects_fixed_parameters(self):
         with pytest.raises(ValueError):
             membership("iii", (1.0,), 0j)
+
+    @pytest.mark.parametrize(
+        "kind, fixed, message",
+        [
+            ("i", 0.6j, "type i takes the fixed parameters ('tau', 'i')"),
+            ("i", None, "type i takes the fixed parameters ('tau', 'i')"),
+            ("ii", (1.0,), "type ii takes the fixed parameters ('y', 'i')"),
+            ("cs", (1 + 0j,), "type cs takes the fixed parameters ('alpha', 'beta')"),
+            ("cs", (1, 1j, 0), "type cs takes the fixed parameters ('alpha', 'beta')"),
+            ("iii", (1.0,), "type iii has no fixed parameters"),
+            ("iii", 0.5, "type iii has no fixed parameters"),
+        ],
+    )
+    def test_fixed_parameters_of_the_wrong_shape(self, kind, fixed, message):
+        """One ValueError that names the family's parameters, from every entry."""
+        for call in (
+            lambda: membership(kind, fixed, 0j),
+            lambda: membership_mask(kind, fixed, np.zeros(3, complex)),
+            lambda: sample_region(kind, fixed, nx=4, ny=4),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
+class TestFamilyTable:
+    @pytest.mark.filterwarnings("ignore::hextorus.construct.GenericityWarning")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_table_matches_the_constructor(self, kind):
+        """The constructor's lattice and tile count are the table's."""
+        fam = family(kind)
+        assert membership(kind, FIXED[kind], MEMBER[kind])
+        tiling = construct(kind, FIXED[kind], MEMBER[kind])
+        assert (tiling.alpha, tiling.beta) == fam.lattice(*fam.check(FIXED[kind]))
+        assert len(tiling.tiles) == fam.tiles == MINIMAL_TILE_COUNT[kind]
+
+    def test_one_message_refuses_an_unknown_kind(self):
+        refusals = (
+            lambda: family("iv"),
+            lambda: membership("iv", None, 0j),
+            lambda: membership_mask("iv", None, np.zeros(3, complex)),
+            lambda: sample_region("iv", None, nx=4, ny=4),
+            lambda: enumerate_coverings("iv", 1j, 12),
+        )
+        for refuse in refusals:
+            with pytest.raises(ValueError) as info:
+                refuse()
+            assert str(info.value) == "kind must be one of ('i', 'ii', 'iii', 'cs')"
 
 
 class TestSampleRegion:
