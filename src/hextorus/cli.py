@@ -333,19 +333,35 @@ def write_svg(tiling, extent: int = 1) -> str:
     )
 
 
-def _records(fmt: str, rows: np.ndarray) -> str:
-    """One fmt record per row of a 2-d array, formatted with one % operation."""
-    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
+_BLOCK = 8192  # rows per % operation of write_obj
+
+
+def _records(fmt: str, rows: np.ndarray):
+    """One fmt record per row of a 2-d array, a block of rows per % operation."""
+    for lo in range(0, len(rows), _BLOCK):
+        block = rows[lo : lo + _BLOCK]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
+
+
+def _uv_texts(uv: np.ndarray) -> np.ndarray:
+    """The %.9g text of each uv value, each distinct value of a column
+    formatted once; distinct by bit pattern, as -0.0 and 0.0 print apart."""
+    columns = []
+    for column in uv.T:
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = ["%.9g" % x for x in keys.view(float).tolist()]
+        columns.append(np.array(texts, dtype=object)[inverse])
+    return np.stack(columns, axis=1)
 
 
 def write_obj(mesh) -> str:
     """ASCII OBJ: v/vt/f records grouped as tile_<i>, l records for edges.
 
-    Records are formatted in bulk: one % operation for the vertices, one
-    for the uv, one per face group and one per polyline.
+    Records are formatted in bulk, a block of rows per % operation, and each
+    distinct uv value is formatted once.
     """
     vertex = "v %.9g %.9g %.9g\n"
-    parts = [_records(vertex, mesh.vertices), _records("vt %.9g %.9g\n", mesh.uv)]
+    parts = [*_records(vertex, mesh.vertices), *_records("vt %s %s\n", _uv_texts(mesh.uv))]
     # faces by group, in mesh order within each group
     by_group = np.argsort(mesh.groups, kind="stable")
     groups = mesh.groups[by_group]
@@ -353,11 +369,11 @@ def write_obj(mesh) -> str:
     faces = np.repeat(mesh.quads[by_group] + 1, 2, axis=1)
     for gid, run in zip(groups[heads].tolist(), np.split(faces, heads[1:])):
         parts.append(f"g tile_{gid}\n")
-        parts.append(_records("f %d/%d %d/%d %d/%d %d/%d\n", run))
+        parts.extend(_records("f %d/%d %d/%d %d/%d %d/%d\n", run))
     base = len(mesh.vertices)
     for i, polyline in enumerate(mesh.polylines):
         parts.append(f"g tile_{i}_edges\n")
-        parts.append(_records(vertex, polyline))
+        parts.extend(_records(vertex, polyline))
         parts.append("l " + " ".join(map(str, range(base + 1, base + len(polyline) + 1))) + "\n")
         base += len(polyline)
     return "".join(parts) or "\n"  # an empty mesh is one empty line
@@ -427,10 +443,12 @@ def _tolerance(text: str) -> float:
 
 
 def _require(args, names: tuple[str, ...], kind: str) -> None:
+    """Refuse a --type unless it gets every flag it names and no other type's."""
     missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        raise ValueError(f"--type {kind} requires {flags}")
+    extra = [n for n in _TYPE_FLAGS if n not in names and getattr(args, n, None) is not None]
+    for verb, found in (("requires", missing), ("does not take", extra)):
+        if found:
+            raise ValueError(f"--type {kind} {verb} " + ", ".join(f"--{n}" for n in found))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +466,8 @@ _CONSTRUCTORS = {
         lambda a: strip_tiling(a.h, a.w, a.s, (a.i, a.t), a.signs),
     ),
 }
+# every flag some --type takes, construct's and moduli sample's alike
+_TYPE_FLAGS = tuple(dict.fromkeys(n for flags, _ in _CONSTRUCTORS.values() for n in flags))
 
 
 def _cmd_construct(args) -> int:
@@ -557,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=_parse_complex, help="free vector base point RE,IM")
     p.add_argument("--t", type=_parse_complex, help="free vector tip RE,IM")
     p.add_argument("--y", type=float, help="rectangular modulus height")
-    p.add_argument("--p", type=_parse_tau, help="type iii free point RE,IM")
+    p.add_argument("--p", type=_parse_complex, help="type iii free point RE,IM")
     p.add_argument("--alpha", type=_parse_complex, help="lattice generator RE,IM")
     p.add_argument("--beta", type=_parse_complex, help="lattice generator RE,IM")
     p.add_argument("--u", type=_parse_complex, help="central free vector RE,IM")

@@ -196,6 +196,17 @@ def _chart(curve: CurveParams) -> _HopfChart:
     return _HopfChart(curve)
 
 
+_BLOCK = 8192  # quads per block of Mesh3's area check, vertices per conformality block
+
+
+def _cross_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(np.cross(a, b), axis=-1) of (n, 3) rows, bit for bit:
+    the cross's products and differences, the squares summed in norm's order."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return np.sqrt(x * x + y * y + z * z)
+
+
 @dataclass(frozen=True)
 class Mesh3:
     """Quad mesh in R3 with flat-coordinate preimages per vertex.
@@ -231,23 +242,19 @@ class Mesh3:
         for name, arrays in (("vertices", (vertices,)), ("uv", (uv,)), ("polylines", polylines)):
             if not all(np.isfinite(a).all() for a in arrays):
                 raise ValueError(f"mesh {name} must be finite")
-        corners = vertices[quads]
-        # finite coordinates near the float limit overflow here; their area
-        # is refused below instead of leaking numpy warnings
+        # corners gathered a block of quads at a time; finite coordinates near
+        # the float limit overflow, which outranks a degenerate quad anywhere
+        degenerate = False
         with np.errstate(over="ignore", invalid="ignore"):
-            area = 0.5 * (
-                np.linalg.norm(
-                    np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]),
-                    axis=-1,
-                )
-                + np.linalg.norm(
-                    np.cross(corners[:, 2] - corners[:, 0], corners[:, 3] - corners[:, 0]),
-                    axis=-1,
-                )
-            )
-        if not np.isfinite(area).all():
-            raise ValueError("mesh quad areas overflow")
-        if quads.size and np.min(area) <= 1e-12:
+            for lo in range(0, len(quads), _BLOCK):
+                p0, e1, e2, e3 = (vertices[q] for q in quads[lo : lo + _BLOCK].T)
+                for e in (e1, e2, e3):
+                    e -= p0
+                area = 0.5 * (_cross_norm(e1, e2) + _cross_norm(e2, e3))
+                if not np.isfinite(area).all():
+                    raise ValueError("mesh quad areas overflow")
+                degenerate |= bool(np.min(area) <= 1e-12)
+        if degenerate:
             raise ValueError("degenerate quad in mesh")
         for name, arr in zip(("vertices", "quads", "groups", "uv"), (vertices, quads, groups, uv)):
             arr.setflags(write=False)
@@ -374,8 +381,8 @@ def conformality(mesh: Mesh3) -> float:
 
     The quads must be the vertex grid of _grid_mesh, as in every mesh the
     package builds; the stencils are then slices of the (n1, m1) grid, the
-    vertices two steps in from its border. Any other quad mesh raises
-    ValueError.
+    vertices two steps in from its border, taken a block of rows at a time.
+    Any other quad mesh raises ValueError.
     """
     grid = _grid_shape(mesh.quads, len(mesh.vertices))
     if grid is None and len(mesh.quads):
@@ -384,35 +391,46 @@ def conformality(mesh: Mesh3) -> float:
         raise ValueError("mesh has no interior vertices")
     n1, m1 = grid
 
-    def derivs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Five-point differences of the values along j and along i, one
-        row per vertex two steps in from the border of the grid."""
-        v = values.reshape(n1, m1, -1)
+    def derivs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Five-point differences of a block of grid rows along j and along
+        i, one row per vertex two steps in from the border of the block."""
         d_j = (8.0 * (v[2:-2, 1:-3] - v[2:-2, 3:-1]) - (v[2:-2, :-4] - v[2:-2, 4:])) / 12.0
         d_i = (8.0 * (v[1:-3, 2:-2] - v[3:-1, 2:-2]) - (v[:-4, 2:-2] - v[4:, 2:-2])) / 12.0
-        return d_j.reshape(-1, values.shape[1]), d_i.reshape(-1, values.shape[1])
+        return d_j.reshape(-1, v.shape[2]), d_i.reshape(-1, v.shape[2])
 
-    x_j, x_i = derivs(mesh.vertices)  # d xyz / d index
-    (u_j, v_j), (u_i, v_i) = (d.T for d in derivs(mesh.uv))  # d uv / d index
-    det_uv = u_j * v_i - v_j * u_i
-    if np.min(np.abs(det_uv)) <= 1e-300:
+    vertices, uv = mesh.vertices.reshape(n1, m1, 3), mesh.uv.reshape(n1, m1, 2)
+    rows = max(1, _BLOCK // m1)  # interior rows per block
+    # np.min and np.max of the block extremes reduce as over all vertices; a
+    # block whose check fails stops, as the result is inf, or another's NaN
+    dets, lams, peaks = [], [], []
+    for lo in range(0, n1 - 4, rows):
+        block = slice(lo, lo + rows + 4)  # its rows and the stencil's 2-row halo
+        x_j, x_i = derivs(vertices[block])  # d xyz / d index
+        (u_j, v_j), (u_i, v_i) = (d.T for d in derivs(uv[block]))  # d uv / d index
+        det_uv = u_j * v_i - v_j * u_i
+        dets.append(np.min(np.abs(det_uv)))
+        if dets[-1] <= 1e-300:
+            continue
+        # rows of J^T: the rows of the inverse of [[u_j, v_j], [u_i, v_i]]
+        # times (x_j, x_i), each a sum of two products built in place:
+        # einsum's bits and peak memory
+        jt = np.empty((len(x_j), 2, 3))
+        for row, (a, b) in enumerate(((v_i, -v_j), (-u_i, u_j))):
+            np.multiply((a / det_uv)[:, None], x_j, out=jt[:, row])
+            jt[:, row] += (b / det_uv)[:, None] * x_i
+        g = np.einsum("nab,ncb->nac", jt, jt)  # pullback metric (n, 2, 2)
+        tr = g[:, 0, 0] + g[:, 1, 1]
+        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
+        lam_max = tr / 2.0 + disc
+        lam_min = tr / 2.0 - disc
+        lams.append(np.min(lam_min))
+        if lams[-1] <= 0.0:
+            continue
+        peaks.append(np.max(np.sqrt(lam_max / lam_min) - 1.0))
+    if np.min(dets) <= 1e-300 or np.min(lams) <= 0.0:
         return math.inf
-    # rows of J^T: the rows of the inverse of [[u_j, v_j], [u_i, v_i]] times
-    # (x_j, x_i), each a sum of two products built in place: einsum's bits
-    # and peak memory
-    jt = np.empty((len(x_j), 2, 3))
-    for row, (a, b) in enumerate(((v_i, -v_j), (-u_i, u_j))):
-        np.multiply((a / det_uv)[:, None], x_j, out=jt[:, row])
-        jt[:, row] += (b / det_uv)[:, None] * x_i
-    g = np.einsum("nab,ncb->nac", jt, jt)  # pullback metric (n, 2, 2)
-    tr = g[:, 0, 0] + g[:, 1, 1]
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-    disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
-    lam_max = tr / 2.0 + disc
-    lam_min = tr / 2.0 - disc
-    if np.min(lam_min) <= 0.0:
-        return math.inf
-    return float(np.max(np.sqrt(lam_max / lam_min) - 1.0))
+    return float(np.max(peaks))
 
 
 @dataclass(frozen=True)
@@ -441,16 +459,26 @@ class HopfEmbedding:
 
 
 def _point_in_polygon(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test, vectorized over points."""
+    """Even-odd crossing test, vectorized over points, of only the points in
+    the corners' box: y in [min Im, max Im), x in the real range widened far
+    past a crossing's rounding. Outside the y range no side straddles, right
+    of the box no crossing lies right of the point, and left of it every
+    straddling side counts, an even number on a closed loop."""
     inside = np.zeros(points.shape, dtype=bool)
-    x, y = points.real, points.imag
+    re, im = corners.real, corners.imag
+    pad = 1e-12 * (np.max(np.abs(re)) + 1.0)
+    box = (points.imag >= im.min()) & (points.imag < im.max())
+    box &= (points.real >= re.min() - pad) & (points.real <= re.max() + pad)
+    x, y = points.real[box], points.imag[box]
+    hit = np.zeros(x.shape, dtype=bool)
     for k in range(len(corners)):
         a = corners[k]
         b = corners[(k + 1) % len(corners)]
         straddles = (a.imag > y) != (b.imag > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             xcross = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
-        inside ^= straddles & (x < np.where(straddles, xcross, np.inf))
+        hit ^= straddles & (x < np.where(straddles, xcross, np.inf))
+    inside[box] = hit
     return inside
 
 

@@ -1,21 +1,23 @@
 """The all-cells simplicity mask, the test-by-test scalar simplicity walk,
 the dict-walk conformality, the per-group OBJ writer, the map-by-map
-rectangular search, the all-points tile assignment of a drape and the
-generator-built classifier, kept as the reference.
+rectangular search, the all-points tile assignment of a drape, the
+all-points even-odd test and the generator-built classifier, kept as the
+reference.
 
 These are ``hextorus.geom.simple_mask``, ``hextorus.geom.first_violation``,
 ``hextorus.embed.conformality``, ``hextorus.cli.write_obj``,
-``hextorus.lattice.rectangular_solve``, ``hextorus.embed._assign_tiles`` and
-``hextorus.hexagon.relabelings`` and ``classify`` as they were before the mask
-tested only the cells still live, the scalar walk worked out each distinct
-check once, the conformality stencils were built with numpy sorts, the OBJ
-faces were written in one pass, the rectangular search read a cached table of
-map images, the tile assignment tested only the points still unlabelled and
-the classifier read index tables. They are copied unchanged, apart from this
-header and its imports, so that ``test_array_oracle.py`` and
-``test_scalar_oracle.py`` can compare the new code against them bit for bit.
-The scalar walk's ``seg_seg_dist`` and ``seg_point_dist`` are the mask's,
-which do the same arithmetic on scalars.
+``hextorus.lattice.rectangular_solve``, ``hextorus.embed._assign_tiles``,
+``hextorus.embed._point_in_polygon`` and ``hextorus.hexagon.relabelings``
+and ``classify`` as they were before the mask tested only the cells still
+live, the scalar walk worked out each distinct check once, the conformality
+stencils were built with numpy sorts, the OBJ faces were written in one pass,
+the rectangular search read a cached table of map images, the tile assignment
+tested only the points still unlabelled, the even-odd test only the points in
+the polygon's box and the classifier read index tables. They are copied
+unchanged, apart from this header and its imports, so that
+``test_array_oracle.py`` and ``test_scalar_oracle.py`` can compare the new
+code against them bit for bit. The scalar walk's ``seg_seg_dist`` and
+``seg_point_dist`` are the mask's, which do the same arithmetic on scalars.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import operator
 
 import numpy as np
 
-from hextorus.embed import _point_in_polygon
 from hextorus.geom import MERGE_TOL
 from hextorus.hexagon import TWO_PI, TWO_THIRDS_PI, HexagonSpec, TypeReport
 from hextorus.lattice import TOL, HnfTriple, LatticeFrame, _search_maps, check_modulus
@@ -287,6 +288,20 @@ def rectangular_solve(
             continue
         return 1j * (m * tau0.imag / n)
     return None
+
+
+def _point_in_polygon(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Even-odd crossing test, vectorized over points."""
+    inside = np.zeros(points.shape, dtype=bool)
+    x, y = points.real, points.imag
+    for k in range(len(corners)):
+        a = corners[k]
+        b = corners[(k + 1) % len(corners)]
+        straddles = (a.imag > y) != (b.imag > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
+        inside ^= straddles & (x < np.where(straddles, xcross, np.inf))
+    return inside
 
 
 def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:

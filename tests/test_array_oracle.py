@@ -14,7 +14,11 @@ four). rectangular_solve must give the same modulus bit for
 bit, or None, or the same exception, on HNF triples of indices 1..60 at four
 search bounds, for square-root, random and extreme targets, also while its
 cache evicts. Drapes must group their quads as the all-points loop does,
-also where a quad centre escapes every tile and is snapped.
+also where a quad centre escapes every tile and is snapped (the "++--" strip
+keeps the parent's mislabels), and the box-filtered even-odd test must give
+the all-points test's mask. Conformality and write_obj work in blocks, so
+they are also compared on grids and records one row either side of a block
+edge, with a singular stencil or a NaN in one block only.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import array_oracle
-from hextorus import embed, geom
+from hextorus import cli, embed, geom
 from hextorus.cli import write_obj
 from hextorus.construct import (
     OMEGA3,
@@ -364,6 +368,127 @@ def test_write_obj_groups_out_of_order():
     groups = rng.integers(-2, 5, len(mesh.quads))
     shuffled = Mesh3(mesh.vertices, mesh.quads, groups, mesh.uv, mesh.polylines)
     assert write_obj(shuffled) == array_oracle.write_obj(shuffled)
+
+
+# block edges -----------------------------------------------------------------
+
+
+def block_rows(m1):
+    """Interior grid rows per conformality block of an m1-column grid."""
+    return max(1, embed._BLOCK // m1)
+
+
+def grid_case(m1, interior):
+    """A jittered grid of m1 columns and the given interior rows over the
+    unit square, lifted to a smooth surface."""
+    n1 = interior + 4
+    rng = np.random.default_rng(m1 + interior)
+    i, j = np.meshgrid(np.arange(n1), np.arange(m1), indexing="ij")
+    uv = np.stack([i.ravel(), j.ravel()], axis=1) + rng.uniform(-0.02, 0.02, (n1 * m1, 2))
+    uv /= max(n1, m1)
+    quads = _grid_quads(n1, m1)
+    return Mesh3(lifted(uv), quads, np.zeros(len(quads), dtype=int), uv)
+
+
+def singular_row(values, n1, m1, row, p, q):
+    """The grid values with both five-point differences zero along a row:
+    the row alternates p and q, and the two rows after it repeat the two
+    before it."""
+    grid = values.reshape(n1, m1, -1).copy()
+    grid[row, 0::2], grid[row, 1::2] = p, q
+    grid[row + 1], grid[row + 2] = grid[row - 1], grid[row - 2]
+    return grid.reshape(values.shape)
+
+
+def without_last_row(mesh, n1, m1):
+    """The grid mesh less its last row of vertices."""
+    quads = _grid_quads(n1 - 1, m1)
+    return Mesh3(mesh.vertices[:-m1], quads, np.zeros(len(quads), dtype=int), mesh.uv[:-m1])
+
+
+@pytest.mark.parametrize("m1", [5, 1000, 2731])
+def test_conformality_block_edges(m1):
+    rows = block_rows(m1)
+    for interior in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1} - {0}):
+        assert_same_defect(grid_case(m1, interior))
+
+
+@pytest.mark.parametrize("m1", [5, 2731])
+@pytest.mark.parametrize("chart", ["uv", "vertices"])
+def test_singular_stencil_only_in_last_block(m1, chart):
+    # the last block holds one row, the last interior one; a zero det_uv
+    # (a singular uv stencil) or a zero lam_min (a zero xyz stencil) there,
+    # and only there, still gives inf
+    interior = 2 * block_rows(m1) + 1
+    mesh = grid_case(m1, interior)
+    n1 = interior + 4
+    if chart == "uv":
+        uv = singular_row(mesh.uv, n1, m1, n1 - 3, (0.1, 0.3), (0.5, -0.2))
+        mesh = Mesh3(mesh.vertices, mesh.quads, mesh.groups, uv)
+    else:
+        vertices = singular_row(mesh.vertices, n1, m1, n1 - 3, (5.0, 5.0, 5.0), (5.0, -5.0, 5.0))
+        mesh = Mesh3(vertices, mesh.quads, mesh.groups, mesh.uv)
+    assert outcome(conformality, mesh) == math.inf.hex()
+    assert_same_defect(mesh)
+    assert math.isfinite(conformality(without_last_row(mesh, n1, m1)))
+
+
+@pytest.mark.parametrize("m1", [5, 2731])
+@pytest.mark.parametrize("side", [0, 1])
+def test_singular_stencil_at_a_block_edge(m1, side):
+    # the last interior row of the first block, or the first of the second:
+    # a block that skipped or lost a row of the grid would miss it
+    rows = block_rows(m1)
+    mesh = grid_case(m1, 2 * rows + 1)
+    n1 = 2 * rows + 5
+    uv = singular_row(mesh.uv, n1, m1, rows + 1 + side, (0.1, 0.3), (0.5, -0.2))
+    mesh = Mesh3(mesh.vertices, mesh.quads, mesh.groups, uv)
+    assert outcome(conformality, mesh) == math.inf.hex()
+    assert_same_defect(mesh)
+
+
+def test_quad_area_is_norm_of_cross():
+    # Mesh3's blocked area check measures |a x b| as np.linalg.norm(np.cross)
+    # did, bit for bit, over magnitudes from 1e-75 to 1e75
+    rng = np.random.default_rng(7)
+    a, b = (
+        rng.standard_normal((100_000, 3)) * 10.0 ** rng.integers(-75, 75, (100_000, 3))
+        for _ in range(2)
+    )
+    want = np.linalg.norm(np.cross(a, b), axis=-1)
+    assert np.array_equal(embed._cross_norm(a, b), want)
+
+
+def test_nan_block_outweighs_a_singular_block():
+    # uv near the float limit make det_uv NaN in the first block; the zero
+    # det_uv of the last block then no longer decides, as in one pass
+    m1 = 1000
+    interior = 2 * block_rows(m1) + 1
+    mesh = grid_case(m1, interior)
+    n1 = interior + 4
+    uv = singular_row(mesh.uv, n1, m1, n1 - 3, (0.1, 0.3), (0.5, -0.2))
+    uv[: 5 * m1] *= 1e160
+    mesh = Mesh3(mesh.vertices, mesh.quads, mesh.groups, uv)
+    assert outcome(array_oracle.conformality, mesh) == math.nan.hex()
+    assert_same_defect(mesh)
+
+
+@pytest.mark.parametrize("rows", [-1, 0, 1])
+def test_write_obj_block_edges(rows):
+    # block +- 1 rows of every record kind, one face run across the block
+    # edge, and uv columns that mix -0.0 and 0.0
+    n = cli._BLOCK + rows
+    rng = np.random.default_rng(n)
+    mesh = SimpleNamespace(
+        vertices=rng.standard_normal((n, 3)),
+        uv=rng.choice([0.0, -0.0, 0.25, -0.25, 5e-324, -5e-324], size=(n, 2)),
+        quads=rng.integers(0, n, (n, 4)),
+        groups=(np.arange(n) >= n - 2).astype(int),
+        polylines=(rng.standard_normal((n, 3)), rng.standard_normal((2, 3))),
+    )
+    text = write_obj(mesh)
+    assert text == array_oracle.write_obj(mesh)
+    assert "vt -0 0\n" in text and "vt 0 -0\n" in text
 
 
 # corner angles --------------------------------------------------------------
@@ -731,6 +856,71 @@ def test_tile_assignment_snaps_as_the_loop_does(name, res, monkeypatch):
     mesh, tiling, centres = drape_centres(name, res, monkeypatch)
     assert escaped(tiling, centres) > 0
     assert np.array_equal(mesh.groups, array_oracle._assign_tiles(tiling, centres))
+
+
+SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+def polygon(data, n):
+    """n corners at unit scale: a star-shaped (simple) loop, a random one
+    (often self-crossing), or one on a small integer grid, where sides run
+    horizontal and corners share coordinates."""
+    shape = data.draw(st.sampled_from(["star", "random", "grid"]))
+    if shape == "grid":
+        coord = st.integers(-3, 3).map(float)
+        return np.array([complex(data.draw(coord), data.draw(coord)) for _ in range(n)])
+    unit = st.floats(-2.0, 2.0, allow_nan=False)
+    if shape == "random":
+        return np.array([complex(data.draw(unit), data.draw(unit)) for _ in range(n)])
+    turns = np.sort([data.draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True)) for _ in range(n)])
+    radii = np.array([data.draw(st.floats(0.1, 2.0)) for _ in range(n)])
+    return radii * np.exp(1j * turns)
+
+
+def edge_values(values, data):
+    """The box's ends of the values, one float past each, their own values
+    and a few drawn ones, past the ends too."""
+    lo, hi = values.min(), values.max()
+    width = hi - lo or 1.0
+    pad = 1e-12 * (np.max(np.abs(values)) + 1.0)
+    near = [lo - pad, hi + pad, lo - 2.0 * pad, hi + 2.0 * pad, lo - 0.5 * pad, hi + 0.5 * pad]
+    drawn = [lo + width * data.draw(st.floats(-0.5, 1.5)) for _ in range(4)]
+    ends = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo, hi]
+    return np.array([*ends, *near, *values, *drawn])
+
+
+@given(st.data())
+def test_point_in_polygon_box_filter_is_exact(data):
+    # the box-filtered test against the all-points one, at scales 1e-12 to
+    # 1e12 and away from the origin, on points on and just off the box's
+    # edges and corners, at the polygon's corners and at drawn points
+    n = data.draw(st.integers(3, 8))
+    scale = data.draw(st.sampled_from(SCALES))
+    shift = data.draw(st.sampled_from([0j, 1 + 1j, -1e3 + 5e2j]))
+    corners = (polygon(data, n) + shift) * scale
+    xs, ys = edge_values(corners.real, data), edge_values(corners.imag, data)
+    points = np.add.outer(xs, 1j * ys)
+    with np.errstate(over="ignore"):  # sides a subnormal height apart
+        got = _point_in_polygon(corners, points)
+        want = array_oracle._point_in_polygon(corners, points)
+    assert got.shape == points.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "corners, point",
+    [
+        ([-0.934 + 0.413j, 0.137 - 0.032j, -0.954 - 0.451j], np.nextafter(0.137, 1) - 0.032j),
+        ([-0.317 - 0.039j, 0.856 - 0.09j, 0.779 + 0.334j], np.nextafter(-0.317, -1) - 0.039j),
+    ],
+)
+def test_point_one_float_past_the_box(corners, point):
+    # at a corner's height the crossing of the side into that corner rounds
+    # past the corner, so the all-points test holds a point one float right
+    # (or left) of the box; the box's pad keeps it
+    corners, points = np.array(corners), np.array([point])
+    assert array_oracle._point_in_polygon(corners, points)[0]
+    assert _point_in_polygon(corners, points)[0]
 
 
 def test_tile_assignment_of_tile_corners():

@@ -40,6 +40,20 @@ CONSTRUCT_ARGS = {
 }
 
 
+# a value each type flag parses, to offer it to the types that do not take it
+FLAG_VALUES = {
+    "tau": "0,1", "i": "0.1,0.1", "t": "0.2,0.1", "y": "3", "p": "0.05,0.22",
+    "alpha": "1,0", "beta": "0,1", "u": "0.5,0.5", "h": "1", "w": "1", "s": "0",
+    "signs": "+-",
+}
+
+
+def foreign_flags(argv: list[str], flags) -> list[str]:
+    """The flags a --type's argv does not give, of those named."""
+    given = {arg.partition("=")[0].removeprefix("--") for arg in argv}
+    return [flag for flag in flags if flag not in given]
+
+
 def construct_doc(tmp_path, kind: str, name: str = "tiling.json") -> str:
     path = str(tmp_path / name)
     assert main(["construct", *CONSTRUCT_ARGS[kind], "-o", path]) == 0
@@ -94,6 +108,19 @@ class TestConstructAndValidate:
         assert main(["construct", "--type", "i", "--tau", "0,0.6"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "--i" in err and "--t" in err
+
+    @pytest.mark.parametrize("kind", sorted(CONSTRUCT_ARGS))
+    def test_flags_of_other_types_refused(self, tmp_path, capsys, kind):
+        out = tmp_path / "tiling.json"
+        for flag in foreign_flags(CONSTRUCT_ARGS[kind], FLAG_VALUES):
+            argv = ["construct", *CONSTRUCT_ARGS[kind], f"--{flag}={FLAG_VALUES[flag]}"]
+            assert main([*argv, "-o", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: --type {kind} does not take --{flag}\n"
+        assert not out.exists()
+
+    def test_every_foreign_flag_is_named(self, capsys):
+        assert main(["construct", "--type=iii", "--p=0.05,0.22", "--tau=0,1", "--y=3"]) == 1
+        assert capsys.readouterr().err == "error: --type iii does not take --tau, --y\n"
 
     def test_bad_flag_value_exits_via_argparse(self):
         with pytest.raises(SystemExit):
@@ -327,11 +354,31 @@ class TestModuliSampleCommand:
         assert "--tau" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "kind, fixed",
+        [
+            ("i", ["--tau=0,1", "--i=0.1,0.1"]),
+            ("ii", ["--y=1", "--i=0.1,0.1"]),
+            ("iii", []),
+            ("cs", ["--alpha=1,0", "--beta=0,1"]),
+        ],
+    )
+    def test_flags_of_other_types_refused(self, tmp_path, capsys, kind, fixed):
+        out = tmp_path / "region.pgm"
+        argv = ["moduli", "sample", f"--type={kind}", *fixed, "--grid=4,4", "-o", str(out)]
+        assert main(argv) == 0
+        out.unlink()
+        for flag in foreign_flags(fixed, ("tau", "i", "y", "alpha", "beta")):
+            assert main([*argv, f"--{flag}={FLAG_VALUES[flag]}"]) == 1
+            assert capsys.readouterr().err == f"error: --type {kind} does not take --{flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, form",
         [
             (["moduli", "sample", "--type=iii", "--grid=3,4.5"], "NX,NY"),
             (["moduli", "sample", "--type=iii", "--bbox=0,1,a,2"], "X0,X1,Y0,Y1"),
             (["construct", "--type=iii", "--p=1,x"], "RE,IM"),
+            (["construct", "--type=iii", "--p=w3"], "RE,IM"),
         ],
     )
     def test_bad_comma_list_names_its_form(self, capsys, argv, form):

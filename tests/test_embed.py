@@ -11,6 +11,7 @@ import pytest
 
 from hextorus.construct import GenericityWarning, type_i_minimal, type_iii_minimal
 from hextorus.embed import (
+    _BLOCK,
     CurveParams,
     HopfEmbedding,
     IncompatibilityError,
@@ -161,6 +162,41 @@ class TestMesh3:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="mesh quad areas overflow"):
                 Mesh3(verts, np.array([[0, 1, 2, 3]]), np.zeros(1, int), np.zeros((4, 2)))
+
+    @staticmethod
+    def blocks(*kinds):
+        """Vertices and quads, one block of quads per kind, each quad a unit
+        square but the block's last: "ok", "degenerate" (a point) or
+        "overflow" (a square of side 1e200)."""
+        verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float)
+        verts = np.concatenate([verts, 1e200 * verts])
+        last = {"ok": [0, 1, 2, 3], "degenerate": [0, 0, 0, 0], "overflow": [4, 5, 6, 7]}
+        quads = np.tile([0, 1, 2, 3], (_BLOCK * len(kinds), 1))
+        quads[_BLOCK - 1 :: _BLOCK] = [last[k] for k in kinds]
+        return verts, quads
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            (("ok", "degenerate"), "degenerate quad in mesh"),
+            (("degenerate", "ok"), "degenerate quad in mesh"),
+            (("degenerate", "overflow"), "mesh quad areas overflow"),
+            (("overflow", "degenerate"), "mesh quad areas overflow"),
+            (("ok", "ok", "overflow"), "mesh quad areas overflow"),
+        ],
+    )
+    def test_area_check_by_block_keeps_its_precedence(self, kinds, message):
+        # overflow anywhere wins over a degenerate quad in any block
+        verts, quads = self.blocks(*kinds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                Mesh3(verts, quads, np.zeros(len(quads), int), np.zeros((len(verts), 2)))
+
+    def test_area_check_passes_block_by_block(self):
+        verts, quads = self.blocks("ok", "ok")
+        mesh = Mesh3(verts, quads[:-1], np.zeros(len(quads) - 1, int), np.zeros((len(verts), 2)))
+        assert len(mesh.quads) == 2 * _BLOCK - 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_uv_rejected(self, bad):
