@@ -15,16 +15,10 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .geom import (
-    MERGE_TOL,
-    Isometry,
-    Polygon,
-    first_violation,
-    rotation,
-    signed_area,
-)
+from .geom import MERGE_TOL, Isometry, Polygon, first_violation, rotation, signed_area
 from .hexagon import _spec, classify, spec_from_polygon
-from .lattice import check_height, check_lattice, check_modulus, covolume
+from .lattice import HnfTriple, IntBasis, check_count, check_height, check_lattice, check_modulus
+from .lattice import covering_modulus, covolume, hnf_of_basis, lattices_isometric, rectangular_solve
 
 OMEGA3 = complex(-0.5, math.sqrt(3.0) / 2.0)
 
@@ -126,17 +120,66 @@ def _glide_ii(y: float) -> Isometry:
     return Isometry(-1.0 + 0j, 0.5 + 0.5j * y, True)  # glide along x = 1/4
 
 
+def _corners_i(u, v, i, t) -> tuple:
+    # the prototile of two-tile strips spanned by u and v
+    return (v, i - u, 0j, i - t, t, i - t + v)
+
+
+def _corners_ii(y, i, t) -> tuple:
+    gamma_inv = _glide_ii(y).inverse()
+    return (t, -t, gamma_inv(i), gamma_inv(t), 1.0 - i, i)
+
+
+def _corners_iii(P) -> tuple:
+    # P_R and P_B are P rotated by +-120 degrees about R and B
+    p_r, p_b = R_POINT + ROT120 * (P - R_POINT), B_POINT + ROT120.conjugate() * (P - B_POINT)
+    return (P, R_POINT, p_r, G_PRIME, p_b, B_POINT)
+
+
+def _orbit_ii(y, i) -> tuple[Isometry, ...]:
+    # the half turn about the origin and the glide; tile 0 is the identity
+    # image of the prototile, so its zeros are positive
+    rho, gamma = rotation(math.pi), _glide_ii(y)
+    return (Isometry(), rho, gamma, rho.compose(gamma))
+
+
+def _free_modulus(target: complex, h: HnfTriple, bound: int) -> complex:
+    return (h.m * target - h.l) / h.n
+
+
+def _cover_iii(target: complex, h: HnfTriple, bound: int) -> complex | None:
+    # one triple per orbit of the rotation by omega3, which multiplies the
+    # sublattice of Z + Z*omega3 by omega3; with omega3^2 = -1 - omega3 its
+    # coordinates map (x, y) -> (-y, x - y)
+    a = hnf_of_basis(IntBasis(0, h.m, -h.n, h.l - h.n))
+    b = hnf_of_basis(IntBasis(0, a.m, -a.n, a.l - a.n))
+    first = h == min(h, a, b, key=lambda g: (g.m, g.n, g.l))
+    return OMEGA3 if first and lattices_isometric(covering_modulus(OMEGA3, h), target) else None
+
+
 @dataclass(frozen=True)
 class Family:
-    """A family of minimal tilings with a moduli space: its fixed parameters'
-    names in order, their check (returning them normalized), the lattice
-    generators (alpha, beta) they fix, and its minimal tile count."""
+    """A family of minimal tilings whose tiles are images of one prototile.
+
+    ``normalize`` checks the fixed parameters that ``fixed`` names, and
+    ``lattice``, ``corners`` and ``orbit`` take them normalized. The six
+    ``corners(*fixed, z)`` at the free parameter z (a complex scalar or
+    array) are A + B*z + C*conj(z), with per-corner ``slopes`` (B, C).
+    ``orbit`` carries the prototile to each tile (None: it is the tile).
+    ``cover(target, h, bound)`` is the minimal modulus whose covering along
+    the triple h is the target torus, or None.
+    """
 
     kind: str
+    provenance: str  # the tilings' kind
     fixed: tuple[str, ...]
     normalize: Callable[..., tuple]
     lattice: Callable[..., tuple[complex, complex]]
     tiles: int
+    corners: Callable[..., tuple]
+    slopes: tuple[tuple[complex, ...], tuple[complex, ...]]
+    orbit: Callable[..., tuple[Isometry | None, ...]]
+    cover: Callable[[complex, HnfTriple, int], complex | None]
 
     def check(self, fixed) -> tuple:
         """The fixed parameters, a sequence (None for none), normalized."""
@@ -150,16 +193,33 @@ class Family:
             raise ValueError(f"type {self.kind} takes the fixed parameters {self.fixed}")
         return self.normalize(*values)
 
+    def build(self, fixed: tuple, free: complex, provenance: dict) -> TorusTiling:
+        """The tiling at normalized fixed parameters and a free one, with the
+        kind and then ``provenance`` as its provenance, or ModuliViolation."""
+        proto = _hexagon(self.corners(*fixed, free))
+        tiles = [proto if g is None else _oriented(proto.transformed(g)) for g in self.orbit(*fixed)]
+        tiling = TorusTiling(*self.lattice(*fixed), tiles, {"kind": self.provenance, **provenance})
+        return _warn_if_nongeneric(tiling, tiles[0], stacklevel=4)
+
 
 FAMILIES = {
     f.kind: f
     for f in (
-        Family("i", ("tau", "i"), lambda tau, i: (check_modulus(tau), complex(i)),
-               lambda tau, i: (1.0 + 0j, tau), 2),
-        Family("ii", ("y", "i"), lambda y, i: (check_height(y, "y"), complex(i)),
-               lambda y, i: (1.0 + 0j, 1j * y), 4),
-        Family("iii", (), lambda: (), lambda: (1.0 + 0j, OMEGA3), 3),
-        Family("cs", ("alpha", "beta"), check_lattice, lambda alpha, beta: (alpha, beta), 1),
+        Family("i", "type_i", ("tau", "i"), lambda tau, i: (check_modulus(tau), complex(i)),
+               lambda tau, i: (1.0 + 0j, tau), 2, lambda tau, i, t: _corners_i(1.0, tau, i, t),
+               ((0, 0, 0, -1, 1, -1), (0,) * 6), lambda tau, i: (None, rotation(math.pi, i / 2.0)),
+               _free_modulus),
+        # corner 3 is the glide's image of t, so it moves with conj(t)
+        Family("ii", "type_ii", ("y", "i"), lambda y, i: (check_height(y, "y"), complex(i)),
+               lambda y, i: (1.0 + 0j, 1j * y), 4, _corners_ii,
+               ((1, -1, 0, 0, 0, 0), (0, 0, 0, -1, 0, 0)), _orbit_ii, rectangular_solve),
+        Family("iii", "type_iii", (), lambda: (), lambda: (1.0 + 0j, OMEGA3), 3, _corners_iii,
+               ((1, 0, ROT120, 0, ROT120.conjugate(), 0), (0,) * 6),
+               lambda: (None, *(rotation(a * math.pi / 3.0, R_POINT) for a in (2.0, -2.0))),
+               _cover_iii),
+        Family("cs", "central", ("alpha", "beta"), check_lattice, lambda alpha, beta: (alpha, beta), 1,
+               lambda alpha, beta, u: (u, beta - u, u - alpha, -u, u - beta, alpha - u),
+               ((1, -1, 1, -1, 1, -1), (0,) * 6), lambda alpha, beta: (None,), _free_modulus),
     )
 }
 
@@ -173,28 +233,10 @@ def family(kind) -> Family:
 
 
 def hexagon_corners(kind: str, fixed, free) -> tuple:
-    """The six prototile corners of a family, affine in its free parameter.
-
-    ``fixed`` holds the normalized fixed parameters that the family's
-    :data:`FAMILIES` entry names, and (u, v, i) for "strip"; ``free`` is t
-    (P for "iii", u for "cs"), a complex scalar or array, and the corners
-    follow suit.
-    """
-    if kind in ("i", "strip"):
-        u, v, i = (1.0, *fixed) if kind == "i" else fixed
-        return (v, i - u, 0j, i - free, free, i - free + v)
-    if kind == "ii":
-        y, i = fixed
-        gamma_inv = _glide_ii(y).inverse()
-        return (free, -free, gamma_inv(i), gamma_inv(free), 1.0 - i, i)
-    if kind == "iii":
-        p_r = R_POINT + ROT120 * (free - R_POINT)
-        p_b = B_POINT + ROT120.conjugate() * (free - B_POINT)
-        return (free, R_POINT, p_r, G_PRIME, p_b, B_POINT)
-    if kind == "cs":
-        alpha, beta = fixed
-        return (free, beta - free, free - alpha, -free, free - beta, alpha - free)
-    raise ValueError(f"unknown family {kind!r}")
+    """The six prototile corners of a family, or of "strip" at fixed (u, v, i),
+    at its normalized fixed parameters and the free one, t (P for "iii", u
+    for "cs"), a complex scalar or array; the corners follow suit."""
+    return _corners_i(*fixed, free) if kind == "strip" else family(kind).corners(*fixed, free)
 
 
 def _hexagon(corners) -> Polygon:
@@ -215,11 +257,12 @@ def _oriented(p: Polygon) -> Polygon:
     return p if signed_area(p) > 0 else p.reversed()
 
 
-def _warn_if_nongeneric(tiling: TorusTiling, prototile: Polygon) -> TorusTiling:
+def _warn_if_nongeneric(tiling: TorusTiling, prototile: Polygon, stacklevel: int = 3) -> TorusTiling:
     """The tiling, after a GenericityWarning if the prototile violates the
     genericity conditions of the tiling's kind. Unless _hexagon reversed the
     prototile (labels 5..0), its corners are those _hexagon tested, in order
-    and up to the sign of a zero, so only a reversed one is tested again."""
+    and up to the sign of a zero, so only a reversed one is tested again.
+    The warning points ``stacklevel`` frames up, at the constructor's caller."""
     kind = tiling.provenance["kind"]
     flag = "generic_" + kind.removeprefix("type_")  # type_i: generic_i, strip: generic_strip
     spec = (spec_from_polygon if prototile.labels[0] else _spec)(prototile)
@@ -227,7 +270,7 @@ def _warn_if_nongeneric(tiling: TorusTiling, prototile: Polygon) -> TorusTiling:
         warnings.warn(
             f"prototile violates the {kind} genericity conditions",
             GenericityWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return tiling
 
@@ -240,11 +283,7 @@ def type_i_minimal(tau: complex, sigma) -> TorusTiling:
     """
     tau = check_modulus(tau)
     sigma = _free_vector(sigma)
-    i, t = sigma.i, sigma.t
-    t1 = _hexagon(hexagon_corners("i", (tau, i), t))
-    t2 = _oriented(t1.transformed(rotation(math.pi, i / 2.0)))
-    provenance = {"kind": "type_i", "tau": tau, "sigma": (i, t)}
-    return _warn_if_nongeneric(TorusTiling(1.0 + 0j, tau, (t1, t2), provenance), t1)
+    return FAMILIES["i"].build((tau, sigma.i), sigma.t, {"tau": tau, "sigma": (sigma.i, sigma.t)})
 
 
 def type_ii_minimal(y: float, sigma) -> TorusTiling:
@@ -256,16 +295,7 @@ def type_ii_minimal(y: float, sigma) -> TorusTiling:
     """
     y = check_height(y, "y")
     sigma = _free_vector(sigma)
-    i, t = sigma.i, sigma.t
-    rho = rotation(math.pi)  # z -> -z
-    gamma = _glide_ii(y)
-    t2 = _hexagon(hexagon_corners("ii", (y, i), t))
-    tiles = tuple(
-        _oriented(t2.transformed(g))
-        for g in (Isometry(), rho, gamma, rho.compose(gamma))
-    )
-    provenance = {"kind": "type_ii", "y": y, "sigma": (i, t)}
-    return _warn_if_nongeneric(TorusTiling(1.0 + 0j, 1j * y, tiles, provenance), tiles[0])
+    return FAMILIES["ii"].build((y, sigma.i), sigma.t, {"y": y, "sigma": (sigma.i, sigma.t)})
 
 
 def type_iii_minimal(P: complex) -> TorusTiling:
@@ -276,23 +306,14 @@ def type_iii_minimal(P: complex) -> TorusTiling:
     its rotations by +-120 degrees about R.
     """
     P = complex(P)
-    hexagon = _hexagon(hexagon_corners("iii", (), P))
-    tiles = (
-        hexagon,
-        _oriented(hexagon.transformed(rotation(2.0 * math.pi / 3.0, R_POINT))),
-        _oriented(hexagon.transformed(rotation(-2.0 * math.pi / 3.0, R_POINT))),
-    )
-    provenance = {"kind": "type_iii", "P": P}
-    return _warn_if_nongeneric(TorusTiling(1.0 + 0j, OMEGA3, tiles, provenance), hexagon)
+    return FAMILIES["iii"].build((), P, {"P": P})
 
 
 def central_minimal(alpha: complex, beta: complex, u: complex) -> TorusTiling:
     """Single-tile tiling by a centrally symmetric hexagon filling C/(Z*alpha + Z*beta)."""
     alpha, beta = check_lattice(alpha, beta)
     u = complex(u)
-    hexagon = _hexagon(hexagon_corners("cs", (alpha, beta), u))
-    provenance = {"kind": "central", "alpha": alpha, "beta": beta, "u": u}
-    return _warn_if_nongeneric(TorusTiling(alpha, beta, (hexagon,), provenance), hexagon)
+    return FAMILIES["cs"].build((alpha, beta), u, {"alpha": alpha, "beta": beta, "u": u})
 
 
 def _parse_signs(signs) -> tuple[int, ...]:
@@ -335,6 +356,9 @@ def strip_tiling(
     word = _parse_signs(signs)
     if mode not in ("torus", "patch"):
         raise ValueError(f"mode must be 'torus' or 'patch', got {mode!r}")
+    extent = check_count(extent, "extent")
+    if extent < 0:
+        raise ValueError(f"extent must not be negative, got {extent}")
     sigma = _free_vector(sigma)
     i, t = sigma.i, sigma.t
     u = complex(w, s)
@@ -344,7 +368,7 @@ def strip_tiling(
             "strip prototile needs equal boundary sides: Im(2t - i) = h/2",
             "strip-boundary",
         )
-    t1 = _hexagon(hexagon_corners("strip", (u, v, i), t))
+    t1 = _hexagon(_corners_i(u, v, i, t))
     t2 = _oriented(t1.transformed(rotation(math.pi, i / 2.0)))
     base = (t1, t2.translated(-u))
     # flipping a strip reflects it across the horizontal line through the
@@ -381,7 +405,7 @@ def strip_tiling(
 
 def planar_patch(t: TorusTiling, extent: int) -> PlanarPatch:
     """All lattice translates k*alpha + j*beta of the tiles for |k|,|j| <= extent."""
-    extent = int(extent)
+    extent = check_count(extent, "extent")
     if extent < 1:
         raise ValueError("extent must be at least 1")
     shifts = range(-extent, extent + 1)

@@ -9,20 +9,9 @@ tile count, list the sublattice triples whose minimal tiling exists.
 from __future__ import annotations
 
 from ._np import np
-from .construct import FAMILIES, OMEGA3, TorusTiling, family, translates
+from .construct import FAMILIES, TorusTiling, family, translates
 from .geom import corner_table
-from .lattice import (
-    HnfTriple,
-    IntBasis,
-    LatticeFrame,
-    NearPairs,
-    check_modulus,
-    covering_modulus,
-    enumerate_hnf,
-    hnf_of_basis,
-    lattices_isometric,
-    rectangular_solve,
-)
+from .lattice import HnfTriple, LatticeFrame, NearPairs, check_count, check_modulus, enumerate_hnf
 
 MINIMAL_TILE_COUNT = {kind: f.tiles for kind, f in FAMILIES.items()}
 
@@ -84,18 +73,6 @@ def is_minimal(t: TorusTiling, tol: float = 1e-9) -> bool:
     return True
 
 
-def _rotated_triple(h: HnfTriple) -> HnfTriple:
-    # multiply the sublattice of Z + Z*omega3 by omega3; with
-    # omega3^2 = -1 - omega3 the coordinates map (x, y) -> (-y, x - y)
-    return hnf_of_basis(IntBasis(0, h.m, -h.n, h.l - h.n))
-
-
-def _rotation_orbit_min(h: HnfTriple) -> HnfTriple:
-    a = _rotated_triple(h)
-    b = _rotated_triple(a)
-    return min(h, a, b, key=lambda x: (x.m, x.n, x.l))
-
-
 def enumerate_coverings(
     kind: str, target: complex, tile_count: int, bound: int = 64
 ) -> list[tuple[HnfTriple, complex]]:
@@ -103,11 +80,12 @@ def enumerate_coverings(
 
     kind selects the construction family: "i", "ii", "iii", or "cs". The tile
     count must be a multiple of the family's minimal tile count (2, 4, 3, 1).
-    Families i and cs admit every triple (the minimal modulus is free); ii
-    keeps triples where a rectangular minimal modulus exists up to the search
-    bound; iii fixes the hexagonal lattice, so triples are canonicalized over
-    its rotation symmetry and kept when the covering is isometric to the
-    target.
+    Each triple is kept when the family's covering rule (``Family.cover``)
+    gives a minimal modulus: families i and cs admit every triple (the
+    minimal modulus is free); ii keeps triples where a rectangular minimal
+    modulus exists up to the search bound; iii fixes the hexagonal lattice,
+    so triples are canonicalized over its rotation symmetry and kept when
+    the covering is isometric to the target.
 
     ``bound`` (at least 1, for every kind) is used by family ii only: it
     bounds the entries of the unimodular maps ``rectangular_solve`` searches.
@@ -117,27 +95,12 @@ def enumerate_coverings(
     grow with the square of the bound.
     """
     fam = family(kind)
-    key, f0 = fam.kind, fam.tiles
     target = check_modulus(target)
-    tile_count = int(tile_count)
-    if tile_count < 1 or tile_count % f0 != 0:
-        raise ValueError(
-            f"tile count {tile_count} is not a positive multiple of {f0}"
-        )
+    tile_count = check_count(tile_count, "tile count")
+    if tile_count < 1 or tile_count % fam.tiles != 0:
+        raise ValueError(f"tile count {tile_count} is not a positive multiple of {fam.tiles}")
+    bound = check_count(bound, "search bound")
     if bound < 1:
         raise ValueError(f"search bound must be at least 1, got {bound}")
-    index = tile_count // f0
-    results: list[tuple[HnfTriple, complex]] = []
-    for h in enumerate_hnf(index):
-        if key in ("i", "cs"):
-            results.append((h, (h.m * target - h.l) / h.n))
-        elif key == "ii":
-            x = rectangular_solve(target, h, bound)
-            if x is not None:
-                results.append((h, x))
-        else:
-            if h != _rotation_orbit_min(h):
-                continue
-            if lattices_isometric(covering_modulus(OMEGA3, h), target):
-                results.append((h, OMEGA3))
-    return results
+    triples = enumerate_hnf(tile_count // fam.tiles)
+    return [(h, x) for h in triples if (x := fam.cover(target, h, bound)) is not None]

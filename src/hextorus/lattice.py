@@ -47,6 +47,16 @@ def check_height(y, name: str) -> float:
     return y
 
 
+def check_count(n, name: str) -> int:
+    """n as an int; ValueError unless it is integral (12.0 is 12)."""
+    try:
+        if int(n) == n:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+        pass
+    raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 def covolume(alpha: complex, beta: complex) -> float:
     """Signed area alpha.real*beta.imag - alpha.imag*beta.real of the cell
     spanned by alpha and then beta; positive iff Im(beta/alpha) > 0."""

@@ -2,8 +2,9 @@
 
 A free parameter is admissible exactly when the corresponding constructor
 succeeds, i.e. its hexagon is simple. The family table
-(:data:`hextorus.construct.FAMILIES`) checks a family's fixed parameters and
-gives the lattice that frames its default box. Membership applies the
+(:data:`hextorus.construct.FAMILIES`) checks a family's fixed parameters,
+gives the lattice that frames its default box and the exact slopes of its
+corners, which bound the checks over blocks of cells. Membership applies the
 constructors' own corner formulas (:func:`hextorus.construct.hexagon_corners`)
 and simplicity test (:mod:`hextorus.geom`), to one parameter or a whole grid.
 :func:`sample_region` gives the bits of that test at every cell centre, but
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from ._np import np
 from .construct import B_POINT, FAMILIES, R_POINT, family, hexagon_corners
 from .geom import MERGE_TOL, _atoms, _cross, first_violation, seg_point_dist, simple_mask
-from .lattice import components
+from .lattice import check_count, components
 
 KINDS = tuple(FAMILIES)
 
@@ -112,9 +113,10 @@ _MARGIN_RANGE = (1e-280, 1e280)
 class _Certificates:
     """Bounds on the checks of ``geom._atoms(6)`` over blocks of cells.
 
-    The corners are real-affine in the free parameter: at the offset (x, y)
-    from the box centre they are at + x*dx + y*dy, with dx and dy taken
-    from corners at 0, s and s*1j. So each crossing orientation, the signed
+    The corners are real-affine in the free parameter z = x + iy:
+    A + B*z + C*conj(z), with the family's exact ``slopes`` (B, C). At the
+    offset (x, y) from the box centre they are at + x*dx + y*dy, with
+    dx = B + C and dy = i(B - C). So each crossing orientation, the signed
     area of one of 18 corner triangles, is a real quadratic in (x, y): over
     a block of half-widths (hx, hy) it differs from its centre value by at
     most its exact gradient there times the half-widths plus its constant
@@ -148,12 +150,8 @@ class _Certificates:
 
         # per orientation, its rows in (area certainly > 0, area certainly < 0)
         self.signs_at = np.array([rows(*t) for t in orients]).T
-        # s is a power of two at least as large as the corners at 0, so that
-        # the differences keep their precision for large fixed parameters
-        at0 = np.array(hexagon_corners(key, fixed, 0j), complex)
-        s = math.ldexp(1.0, math.frexp(max(1.0, *np.abs(at0)))[1])
-        at1, ati = (np.array(hexagon_corners(key, fixed, z), complex) for z in (s, s * 1j))
-        self.dx, self.dy = (at1 - at0) / s, (ati - at0) / s
+        b, c = (np.array(v, complex) for v in FAMILIES[key].slopes)
+        self.dx, self.dy = b + c, 1j * (b - c)
         self.x0, self.y0 = (xs[0] + xs[-1]) / 2, (ys[0] + ys[-1]) / 2
         self.at = np.array(hexagon_corners(key, fixed, complex(self.x0, self.y0)), complex)
         p, q, r = np.array(list(triangles)).T
@@ -251,7 +249,7 @@ def sample_region(
     key, norm = _normalize_fixed(kind, fixed)
     if bbox is None:
         bbox = _default_bbox(key, norm)
-    nx, ny = int(nx), int(ny)
+    nx, ny = check_count(nx, "nx"), check_count(ny, "ny")
     _check_resolution(nx, ny)
     grid = RegionGrid(tuple(bbox), nx, ny, np.zeros((ny, nx), dtype=bool))
     xs, ys = grid.axes()
@@ -338,7 +336,7 @@ def type_iii_boundary(samples: int) -> list[Arc]:
     two are its rotations by +-120 degrees about the origin. Every P on the
     primary arc sees the chord G'R under the inscribed angle 5pi/6.
     """
-    samples = int(samples)
+    samples = check_count(samples, "samples")
     if samples < 2:
         raise ValueError("need at least 2 samples per arc")
     radius = abs(R_POINT - B_POINT)

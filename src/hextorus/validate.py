@@ -37,9 +37,10 @@ clusters, each with the formulas of the scalar code:
 - congruence to tile 0, all ≤ 24 candidate isometries of ``geom.congruent``
   tried on all tiles at once (``geom.congruent_rows``).
 What the arrays cannot settle goes back to the scalar code, in tile order:
-a tile that fails the simplicity pass is re-decided by ``is_simple`` (which
-also raises the ``DegenerateError``), and a tile not shown congruent, or
-shown congruent only within a rounding margin of tol, by ``congruent``.
+a tile that fails the simplicity pass is non-simple if a corner is not
+finite and is otherwise re-decided by ``is_simple`` (which also raises the
+``DegenerateError``), and a tile not shown congruent, or shown congruent
+only within a rounding margin of tol, by ``congruent``.
 Only sides without exactly one partner, and clusters that are half
 vertices, have a degree other than 3 or an angle sum near or past the
 tolerance, are examined one at a time to write their failures. So the
@@ -48,6 +49,7 @@ reports are those of the per-tile loops.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -289,9 +291,10 @@ def validate(tiling, tol: float = 1e-9) -> ValidationReport:
         rows, stack = _rows(table, 6)
         suspect[rows] = ~simple_mask(stack.T, tol)
         for idx in np.flatnonzero(suspect).tolist():
+            corners = tiles[idx].corners
             if sizes[idx] != 6:
                 failures.append(("bad-side-count", f"tile {idx} has {sizes[idx]} corners"))
-            elif not is_simple(tiles[idx].corners, tol):
+            elif not (all(map(cmath.isfinite, corners)) and is_simple(corners, tol)):
                 failures.append(("non-simple-tile", f"tile {idx} is not simple"))
 
         analysis = _Analysis(tiling, tol, table)

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
+import random
+import sys
+import warnings
 
 import pytest
 
+from hextorus.cli import document_from_tiling, serialize_document
 from hextorus.construct import (
     B_POINT,
+    FAMILIES,
     G_PRIME,
     GenericityWarning,
     ModuliViolation,
@@ -273,6 +279,15 @@ class TestStrip:
         with pytest.raises(ValueError):
             strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", mode="ring")
 
+    @pytest.mark.parametrize(
+        "extent,message", [(-1, "must not be negative, got -1"), (0.5, "must be an integer, got 0.5")]
+    )
+    def test_bad_extent_raises(self, extent, message):
+        with pytest.raises(ValueError, match=message):
+            strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", mode="patch", extent=extent)
+        patch = strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", mode="patch", extent=0.0)
+        assert len(patch.tiles) == 2
+
     def test_unbalanced_boundary_sides_raise(self):
         with pytest.raises(ModuliViolation):
             strip_tiling(1.2, 0.9, 0.15, (0.3 + 0.45j, 0.2 + 0.4j), "+")
@@ -310,6 +325,11 @@ class TestPlanarPatch:
         with pytest.raises(ValueError):
             planar_patch(type_iii_minimal(0j), 0)
 
+    def test_non_integral_extent_rejected(self):
+        with pytest.raises(ValueError, match="extent must be an integer, got 1.5"):
+            planar_patch(type_iii_minimal(0j), 1.5)
+        assert len(planar_patch(type_iii_minimal(0j), 1.0).tiles) == 27
+
 
 class TestAreaAccounting:
     def test_all_five_constructors_fill_their_domain(self):
@@ -322,3 +342,105 @@ class TestAreaAccounting:
         ]
         for tiling in cases:
             assert abs(total_area(tiling.tiles) - tiling.covolume) <= 1e-9 * tiling.covolume
+
+
+# SHA-256 of each constructor's serialized document, recorded before the
+# constructors became one builder over the family table; the signed-zero
+# members carry -0.0 parts in their parameters, and ii's tile 0 carries only
+# positive zeros where its prototile has negative ones
+DOCUMENT_DIGESTS = {
+    "i-tall": "638de59b0ddfb78df392b2aa7de5f86f09b87e9610d738abd72bb09f6362de35",
+    "i-quarter": "a0d21ce62632c5be685c743d2b12c8bf7c61d453fe342a83870cb90b06228565",
+    "i-signed-zero": "bcb55bd0de9e0fd325cdca035cdddce46ed428635ebbf4d0a569bb29c0c5d544",
+    "ii-square": "2cd5c6b2d27ac0770d7890d89d08da09333314842d2cd7fcfada77e85a4e1d43",
+    "ii-flat": "85e0531446a07411afa9fe935c719e139155e49ab7c546f017f7a180a1f63332",
+    "ii-signed-zero": "292ba8d6db4af99ccfc8957378d27e601e1182002ccec4ac59e65fd253ac5c9e",
+    "iii-origin": "8f42f335ea3639816630a504013c4680055cb62dffeb06f549d4bb52aba1517e",
+    "iii-readme": "e212657efc7999e09953793ca2a77193bb3decedd8c32d6d1ab166c654841651",
+    "iii-signed-zero": "2fd342c7915e7e9f114bc7ef948edc6bdf43ffbe1e4c9ca07c25b655be3faa31",
+    "cs-sheared": "159f14c7257708d9d87d00069cea6dc675bedeeb73bf659b29e1634de7498ee0",
+    "cs-square": "1b1b2d95f0716c5d5459b81d17bad3735290fa1f315814c3799b56d20964cb30",
+    "cs-signed-zero": "4ff7d91aa455d726540cb4c7665ee403068f621ae1ab69f71ccde0018739c5a9",
+    "strip-plus-minus": "1bedafa431a223b6806adbfc861d93abc65419888b783ecbe404b1244a338b31",
+    "strip-three-one": "cefcb69842aeb05de996d8faead8635b080f0bda7ec93bd86b9fcac3afbea18c",
+    "strip-signed-zero": "646f9651b70e452798591c3035b6a62bebc688b796436db4c92a0c7877a39c7c",
+}
+MEMBERS = {
+    "i-tall": lambda: type_i_minimal(0.6j, (0.2 + 0.2j, -0.15 + 0.25j)),
+    "i-quarter": lambda: type_i_minimal((1 + 2j) / 4, (0.95 + 0.2j, 0.7 + 0.25j)),
+    "i-signed-zero": lambda: type_i_minimal(complex(-0.0, 0.6), (0.2 + 0.2j, -0.15 + 0.25j)),
+    "ii-square": lambda: type_ii_minimal(1.0, (0.35 + 0.05j, 0.12 + 0.15j)),
+    "ii-flat": lambda: type_ii_minimal(0.7, (0.2 + 0.2j, 0.45 - 0.1j)),
+    "ii-signed-zero": lambda: type_ii_minimal(1.0, (complex(0.35, -0.0), complex(0.12, 0.0))),
+    "iii-origin": lambda: type_iii_minimal(0j),
+    "iii-readme": lambda: type_iii_minimal(0.05 + 0.22j),
+    "iii-signed-zero": lambda: type_iii_minimal(complex(-0.0, -0.1)),
+    "cs-sheared": lambda: central_minimal(1.4 + 0.5j, 0.2 + 0.8j, 0.6 + 0.4j),
+    "cs-square": lambda: central_minimal(1, 1j, 0.3 + 0.2j),
+    "cs-signed-zero": lambda: central_minimal(complex(1.0, -0.0), complex(-0.0, 1.0), 0.3 + 0j),
+    "strip-plus-minus": lambda: strip_tiling(1.2, 0.9, 0.15, TestStrip.SIGMA, "+-"),
+    "strip-three-one": lambda: strip_tiling(1.2, 0.9, 0.15, TestStrip.SIGMA, "+++-"),
+    "strip-signed-zero": lambda: strip_tiling(
+        1.2, 0.9, -0.0, (0.3 + 0.45j, complex(-0.0, 0.525)), "++-"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERS))
+def test_constructor_documents_are_pinned(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GenericityWarning)
+        text = serialize_document(document_from_tiling(MEMBERS[name]()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DOCUMENT_DIGESTS[name]
+
+
+def draw_fixed(kind, rng):
+    """Normalized fixed parameters of a family, drawn at random."""
+    def c(lo, hi):
+        return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+    raw = {
+        "i": lambda: (complex(rng.uniform(-2, 2), rng.uniform(0.1, 3)), c(-3, 3)),
+        "ii": lambda: (rng.uniform(0.1, 3), c(-3, 3)),
+        "iii": lambda: (),
+        "cs": lambda: (
+            complex(rng.uniform(0.5, 3), rng.uniform(-0.4, 0.4)),
+            complex(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 3)),
+        ),
+    }[kind]()
+    return FAMILIES[kind].check(raw)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_slopes_give_the_corners(kind):
+    # corners(z) - corners(0) = B*z + C*conj(z) at every corner, to within a
+    # few ulps of the coordinate scale; only ii's glide has a C
+    fam = FAMILIES[kind]
+    b, c = fam.slopes
+    assert len(b) == len(c) == 6
+    assert any(c) == (kind == "ii")
+    rng = random.Random(23)
+    for _ in range(200):
+        fixed = draw_fixed(kind, rng)
+        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) * 10.0 ** rng.uniform(-3, 3)
+        at0, at = fam.corners(*fixed, 0j), fam.corners(*fixed, z)
+        scale = max(map(abs, (*at0, *at, z)))
+        for k in range(6):
+            expected = b[k] * z + c[k] * z.conjugate()
+            assert abs(at[k] - at0[k] - expected) <= 8 * sys.float_info.epsilon * scale, (k, fixed, z)
+
+
+NONGENERIC = {
+    "i": lambda: type_i_minimal(0.6j, (0.2 + 0.2j, -0.15 + 0.25j)),
+    "ii": lambda: type_ii_minimal(1.0, (0.25 + 0j, 0.25j)),
+    "iii": lambda: type_iii_minimal(0j),
+    "cs": lambda: central_minimal(1, 1j, 0.25 + 0.25j),
+    "strip": lambda: strip_tiling(1.2, 0.9, 0.15, (0.3 + 0.45j, 0.525j), "+-"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NONGENERIC))
+def test_genericity_warning_points_at_the_caller(kind):
+    with pytest.warns(GenericityWarning) as caught:
+        NONGENERIC[kind]()
+    assert [w.filename for w in caught] == [__file__]

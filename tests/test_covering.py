@@ -167,11 +167,23 @@ class TestEnumerateCoverings:
         with pytest.raises(ValueError):
             enumerate_coverings("cs", TARGET, 0)
 
+    def test_non_integral_tile_count_rejected(self):
+        for count in (4.5, "12", math.nan, math.inf):
+            with pytest.raises(ValueError, match="tile count must be an integer"):
+                enumerate_coverings("i", 1j, count)
+        assert enumerate_coverings("ii", TARGET, 12.0) == enumerate_coverings("ii", TARGET, 12)
+
     @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
     def test_bound_below_one_rejected(self, kind):
         for bound in (0, -3):
             with pytest.raises(ValueError, match="bound must be at least 1"):
                 enumerate_coverings(kind, TARGET, 12, bound)
+
+    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
+    def test_non_integral_bound_rejected(self, kind):
+        with pytest.raises(ValueError, match="search bound must be an integer, got 2.5"):
+            enumerate_coverings(kind, TARGET, 12, 2.5)
+        assert enumerate_coverings(kind, TARGET, 12, 8.0) == enumerate_coverings(kind, TARGET, 12, 8)
 
     def test_minimal_tile_counts_table(self):
         assert MINIMAL_TILE_COUNT == {"i": 2, "ii": 4, "iii": 3, "cs": 1}

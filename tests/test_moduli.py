@@ -250,6 +250,12 @@ class TestSampleRegion:
         with pytest.raises(ValueError, match=r"^grid resolution must be at least 2x2$"):
             sample_region("iii", (), nx=nx, ny=ny)
 
+    @pytest.mark.parametrize("nx,ny,name", [(64.9, 64, "nx"), (64, 2.5, "ny"), (64, "64", "ny")])
+    def test_non_integral_grid_rejected(self, nx, ny, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            sample_region("iii", (), nx=nx, ny=ny)
+        assert sample_region("iii", (), nx=8.0, ny=6.0).bits.shape == (6, 8)
+
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_non_finite_bbox_rejected(self, slot, value):
@@ -329,6 +335,12 @@ class TestTypeIiiBoundary:
             assert isinstance(arc, Arc)
             assert abs(arc.radius - 1.0 / math.sqrt(3.0)) <= 1e-15
             assert len(arc.points) == 33
+
+    def test_sample_count_must_be_an_integer_of_at_least_two(self):
+        for samples, message in ((5.7, "samples must be an integer, got 5.7"), (1, "at least 2 samples")):
+            with pytest.raises(ValueError, match=message):
+                type_iii_boundary(samples)
+        assert len(type_iii_boundary(5.0)[0].points) == 5
 
     def test_primary_arc_endpoints(self):
         primary = type_iii_boundary(9)[0]

@@ -198,19 +198,22 @@ class TestValidateFailures:
 
 def huge_or_non_finite(case: str):
     """The README's 2-tile tiling scaled by 1e200, or with a seventh corner at
-    NaN or inf on tile 1 (a bad side count, so the scalar simplicity test,
-    which raises DegenerateError on such a side, does not run)."""
+    NaN or inf on tile 1 (a bad side count), or with its corner 1 at NaN or
+    inf ("nan6", "inf6")."""
     base = type_i_minimal(0.6j, (0.24 + 0.17j, -0.18 + 0.27j))
     if case == "1e200":
         tiles = tuple(Polygon(tuple(1e200 * z for z in t.corners)) for t in base.tiles)
         return SimpleNamespace(alpha=1e200 * base.alpha, beta=1e200 * base.beta, tiles=tiles)
     t1, t2 = base.tiles
-    corner = complex(math.nan if case == "nan" else math.inf, 0.1)
-    tile = SimpleNamespace(corners=t2.corners + (corner,))
+    corner = complex(math.nan if case.startswith("nan") else math.inf, 0.1)
+    corners = t2.corners + (corner,)
+    if case.endswith("6"):
+        corners = (t2.corners[0], corner, *t2.corners[2:])
+    tile = SimpleNamespace(corners=corners)
     return SimpleNamespace(alpha=base.alpha, beta=base.beta, tiles=(t1, tile))
 
 
-@pytest.mark.parametrize("case", ["1e200", "nan", "inf"])
+@pytest.mark.parametrize("case", ["1e200", "nan", "inf", "nan6", "inf6"])
 def test_overflow_and_nan_give_a_report_without_warnings(case):
     # validate and census silence numpy's floating-point warnings themselves
     carrier = huge_or_non_finite(case)
@@ -220,6 +223,8 @@ def test_overflow_and_nan_give_a_report_without_warnings(case):
         cen = census(carrier)
     assert not report.passed and report.failures
     assert cen == report.census
+    if case.endswith("6"):  # a non-finite corner is no simple hexagon's
+        assert ("non-simple-tile", "tile 1 is not simple") in report.failures
 
 
 def test_one_lattice_reduction_per_check(monkeypatch):
