@@ -13,8 +13,8 @@ import cmath
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
+from ._value import value_type
 from .geom import MERGE_TOL, Isometry, Polygon, first_violation, rotation, signed_area
 from .hexagon import _spec, classify, spec_from_polygon
 from .lattice import HnfTriple, IntBasis, check_count, check_height, check_lattice, check_modulus
@@ -45,25 +45,19 @@ class GenericityWarning(UserWarning):
     """The constructed prototile violates its type's genericity conditions."""
 
 
-@dataclass(frozen=True)
+@value_type("i", "t")
 class FreeVector:
     """Free vector with initial point ``i`` and terminal point ``t``."""
 
-    i: complex
-    t: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "i", complex(self.i))
-        object.__setattr__(self, "t", complex(self.t))
+    def __init__(self, i: complex, t: complex) -> None:
+        i, t = complex(i), complex(t)
         try:
-            short = abs(self.t - self.i) <= MERGE_TOL
+            short = abs(t - i) <= MERGE_TOL
         except OverflowError:  # longer than any float: the hexagon test refuses it
             short = False
         if short:
-            raise ModuliViolation(
-                f"free vector from {self.i} to {self.t} has zero length",
-                "degenerate",
-            )
+            raise ModuliViolation(f"free vector from {i} to {t} has zero length", "degenerate")
+        self.__dict__.update(i=i, t=t)
 
 
 def _free_vector(sigma) -> FreeVector:
@@ -73,28 +67,30 @@ def _free_vector(sigma) -> FreeVector:
     return FreeVector(complex(i), complex(t))
 
 
-@dataclass(frozen=True)
+@value_type("alpha", "beta", "tiles", "provenance")
 class TorusTiling:
-    """Tiles filling one fundamental domain of the lattice Z*alpha + Z*beta."""
+    """Tiles filling one fundamental domain of the lattice Z*alpha + Z*beta.
 
-    alpha: complex
-    beta: complex
-    tiles: tuple[Polygon, ...]
-    provenance: dict = field(default_factory=dict)
+    ``provenance`` defaults to a new empty dict.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "tiles", tuple(self.tiles))
-        if not self.tiles:
+    def __init__(
+        self,
+        alpha: complex,
+        beta: complex,
+        tiles: tuple[Polygon, ...],
+        provenance: dict | None = None,
+    ) -> None:
+        alpha, beta, tiles = complex(alpha), complex(beta), tuple(tiles)
+        if not tiles:
             raise ValueError("tiling needs at least one tile")
-        check_lattice(self.alpha, self.beta)
-        covol = self.covolume
-        total = sum(abs(signed_area(t)) for t in self.tiles)
+        check_lattice(alpha, beta)
+        covol = covolume(alpha, beta)
+        total = sum(abs(signed_area(t)) for t in tiles)
         if abs(total - covol) > 1e-6 * covol:
-            raise ValueError(
-                f"tile area {total} does not fill the fundamental domain {covol}"
-            )
+            raise ValueError(f"tile area {total} does not fill the fundamental domain {covol}")
+        provenance = {} if provenance is None else provenance
+        self.__dict__.update(alpha=alpha, beta=beta, tiles=tiles, provenance=provenance)
 
     @property
     def covolume(self) -> float:
@@ -105,15 +101,16 @@ class TorusTiling:
         return self.beta / self.alpha
 
 
-@dataclass(frozen=True)
+@value_type("tiles", "provenance")
 class PlanarPatch:
-    """Finite set of planar tiles expanded from a torus tiling."""
+    """Finite set of planar tiles expanded from a torus tiling.
 
-    tiles: tuple[Polygon, ...]
-    provenance: dict = field(default_factory=dict)
+    ``provenance`` defaults to a new empty dict.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tiles", tuple(self.tiles))
+    def __init__(self, tiles: tuple[Polygon, ...], provenance: dict | None = None) -> None:
+        provenance = {} if provenance is None else provenance
+        self.__dict__.update(tiles=tuple(tiles), provenance=provenance)
 
 
 def _glide_ii(y: float) -> Isometry:
@@ -157,7 +154,10 @@ def _cover_iii(target: complex, h: HnfTriple, bound: int) -> complex | None:
     return OMEGA3 if first and lattices_isometric(covering_modulus(OMEGA3, h), target) else None
 
 
-@dataclass(frozen=True)
+@value_type(
+    "kind", "provenance", "fixed", "normalize", "lattice", "tiles", "corners", "slopes", "orbit",
+    "cover",
+)
 class Family:
     """A family of minimal tilings whose tiles are images of one prototile.
 
@@ -170,16 +170,23 @@ class Family:
     the triple h is the target torus, or None.
     """
 
-    kind: str
-    provenance: str  # the tilings' kind
-    fixed: tuple[str, ...]
-    normalize: Callable[..., tuple]
-    lattice: Callable[..., tuple[complex, complex]]
-    tiles: int
-    corners: Callable[..., tuple]
-    slopes: tuple[tuple[complex, ...], tuple[complex, ...]]
-    orbit: Callable[..., tuple[Isometry | None, ...]]
-    cover: Callable[[complex, HnfTriple, int], complex | None]
+    def __init__(
+        self,
+        kind: str,
+        provenance: str,  # the tilings' kind
+        fixed: tuple[str, ...],
+        normalize: Callable[..., tuple],
+        lattice: Callable[..., tuple[complex, complex]],
+        tiles: int,
+        corners: Callable[..., tuple],
+        slopes: tuple[tuple[complex, ...], tuple[complex, ...]],
+        orbit: Callable[..., tuple[Isometry | None, ...]],
+        cover: Callable[[complex, HnfTriple, int], complex | None],
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, provenance=provenance, fixed=fixed, normalize=normalize, lattice=lattice,
+            tiles=tiles, corners=corners, slopes=slopes, orbit=orbit, cover=cover,
+        )
 
     def check(self, fixed) -> tuple:
         """The fixed parameters, a sequence (None for none), normalized."""
@@ -338,7 +345,7 @@ def strip_tiling(
     sigma,
     signs,
     mode: str = "torus",
-    extent: int = 1,
+    extent: int | None = None,
 ) -> TorusTiling | PlanarPatch:
     """Tiling built from vertical two-tile strips with chosen directions.
 
@@ -348,7 +355,8 @@ def strip_tiling(
     pins Im(2t - i) = h/2 for the free vector. With mode="torus" the sign
     word is one period of the tiling, giving 2*len(signs) tiles; with
     mode="patch" the word is laid out literally as a finite planar patch of
-    2*(2*extent+1) tiles per strip.
+    2*(2*extent+1) tiles per strip (extent 1 by default). Only patch mode
+    takes an extent.
     """
     h, w, s = float(h), float(w), float(s)
     if not (h > 0 and w > 0):
@@ -356,7 +364,9 @@ def strip_tiling(
     word = _parse_signs(signs)
     if mode not in ("torus", "patch"):
         raise ValueError(f"mode must be 'torus' or 'patch', got {mode!r}")
-    extent = check_count(extent, "extent")
+    if mode == "torus" and extent is not None:
+        raise ValueError("mode 'torus' does not take an extent; mode 'patch' does")
+    extent = check_count(1 if extent is None else extent, "extent")
     if extent < 0:
         raise ValueError(f"extent must not be negative, got {extent}")
     sigma = _free_vector(sigma)

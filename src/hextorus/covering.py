@@ -11,7 +11,8 @@ from __future__ import annotations
 from ._np import np
 from .construct import FAMILIES, TorusTiling, family, translates
 from .geom import corner_table
-from .lattice import HnfTriple, LatticeFrame, NearPairs, check_count, check_modulus, enumerate_hnf
+from .lattice import HnfTriple, LatticeFrame, NearPairs, check_bound, check_count, check_modulus
+from .lattice import enumerate_hnf
 
 MINIMAL_TILE_COUNT = {kind: f.tiles for kind, f in FAMILIES.items()}
 
@@ -99,8 +100,6 @@ def enumerate_coverings(
     tile_count = check_count(tile_count, "tile count")
     if tile_count < 1 or tile_count % fam.tiles != 0:
         raise ValueError(f"tile count {tile_count} is not a positive multiple of {fam.tiles}")
-    bound = check_count(bound, "search bound")
-    if bound < 1:
-        raise ValueError(f"search bound must be at least 1, got {bound}")
+    bound = check_bound(bound)
     triples = enumerate_hnf(tile_count // fam.tiles)
     return [(h, x) for h in triples if (x := fam.cover(target, h, bound)) is not None]

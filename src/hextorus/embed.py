@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from ._np import np
+from ._value import value_type
 from .lattice import LatticeFrame, UnimodularMap, check_height, sl2_reduce
 from .validate import validate
 
@@ -48,27 +48,22 @@ def rect_embed(a: float, u, v) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-@dataclass(frozen=True)
+@value_type("a", "b", "k")
 class CurveParams:
     """Colatitude curve alpha(theta) = a + b sin(k theta) on the 2-sphere."""
 
-    a: float
-    b: float
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "k", int(self.k))
-        if self.k < 1:
+    def __init__(self, a: float, b: float, k: int) -> None:
+        a, b, k = float(a), float(b), int(k)
+        if k < 1:
             raise ValueError("k must be a positive integer")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("curve parameters must be finite")
-        if not (0.0 < self.a - abs(self.b) and self.a + abs(self.b) < math.pi):
+        if not (0.0 < a - abs(b) and a + abs(b) < math.pi):
             raise ValueError(
                 "curve must stay strictly between the poles: "
-                f"need 0 < a-|b| and a+|b| < pi, got a={self.a}, b={self.b}"
+                f"need 0 < a-|b| and a+|b| < pi, got a={a}, b={b}"
             )
+        self.__dict__.update(a=a, b=b, k=k)
 
     def colatitude(self, theta) -> np.ndarray:
         return self.a + self.b * np.sin(self.k * np.asarray(theta, dtype=float))
@@ -207,24 +202,28 @@ def _cross_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-@dataclass(frozen=True)
+@value_type("vertices", "quads", "groups", "uv", "polylines")
 class Mesh3:
     """Quad mesh in R3 with flat-coordinate preimages per vertex.
 
-    Coordinates must be finite and no quad may be degenerate.
+    vertices is (nv, 3), quads (nq, 4) vertex indices, groups (nq,) the tile
+    of each quad and uv (nv, 2) the flat coordinates of each vertex; all are
+    stored read-only. Coordinates must be finite and no quad may be
+    degenerate.
     """
 
-    vertices: np.ndarray  # (nv, 3)
-    quads: np.ndarray  # (nq, 4) vertex indices
-    groups: np.ndarray  # (nq,) tile id per quad
-    uv: np.ndarray  # (nv, 2) flat coordinates
-    polylines: tuple[np.ndarray, ...] = ()
-
-    def __post_init__(self) -> None:
-        vertices = np.asarray(self.vertices, dtype=float)
-        quads = np.asarray(self.quads, dtype=int)
-        groups = np.asarray(self.groups, dtype=int)
-        uv = np.asarray(self.uv, dtype=float)
+    def __init__(
+        self,
+        vertices: np.ndarray,
+        quads: np.ndarray,
+        groups: np.ndarray,
+        uv: np.ndarray,
+        polylines: tuple[np.ndarray, ...] = (),
+    ) -> None:
+        vertices = np.asarray(vertices, dtype=float)
+        quads = np.asarray(quads, dtype=int)
+        groups = np.asarray(groups, dtype=int)
+        uv = np.asarray(uv, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError("vertices must be (nv, 3)")
         if quads.ndim != 2 or quads.shape[1] != 4:
@@ -235,7 +234,7 @@ class Mesh3:
             raise ValueError("need one uv pair per vertex")
         if quads.size and (quads.min() < 0 or quads.max() >= len(vertices)):
             raise ValueError("quad index out of range")
-        polylines = tuple(np.asarray(p, dtype=float) for p in self.polylines)
+        polylines = tuple(np.asarray(p, dtype=float) for p in polylines)
         for p in polylines:
             if p.ndim != 2 or p.shape[1] != 3:
                 raise ValueError("polylines must be (k, 3) arrays")
@@ -256,10 +255,11 @@ class Mesh3:
                 degenerate |= bool(np.min(area) <= 1e-12)
         if degenerate:
             raise ValueError("degenerate quad in mesh")
-        for name, arr in zip(("vertices", "quads", "groups", "uv"), (vertices, quads, groups, uv)):
+        for arr in (vertices, quads, groups, uv):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "polylines", polylines)
+        self.__dict__.update(
+            vertices=vertices, quads=quads, groups=groups, uv=uv, polylines=polylines
+        )
 
 
 @functools.lru_cache(maxsize=8)
@@ -433,25 +433,24 @@ def conformality(mesh: Mesh3) -> float:
     return float(np.max(peaks))
 
 
-@dataclass(frozen=True)
+@value_type("a")
 class RectEmbedding:
     """Target surface rect_embed(a, ., .) of modulus ia."""
 
-    a: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", check_height(self.a, "a"))
+    def __init__(self, a: float) -> None:
+        self.__dict__.update(a=check_height(a, "a"))
 
     @property
     def modulus(self) -> complex:
         return 1j * self.a
 
 
-@dataclass(frozen=True)
+@value_type("curve")
 class HopfEmbedding:
     """Target surface: Hopf torus over the given curve."""
 
-    curve: CurveParams
+    def __init__(self, curve: CurveParams) -> None:
+        self.__dict__.update(curve=curve)
 
     @property
     def modulus(self) -> complex:

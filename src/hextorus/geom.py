@@ -10,9 +10,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from ._np import np
+from ._value import value_type
 
 Point2 = complex
 
@@ -33,7 +33,7 @@ def _dot(a: complex, b: complex) -> float:
     return a.real * b.real + a.imag * b.imag
 
 
-@dataclass(frozen=True)
+@value_type("mult", "shift", "reflect")
 class Isometry:
     """Plane isometry ``z -> mult * (conj(z) if reflect else z) + shift``.
 
@@ -41,15 +41,14 @@ class Isometry:
     orientation-reversing branch.
     """
 
-    mult: complex = 1.0 + 0j
-    shift: complex = 0j
-    reflect: bool = False
-
-    def __post_init__(self) -> None:
-        if not (cmath.isfinite(self.mult) and cmath.isfinite(self.shift)):
+    def __init__(
+        self, mult: complex = 1.0 + 0j, shift: complex = 0j, reflect: bool = False
+    ) -> None:
+        if not (cmath.isfinite(mult) and cmath.isfinite(shift)):
             raise ValueError("non-finite isometry data")
-        if abs(abs(self.mult) - 1.0) > 1e-12:
-            raise ValueError(f"linear part is not orthogonal: |mult|={abs(self.mult)}")
+        if abs(abs(mult) - 1.0) > 1e-12:
+            raise ValueError(f"linear part is not orthogonal: |mult|={abs(mult)}")
+        self.__dict__.update(mult=mult, shift=shift, reflect=reflect)
 
     @property
     def orientation(self) -> int:
@@ -115,7 +114,7 @@ def glide(anchor: Point2, direction: float, shift: float) -> Isometry:
     )
 
 
-@dataclass(frozen=True)
+@value_type("corners", "labels")
 class Polygon:
     """Ordered corner list with per-corner labels (default 0..n-1).
 
@@ -123,12 +122,8 @@ class Polygon:
     constructors that produce clockwise data reverse it before building.
     """
 
-    corners: tuple[Point2, ...]
-    labels: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        corners = tuple(map(complex, self.corners))
-        object.__setattr__(self, "corners", corners)
+    def __init__(self, corners: tuple[Point2, ...], labels: tuple[int, ...] = ()) -> None:
+        corners = tuple(map(complex, corners))
         if len(corners) < 3:
             raise ValueError("polygon needs at least 3 corners")
         if not all(map(cmath.isfinite, corners)):
@@ -137,10 +132,10 @@ class Polygon:
         for k, side in enumerate(map(operator.sub, corners[1:] + corners[:1], corners)):
             if abs(side) <= MERGE_TOL:
                 raise DegenerateError(f"corners {k} and {(k + 1) % n} coincide")
-        labels = tuple(self.labels) if self.labels else tuple(range(n))
+        labels = tuple(labels) if labels else tuple(range(n))
         if len(labels) != n:
             raise ValueError("label count must match corner count")
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(corners=corners, labels=labels)
 
     def __len__(self) -> int:
         return len(self.corners)
@@ -355,9 +350,11 @@ def _atoms(n: int) -> tuple:
     return crossings, tuple(distances), sides, touches
 
 
+@functools.lru_cache(maxsize=8)
 def _checks(n: int, tol: float) -> tuple:
-    """(check, corner index tuples) per kind of atom, crossings first: a loop
-    is simple where each check is True on its corners at each tuple."""
+    """(check, corner indices) per kind of atom that has any, crossings
+    first: a loop is simple where each check is True on its corners at
+    each column of the indices, whose row k holds corner k of the checks."""
     crossings, distances, sides, touches = _atoms(n)
 
     def exceeds(gap):
@@ -382,14 +379,22 @@ def _checks(n: int, tol: float) -> tuple:
     def long(a, b):
         return exceeds(b - a)
 
-    return (cross, crossings), (far, touches if 0.0 > tol else distances), (long, sides)
+    checks = []
+    plan = (cross, crossings), (far, touches if 0.0 > tol else distances), (long, sides)
+    for check, group in plan:
+        if group:
+            at = np.array(group).T
+            at.setflags(write=False)  # every call through the cache shares it
+            checks.append((check, at))
+    return tuple(checks)
 
 
 def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     """Array form of :func:`first_violation`: True where the loop is simple.
 
-    The corners are complex arrays or scalars that broadcast to one shape.
-    They are stacked into one row of corners per cell, and the cells are
+    The corners are complex arrays or scalars that broadcast to one shape,
+    or one array whose rows are the corners, such as the transpose of an
+    (f, n) stack of loops, which is read without a copy. The cells are
     decided _BLOCK at a time: each kind of distinct check (``_checks``, on
     the atom list ``_atoms`` that the scalar form shares) runs as one pass
     over the block's live cells, and the cells it rejects are dropped before
@@ -399,10 +404,13 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     within a few ulps of tol is measured as Python's abs does. NaN and
     overflow just fail or pass comparisons, without numpy warnings.
     """
-    corners = tuple(corners)
-    shape = np.broadcast_shapes(*map(np.shape, corners))
-    stack = np.stack(np.broadcast_arrays(*corners)).reshape(len(corners), -1)
-    checks = [(check, np.array(group).T) for check, group in _checks(len(corners), tol) if group]
+    if isinstance(corners, np.ndarray):
+        shape, stack = corners.shape[1:], corners.reshape(len(corners), -1)
+    else:
+        corners = tuple(corners)
+        shape = np.broadcast_shapes(*map(np.shape, corners))
+        stack = np.stack(np.broadcast_arrays(*corners)).reshape(len(corners), -1)
+    checks = _checks(len(stack), tol)
     bits = np.zeros(stack.shape[1], dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, len(bits), _BLOCK):
@@ -432,12 +440,12 @@ def is_simple(p, tol: float = MERGE_TOL) -> bool:
     return violation is None
 
 
-@dataclass(frozen=True)
+@value_type("mapping", "isometry")
 class Congruence:
     """Witness that corner k of one polygon maps to corner mapping[k] of another."""
 
-    mapping: tuple[int, ...]
-    isometry: Isometry
+    def __init__(self, mapping: tuple[int, ...], isometry: Isometry) -> None:
+        self.__dict__.update(mapping=mapping, isometry=isometry)
 
 
 def _candidates(ca, tol: float):

@@ -12,8 +12,8 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
+from ._value import value_type
 from .geom import MERGE_TOL, Polygon, corner_angles, is_simple
 
 TWO_PI = 2.0 * math.pi
@@ -24,7 +24,7 @@ class NotSimpleError(ValueError):
     """Polygon whose sides cross or touch."""
 
 
-@dataclass(frozen=True)
+@value_type("angles", "lengths")
 class HexagonSpec:
     """Angles and side lengths of a labeled hexagon.
 
@@ -32,14 +32,10 @@ class HexagonSpec:
     the length of the side from corner i to corner i+1 (mod 6).
     """
 
-    angles: tuple[float, ...]
-    lengths: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        angles = tuple(float(a) for a in self.angles)
-        lengths = tuple(float(x) for x in self.lengths)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "lengths", lengths)
+    def __init__(self, angles: tuple[float, ...], lengths: tuple[float, ...]) -> None:
+        angles = tuple(float(a) for a in angles)
+        lengths = tuple(float(x) for x in lengths)
+        self.__dict__.update(angles=angles, lengths=lengths)  # _walk reads them
         if len(angles) != 6 or len(lengths) != 6:
             raise ValueError("hexagon spec needs 6 angles and 6 lengths")
         for a in angles:
@@ -100,7 +96,11 @@ def _spec(p: Polygon) -> HexagonSpec:
     return HexagonSpec(tuple(angles), tuple(lengths))
 
 
-@dataclass(frozen=True)
+@value_type(
+    "type_i", "type_ii", "type_iii", "central", "generic_i", "generic_ii", "generic_iii",
+    "generic_central", "generic_strip", "residual_i", "residual_ii", "residual_iii",
+    "residual_central", "tol",
+)
 class TypeReport:
     """Classification flags, genericity, and worst residual per condition.
 
@@ -109,20 +109,30 @@ class TypeReport:
     length units (side conditions); each is the best over all 12 relabelings.
     """
 
-    type_i: bool
-    type_ii: bool
-    type_iii: bool
-    central: bool
-    generic_i: bool
-    generic_ii: bool
-    generic_iii: bool
-    generic_central: bool
-    generic_strip: bool
-    residual_i: float
-    residual_ii: float
-    residual_iii: float
-    residual_central: float
-    tol: float
+    def __init__(
+        self,
+        type_i: bool,
+        type_ii: bool,
+        type_iii: bool,
+        central: bool,
+        generic_i: bool,
+        generic_ii: bool,
+        generic_iii: bool,
+        generic_central: bool,
+        generic_strip: bool,
+        residual_i: float,
+        residual_ii: float,
+        residual_iii: float,
+        residual_central: float,
+        tol: float,
+    ) -> None:
+        self.__dict__.update(
+            type_i=type_i, type_ii=type_ii, type_iii=type_iii, central=central,
+            generic_i=generic_i, generic_ii=generic_ii, generic_iii=generic_iii,
+            generic_central=generic_central, generic_strip=generic_strip,
+            residual_i=residual_i, residual_ii=residual_ii, residual_iii=residual_iii,
+            residual_central=residual_central, tol=tol,
+        )
 
 
 # the corner and side read as label k in each relabeling: the 6 rotations,

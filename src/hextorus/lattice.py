@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from math import gcd
 
 from ._np import np
+from ._value import value_type
 
 TOL = 1e-9
 
@@ -57,6 +57,14 @@ def check_count(n, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {n!r}")
 
 
+def check_bound(bound) -> int:
+    """A search bound as an int; ValueError unless it is an integer >= 1."""
+    bound = check_count(bound, "search bound")
+    if bound < 1:
+        raise ValueError(f"search bound must be at least 1, got {bound}")
+    return bound
+
+
 def covolume(alpha: complex, beta: complex) -> float:
     """Signed area alpha.real*beta.imag - alpha.imag*beta.real of the cell
     spanned by alpha and then beta; positive iff Im(beta/alpha) > 0."""
@@ -88,17 +96,13 @@ def _egcd(u: int, v: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-@dataclass(frozen=True)
+@value_type("a", "b", "c", "d")
 class UnimodularMap:
     """Moebius map tau -> (c + d*tau)/(a + b*tau) with ad - bc = 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        self.__dict__.update(a=a, b=b, c=c, d=d)  # the message shows self
+        if a * d - b * c != 1:
             raise ValueError(f"determinant of {self} must be 1")
 
     def __call__(self, tau: complex) -> complex:
@@ -122,17 +126,13 @@ class UnimodularMap:
 IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
+@value_type("a", "b", "c", "d")
 class IntBasis:
     """Sublattice of Z + Z*tau generated by a + b*tau and c + d*tau."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c == 0:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        self.__dict__.update(a=a, b=b, c=c, d=d)  # the message shows self
+        if a * d - b * c == 0:
             raise SingularBasisError(f"basis {self} has zero determinant")
 
     @property
@@ -140,18 +140,15 @@ class IntBasis:
         return self.a * self.d - self.b * self.c
 
 
-@dataclass(frozen=True)
+@value_type("m", "n", "l")
 class HnfTriple:
     """Sublattice Z*m + Z*(l + n*tau) in Hermite normal form."""
 
-    m: int
-    n: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, l: int) -> None:
+        self.__dict__.update(m=m, n=n, l=l)  # the messages show self
+        if m < 1 or n < 1:
             raise ValueError(f"m and n must be positive in {self}")
-        if not 0 <= self.l < self.m:
+        if not 0 <= l < m:
             raise ValueError(f"l must satisfy 0 <= l < m in {self}")
 
     @property
@@ -274,19 +271,19 @@ def rectangular_solve(
 ) -> complex | None:
     """Purely imaginary modulus x with covering_modulus(x, h) isometric to target.
 
-    Searches the unimodular maps with all entries bounded by ``bound`` (at
-    least 1) and returns the modulus of the first one that fits (identity map
-    first), or None when none does. A None is "none up to bound", not a
-    nonexistence proof. The search table holds about 1.2*bound**2 maps (5,040
-    at the default 64), so time and memory grow with the square of the bound.
-    It is cached per (target, bound), so all triples of one target share it.
+    Searches the unimodular maps with all entries bounded by ``bound`` (an
+    integer, at least 1) and returns the modulus of the first one that fits
+    (identity map first), or None when none does. A None is "none up to
+    bound", not a nonexistence proof. The search table holds about
+    1.2*bound**2 maps (5,040 at the default 64), so time and memory grow with
+    the square of the bound. It is cached per (target, bound), so all triples
+    of one target share it.
     """
     target = check_modulus(target)
     # the same lattice, exactly: far from Re = 0 the images of the target
     # would lose its imaginary part to rounding
     target -= round(target.real)
-    if bound < 1:
-        raise ValueError(f"search bound must be at least 1, got {bound}")
+    bound = check_bound(bound)
     a, b, c0, d0, re, im, overflow = _search_images(target, bound)
     m, n, l = h.m, h.n, h.l
     # adding t to (c, d) along (a, b) shifts the image by t; pick the one

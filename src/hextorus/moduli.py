@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._np import np
+from ._value import value_type
 from .construct import B_POINT, FAMILIES, R_POINT, family, hexagon_corners
 from .geom import MERGE_TOL, _atoms, _cross, first_violation, seg_point_dist, simple_mask
 from .lattice import check_count, components
@@ -32,32 +32,29 @@ def _check_resolution(nx, ny) -> None:
         raise ValueError("grid resolution must be at least 2x2")
 
 
-@dataclass(frozen=True)
+@value_type("bbox", "nx", "ny", "bits")
 class RegionGrid:
     """Boolean occupancy sampled over an axis-aligned box.
 
-    bits[k, j] is the membership at the center of cell (j, k); row 0 is the
-    bottom of the box (smallest y).
+    The box is (xmin, xmax, ymin, ymax). bits[k, j] is the membership at the
+    center of cell (j, k), stored read-only; row 0 is the bottom of the box
+    (smallest y).
     """
 
-    bbox: tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
-    nx: int
-    ny: int
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        xmin, xmax, ymin, ymax = (float(v) for v in self.bbox)
-        object.__setattr__(self, "bbox", (xmin, xmax, ymin, ymax))
-        if not all(map(math.isfinite, self.bbox)):
-            raise ValueError(f"bbox must be finite, got {self.bbox}")
+    def __init__(
+        self, bbox: tuple[float, float, float, float], nx: int, ny: int, bits: np.ndarray
+    ) -> None:
+        xmin, xmax, ymin, ymax = bbox = tuple(float(v) for v in bbox)
+        if not all(map(math.isfinite, bbox)):
+            raise ValueError(f"bbox must be finite, got {bbox}")
         if not (xmax > xmin and ymax > ymin):
-            raise ValueError(f"degenerate bbox {self.bbox}")
-        _check_resolution(self.nx, self.ny)
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.shape != (self.ny, self.nx):
+            raise ValueError(f"degenerate bbox {bbox}")
+        _check_resolution(nx, ny)
+        bits = np.asarray(bits, dtype=bool)
+        if bits.shape != (ny, nx):
             raise ValueError(f"bits shape {bits.shape} != (ny, nx)")
         bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        self.__dict__.update(bbox=bbox, nx=nx, ny=ny, bits=bits)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         """The real parts of the cell centers by column and their imaginary
@@ -318,15 +315,21 @@ def connected_components(g: RegionGrid) -> tuple[int, np.ndarray]:
     return len(roots), labels
 
 
-@dataclass(frozen=True)
+@value_type("center", "radius", "theta0", "theta1", "points")
 class Arc:
     """Circular arc sampled as a polyline."""
 
-    center: complex
-    radius: float
-    theta0: float
-    theta1: float
-    points: tuple[complex, ...]
+    def __init__(
+        self,
+        center: complex,
+        radius: float,
+        theta0: float,
+        theta1: float,
+        points: tuple[complex, ...],
+    ) -> None:
+        self.__dict__.update(
+            center=center, radius=radius, theta0=theta0, theta1=theta1, points=points
+        )
 
 
 def type_iii_boundary(samples: int) -> list[Arc]:

@@ -52,9 +52,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from ._np import np
+from ._value import value_type
 from .geom import (
     MERGE_TOL,
     _cross,
@@ -81,7 +81,7 @@ class ToleranceAmbiguityError(ValueError):
     """Corner distances fall in the undecidable band (tol, 3*tol)."""
 
 
-@dataclass(frozen=True)
+@value_type("v", "h", "e", "f", "v_k", "h_l")
 class TilingCensus:
     """Vertex/edge/tile counts of a candidate tiling.
 
@@ -91,12 +91,10 @@ class TilingCensus:
     number of sides passing through.
     """
 
-    v: int
-    h: int
-    e: int
-    f: int
-    v_k: dict[int, int]
-    h_l: dict[int, int]
+    def __init__(
+        self, v: int, h: int, e: int, f: int, v_k: dict[int, int], h_l: dict[int, int]
+    ) -> None:
+        self.__dict__.update(v=v, h=h, e=e, f=f, v_k=v_k, h_l=h_l)
 
     @property
     def identities_hold(self) -> bool:
@@ -107,11 +105,15 @@ class TilingCensus:
         )
 
 
-@dataclass(frozen=True)
+@value_type("passed", "census", "failures")
 class ValidationReport:
-    passed: bool
-    census: TilingCensus
-    failures: tuple[tuple[str, str], ...]
+    """Verdict of :func:`validate`: whether the tiling passed, its census,
+    and its failures as (kind, message) pairs."""
+
+    def __init__(
+        self, passed: bool, census: TilingCensus, failures: tuple[tuple[str, str], ...]
+    ) -> None:
+        self.__dict__.update(passed=passed, census=census, failures=failures)
 
 
 class _Analysis:

@@ -169,6 +169,20 @@ def test_broadcast_shapes(tol):
     assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
 
 
+@pytest.mark.parametrize("tol", TOLS)
+def test_stacked_corners(tol):
+    # the transpose of an (f, 6) stack of loops, as validate passes it, and
+    # a stack with more axes give the bits of the corners one by one
+    rng = np.random.default_rng(13)
+    shape = (3000, 6)
+    jitter = rng.normal(0.0, 0.45, shape) + 1j * rng.normal(0.0, 0.45, shape)
+    loops = np.exp(1j * np.pi * np.arange(6) / 3) + jitter
+    expected = array_oracle.simple_mask(tuple(loops.T), tol)
+    assert expected.any() and not expected.all()
+    assert_same_bits(simple_mask(loops.T, tol), expected)
+    assert_same_bits(simple_mask(loops.T.reshape(6, 60, 50), tol), expected.reshape(60, 50))
+
+
 def test_touching_and_degenerate_cells():
     # free parameters on a lattice through the type-iii boundary points, so
     # that some cells touch or collapse exactly

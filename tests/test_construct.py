@@ -288,6 +288,15 @@ class TestStrip:
         patch = strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", mode="patch", extent=0.0)
         assert len(patch.tiles) == 2
 
+    @pytest.mark.parametrize("extent", [5, 1, 0])
+    def test_torus_mode_refuses_an_extent(self, extent):
+        message = "mode 'torus' does not take an extent; mode 'patch' does"
+        with pytest.raises(ValueError, match=message):
+            strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", extent=extent)
+        patch = strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", mode="patch")
+        assert patch == strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", mode="patch", extent=1)
+        assert len(strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+").tiles) == 2
+
     def test_unbalanced_boundary_sides_raise(self):
         with pytest.raises(ModuliViolation):
             strip_tiling(1.2, 0.9, 0.15, (0.3 + 0.45j, 0.2 + 0.4j), "+")

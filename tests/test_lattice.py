@@ -386,6 +386,13 @@ class TestRectangularSolve:
         with pytest.raises(ValueError, match="bound must be at least 1"):
             rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), bound)
 
+    def test_bound_taken_as_a_count(self):
+        with pytest.raises(ValueError, match=r"search bound must be an integer, got 2\.5"):
+            rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), 2.5)
+        h = HnfTriple(1, 3, 0)
+        got = rectangular_solve(self.TARGET, h, 12.0)
+        assert got is not None and got == rectangular_solve(self.TARGET, h, 12)
+
 
 def test_window_oracle_random_bases():
     rng = random.Random(20260814)
