@@ -4,9 +4,10 @@
 of its fields and without compiling any code; importing ``dataclasses`` (and
 with it ``inspect``) and compiling those methods for every class cost a cold
 ``import hextorus`` about 15 ms on a 2-vCPU x86-64 host with Python 3.11.
-Each class writes its own ``__init__``, which checks its arguments and
-stores them with ``self.__dict__.update``, so an instance's dict holds its
-fields and nothing else.
+A class writes an ``__init__`` only to check or normalise its arguments,
+storing them with ``self.__dict__.update``; the others take their fields
+positionally or by name. Either way an instance's dict holds its fields and
+nothing else.
 """
 
 from operator import attrgetter
@@ -33,9 +34,11 @@ def value_type(*fields: str):
     Instances equal the instances of the same class whose fields are equal,
     hash as the tuple of their fields (a TypeError if one is unhashable),
     show as ``Name(field=value, ...)`` and refuse the assignment and the
-    deletion of any attribute.
+    deletion of any attribute. A class without an ``__init__`` of its own
+    gets one that takes each field once, positionally or by name.
     """
     get = attrgetter(*fields)
+    names = frozenset(fields)
     key = get if len(fields) > 1 else lambda self: (get(self),)
 
     def __hash__(self):
@@ -46,10 +49,20 @@ def value_type(*fields: str):
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, key(self)))
         return f"{self.__class__.__qualname__}({shown})"
 
+    def __init__(self, /, *args, **kwargs):
+        self.__dict__.update(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or self.__dict__.keys() != names:
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes the fields {fields} once each, "
+                f"got {len(args)} by position and {list(kwargs)} by name"
+            )
+
     def decorate(cls):
         cls.__eq__, cls.__hash__, cls.__repr__ = _eq, __hash__, __repr__
         cls.__setattr__, cls.__delattr__ = _setattr, _delattr
         cls.__match_args__ = fields
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = __init__
         return cls
 
     return decorate

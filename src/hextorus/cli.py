@@ -278,7 +278,7 @@ def _doc_kind(provenance: dict) -> str:
     kind = provenance.get("kind", "")
     if kind == "cover" and isinstance(provenance.get("source"), dict):
         return _doc_kind(provenance["source"])
-    return kind
+    return kind if isinstance(kind, str) else ""  # no palette for a kind not a string
 
 
 def _side_label(labels, j: int) -> int:

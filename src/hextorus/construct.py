@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections.abc import Callable
 
 from ._value import value_type
 from .geom import MERGE_TOL, Isometry, Polygon, first_violation, rotation, signed_area
@@ -161,32 +160,15 @@ def _cover_iii(target: complex, h: HnfTriple, bound: int) -> complex | None:
 class Family:
     """A family of minimal tilings whose tiles are images of one prototile.
 
-    ``normalize`` checks the fixed parameters that ``fixed`` names, and
-    ``lattice``, ``corners`` and ``orbit`` take them normalized. The six
-    ``corners(*fixed, z)`` at the free parameter z (a complex scalar or
-    array) are A + B*z + C*conj(z), with per-corner ``slopes`` (B, C).
+    ``provenance`` is the tilings' kind. ``normalize`` checks the fixed
+    parameters that ``fixed`` names, and ``lattice``, ``corners`` and
+    ``orbit`` take them normalized. The six ``corners(*fixed, z)`` at the
+    free parameter z (a complex scalar or array) are A + B*z + C*conj(z),
+    with per-corner ``slopes`` (B, C).
     ``orbit`` carries the prototile to each tile (None: it is the tile).
     ``cover(target, h, bound)`` is the minimal modulus whose covering along
     the triple h is the target torus, or None.
     """
-
-    def __init__(
-        self,
-        kind: str,
-        provenance: str,  # the tilings' kind
-        fixed: tuple[str, ...],
-        normalize: Callable[..., tuple],
-        lattice: Callable[..., tuple[complex, complex]],
-        tiles: int,
-        corners: Callable[..., tuple],
-        slopes: tuple[tuple[complex, ...], tuple[complex, ...]],
-        orbit: Callable[..., tuple[Isometry | None, ...]],
-        cover: Callable[[complex, HnfTriple, int], complex | None],
-    ) -> None:
-        self.__dict__.update(
-            kind=kind, provenance=provenance, fixed=fixed, normalize=normalize, lattice=lattice,
-            tiles=tiles, corners=corners, slopes=slopes, orbit=orbit, cover=cover,
-        )
 
     def check(self, fixed) -> tuple:
         """The fixed parameters, a sequence (None for none), normalized."""

@@ -449,9 +449,6 @@ class RectEmbedding:
 class HopfEmbedding:
     """Target surface: Hopf torus over the given curve."""
 
-    def __init__(self, curve: CurveParams) -> None:
-        self.__dict__.update(curve=curve)
-
     @property
     def modulus(self) -> complex:
         return _chart(self.curve).modulus
@@ -482,27 +479,31 @@ def _point_in_polygon(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
-    """Tile index containing each flat point (a 1-d array) of the tiling's plane."""
-    alpha, beta = tiling.alpha, tiling.beta
-    reduced = LatticeFrame(alpha, beta).reduce(centers)
+    """Tile index containing each flat point (a 1-d array), each tile tried at
+    every lattice shift that brings part of it into the reduced points' cell."""
+    frame = LatticeFrame(tiling.alpha, tiling.beta)
+    alpha, beta, reduced = frame.alpha, frame.beta, frame.reduce(centers)
     labels = np.full(len(centers), -1, dtype=int)
     todo = np.arange(len(centers))  # the unlabelled points; only they are tested
+    copies = []  # the tile and centroid of each tile copy tried
     for index, tile in enumerate(tiling.tiles):
         corners = np.array(tile.corners, dtype=complex)
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
+        centroid = np.mean(corners)
+        frac = frame.frac(corners)  # the shifts are padded: a reduced point may round to 1
+        low, high = np.ceil(-frac.max(axis=0) - 1e-9), np.floor(1.0 - frac.min(axis=0) + 1e-9)
+        for da in range(int(low[0]), int(high[0]) + 1):
+            for db in range(int(low[1]), int(high[1]) + 1):
                 if not len(todo):
                     return labels
                 hit = _point_in_polygon(corners + da * alpha + db * beta, reduced[todo])
                 labels[todo[hit]] = index
                 todo = todo[~hit]
+                copies.append((index, centroid + (da * alpha + db * beta)))
     # Boundary-of-tile centers can escape the even-odd test; snap them to
-    # the nearest tile centroid so every quad gets a group.
+    # the tile of the nearest centroid among the copies tried.
     if len(todo):
-        centroids = np.array([np.mean(np.array(t.corners)) for t in tiling.tiles], dtype=complex)
-        offsets = np.array([da * alpha + db * beta for da in (-1, 0, 1) for db in (-1, 0, 1)])
-        d = np.abs(reduced[todo][:, None, None] - (centroids[:, None] + offsets))
-        labels[todo] = np.argmin(d.min(axis=2), axis=1)
+        owners, centroids = map(np.array, zip(*copies))
+        labels[todo] = owners[np.argmin(np.abs(reduced[todo][:, None] - centroids), axis=1)]
     return labels
 
 

@@ -444,9 +444,6 @@ def is_simple(p, tol: float = MERGE_TOL) -> bool:
 class Congruence:
     """Witness that corner k of one polygon maps to corner mapping[k] of another."""
 
-    def __init__(self, mapping: tuple[int, ...], isometry: Isometry) -> None:
-        self.__dict__.update(mapping=mapping, isometry=isometry)
-
 
 def _candidates(ca, tol: float):
     """The correspondences :func:`congruent` tries, in its order: (reflect,

@@ -109,31 +109,6 @@ class TypeReport:
     length units (side conditions); each is the best over all 12 relabelings.
     """
 
-    def __init__(
-        self,
-        type_i: bool,
-        type_ii: bool,
-        type_iii: bool,
-        central: bool,
-        generic_i: bool,
-        generic_ii: bool,
-        generic_iii: bool,
-        generic_central: bool,
-        generic_strip: bool,
-        residual_i: float,
-        residual_ii: float,
-        residual_iii: float,
-        residual_central: float,
-        tol: float,
-    ) -> None:
-        self.__dict__.update(
-            type_i=type_i, type_ii=type_ii, type_iii=type_iii, central=central,
-            generic_i=generic_i, generic_ii=generic_ii, generic_iii=generic_iii,
-            generic_central=generic_central, generic_strip=generic_strip,
-            residual_i=residual_i, residual_ii=residual_ii, residual_iii=residual_iii,
-            residual_central=residual_central, tol=tol,
-        )
-
 
 # the corner and side read as label k in each relabeling: the 6 rotations,
 # then the 6 reflected rotations

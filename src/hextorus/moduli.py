@@ -319,18 +319,6 @@ def connected_components(g: RegionGrid) -> tuple[int, np.ndarray]:
 class Arc:
     """Circular arc sampled as a polyline."""
 
-    def __init__(
-        self,
-        center: complex,
-        radius: float,
-        theta0: float,
-        theta1: float,
-        points: tuple[complex, ...],
-    ) -> None:
-        self.__dict__.update(
-            center=center, radius=radius, theta0=theta0, theta1=theta1, points=points
-        )
-
 
 def type_iii_boundary(samples: int) -> list[Arc]:
     """Three boundary arcs of the type iii moduli region.

@@ -91,11 +91,6 @@ class TilingCensus:
     number of sides passing through.
     """
 
-    def __init__(
-        self, v: int, h: int, e: int, f: int, v_k: dict[int, int], h_l: dict[int, int]
-    ) -> None:
-        self.__dict__.update(v=v, h=h, e=e, f=f, v_k=v_k, h_l=h_l)
-
     @property
     def identities_hold(self) -> bool:
         return (
@@ -109,11 +104,6 @@ class TilingCensus:
 class ValidationReport:
     """Verdict of :func:`validate`: whether the tiling passed, its census,
     and its failures as (kind, message) pairs."""
-
-    def __init__(
-        self, passed: bool, census: TilingCensus, failures: tuple[tuple[str, str], ...]
-    ) -> None:
-        self.__dict__.update(passed=passed, census=census, failures=failures)
 
 
 class _Analysis:

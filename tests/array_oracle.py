@@ -18,6 +18,12 @@ unchanged, apart from this header and its imports, so that
 ``test_array_oracle.py`` and ``test_scalar_oracle.py`` can compare the new
 code against them bit for bit. The scalar walk's ``seg_seg_dist`` and
 ``seg_point_dist`` are the mask's, which do the same arithmetic on scalars.
+
+The tile assignment is the one changed copy. It tried the lattice shifts
+{-1, 0, 1} per axis and snapped a point no tile held to the nearest of nine
+centroid copies, which mislabels a tile that reaches two periods out of the
+fundamental parallelogram. Here it tries the shifts {-4..4} per axis and
+snaps over those 81 copies, a stricter reference.
 """
 
 from __future__ import annotations
@@ -304,6 +310,10 @@ def _point_in_polygon(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     return inside
 
 
+# the lattice shifts, per axis, that the tile assignment tries
+SHIFTS = range(-4, 5)
+
+
 def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
     """Tile index containing each flat point of the tiling's plane."""
     alpha, beta = tiling.alpha, tiling.beta
@@ -311,8 +321,8 @@ def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
     labels = np.full(centers.shape, -1, dtype=int)
     for index, tile in enumerate(tiling.tiles):
         corners = np.array(tile.corners, dtype=complex)
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
+        for da in SHIFTS:
+            for db in SHIFTS:
                 todo = labels < 0
                 if not todo.any():
                     return labels
@@ -324,9 +334,7 @@ def _assign_tiles(tiling, centers: np.ndarray) -> np.ndarray:
         centroids = np.array(
             [np.mean(np.array(t.corners)) for t in tiling.tiles], dtype=complex
         )
-        offsets = np.array(
-            [da * alpha + db * beta for da in (-1, 0, 1) for db in (-1, 0, 1)]
-        )
+        offsets = np.array([da * alpha + db * beta for da in SHIFTS for db in SHIFTS])
         miss = np.nonzero(labels < 0)
         pts = reduced[miss]
         d = np.abs(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import random
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -433,6 +434,89 @@ class TestRenderSvg:
         root = ET.parse(out_path).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         assert len(root.findall(f".//{ns}polygon")) == 3 * 4
+
+
+    @pytest.mark.parametrize("where", ["kind", "source-kind"])
+    def test_kind_not_a_string_gets_no_palette(self, tmp_path, capsys, where):
+        # as an unknown kind does: every side black
+        path = construct_doc(tmp_path, "i")
+        cover = str(tmp_path / "cover.json")
+        assert main(["cover", path, "--m=1", "--n=2", "--l=0", "-o", cover]) == 0
+        doc = json.loads(open(cover).read())
+        if where == "kind":
+            doc["provenance"]["kind"] = ["x"]
+        else:
+            doc["provenance"]["source"]["kind"] = {}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        out_path = str(tmp_path / "tiling.svg")
+        assert main(["render", "svg", str(tmp_path / "bad.json"), "-o", out_path]) == 0
+        assert capsys.readouterr().err == ""
+        ns = "{http://www.w3.org/2000/svg}"
+        lines = ET.parse(out_path).getroot().findall(f".//{ns}line")
+        assert len(lines) == 24 and {line.get("stroke") for line in lines} == {"#000000"}
+
+
+# what a mutation puts in place of a value, or None to delete the entry
+MUTANTS = [
+    lambda: None, lambda: True, lambda: False, lambda: math.nan, lambda: 1e308, lambda: -1e308,
+    lambda: "x", lambda: [0.5, 1], lambda: {"kind": "type_i"},
+]
+DROP = "drop"
+
+
+def entries(node, path=()):
+    """The path of every entry below a parsed document's root, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from entries(value, path + (key,))
+
+
+def mutate(doc, rng: random.Random) -> None:
+    """Replace one entry of the document by a mutant, or delete it."""
+    *parents, key = rng.choice(list(entries(doc)))
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    mutant = rng.choice(MUTANTS + [DROP])
+    if mutant is DROP:
+        del parent[key]
+    else:
+        parent[key] = mutant()
+
+
+def run_in_process(capsys, argv) -> tuple[int, str]:
+    """main's exit code for argv (2 for an argparse exit) and its stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_documents_never_crash(tmp_path, capsys, seed):
+    # each command returns 0 or 1, or exits 2 through argparse, with at most
+    # one error line; an exception or a RuntimeWarning (an error under the
+    # pytest settings) fails the test
+    rng = random.Random(seed)
+    sources = {kind: json.loads(open(construct_doc(tmp_path, kind)).read()) for kind in CONSTRUCT_ARGS}
+    bad, out = str(tmp_path / "bad.json"), str(tmp_path / "out")
+    commands = [
+        ["validate", bad], ["classify", bad], ["cover", bad, "--m=1", "--n=2", "--l=0", "-o", out],
+        ["render", "svg", bad, "-o", out], ["render", "obj", bad, "--embed=rect", "--res=8", "-o", out],
+    ]
+    capsys.readouterr()
+    for _ in range(100):
+        doc = json.loads(json.dumps(sources[rng.choice(sorted(sources))]))
+        for _ in range(rng.randint(1, 3)):
+            mutate(doc, rng)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        for argv in commands:
+            code, err = run_in_process(capsys, argv)
+            assert code in (0, 1, 2), (argv, doc)
+            assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (argv, doc, err)
 
 
 class TestRenderObj:

@@ -177,6 +177,38 @@ def test_keyword_construction_with_defaults():
     assert Arc(center=0j, radius=1.0, theta0=0.0, theta1=1.0, points=()) == Arc(0j, 1.0, 0.0, 1.0, ())
 
 
+# the types whose __init__ value_type gives: each field once, by position or name
+STORED = [Congruence, Family, TypeReport, TilingCensus, ValidationReport, HopfEmbedding, Arc]
+
+
+@pytest.mark.parametrize("cls", STORED, ids=NAME)
+def test_stored_fields_by_position_or_name(cls):
+    names, make = VALUES[cls]
+    value = make()
+    fields = fields_of(value)
+    assert cls(*fields) == value == cls(**dict(zip(names, fields)))
+    assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == value
+    assert vars(cls(*fields)) == dict(zip(names, fields))
+
+
+@pytest.mark.parametrize("cls", STORED, ids=NAME)
+def test_stored_fields_refuse_a_bad_call(cls):
+    names, make = VALUES[cls]
+    fields = fields_of(make())
+    calls = [
+        ((), dict(zip(names[1:], fields[1:]))),  # one missing
+        (fields[:-1], {}),  # the last missing
+        (fields, {"extra": 0}),  # one unknown
+        (fields, {names[0]: fields[0]}),  # one repeated
+        (fields + (0,), {}),  # one surplus
+    ]
+    for args, kwargs in calls:
+        given = f"got {len(args)} by position and {list(kwargs)} by name"
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert str(info.value) == f"{cls.__name__}() takes the fields {names} once each, {given}"
+
+
 def test_provenance_not_shared():
     a, b = TorusTiling(1, 1j, [Polygon(SQUARE)]), TorusTiling(1, 1j, [Polygon(SQUARE)])
     assert a.provenance is not b.provenance
