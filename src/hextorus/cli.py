@@ -29,7 +29,7 @@ from .construct import (
 from .covering import build_cover, enumerate_coverings
 from .geom import Polygon
 from .hexagon import classify, spec_from_polygon
-from .lattice import HnfTriple, covolume
+from .lattice import HnfTriple, check_count, covolume
 from .validate import validate
 
 FORMAT_TAG = "tiling-document/1"
@@ -86,11 +86,20 @@ def serialize_document(doc: dict) -> str:
     return "".join(parts) + "\n"
 
 
+# arrays and objects a document may nest, so that the recursive readers and
+# writers here (repr, _emit, _provenance_json) stay inside Python's
+# recursion limit on everything that parses
+_MAX_DEPTH = 100
+_TOO_DEEP = f"document: arrays and objects nested more than {_MAX_DEPTH} deep"
+
+
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:  # nested past what the parser follows
+        raise DocumentError(_TOO_DEEP) from None
     _check_document(doc)
     return doc
 
@@ -118,6 +127,14 @@ def _pair(value, field: str) -> complex:
 def _check_document(doc) -> None:
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
+    level = [doc]
+    for _ in range(_MAX_DEPTH):  # the arrays and objects one level down
+        level = [
+            v for x in level for v in (x.values() if type(x) is dict else x)
+            if type(v) in (list, dict)  # json.loads makes these, no subclasses
+        ]
+    if level:
+        raise DocumentError(_TOO_DEEP)
     if doc.get("format") != FORMAT_TAG:
         raise DocumentError(f"format: expected {FORMAT_TAG!r}, got {doc.get('format')!r}")
     lattice = doc.get("lattice")
@@ -290,6 +307,7 @@ def _side_label(labels, j: int) -> int:
 
 def write_svg(tiling, extent: int = 1) -> str:
     """SVG drawing of extent x extent fundamental-domain translates."""
+    extent = check_count(extent, "extent")
     if extent < 1:
         raise ValueError("extent must be at least 1")
     palette = _PALETTES.get(_doc_kind(tiling.provenance), {})

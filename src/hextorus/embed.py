@@ -15,7 +15,7 @@ import math
 
 from ._np import np
 from ._value import value_type
-from .lattice import LatticeFrame, UnimodularMap, check_height, sl2_reduce
+from .lattice import LatticeFrame, UnimodularMap, check_count, check_height, sl2_reduce
 from .validate import validate
 
 
@@ -53,7 +53,7 @@ class CurveParams:
     """Colatitude curve alpha(theta) = a + b sin(k theta) on the 2-sphere."""
 
     def __init__(self, a: float, b: float, k: int) -> None:
-        a, b, k = float(a), float(b), int(k)
+        a, b, k = float(a), float(b), check_count(k, "k")
         if k < 1:
             raise ValueError("k must be a positive integer")
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -323,6 +323,7 @@ def rect_torus_mesh(a: float, nu: int, nv: int) -> Mesh3:
     Uniform in u; v runs over one period [-a/2, a/2] at equal tube angle.
     The uv attribute records the true flat coordinates.
     """
+    nu, nv = check_count(nu, "nu"), check_count(nv, "nv")
     if nu < 8 or nv < 8:
         raise ValueError("resolutions must be at least 8")
     return _grid_mesh(*_rect_surface(float(a), nu, nv))
@@ -348,6 +349,7 @@ def hopf_torus_mesh(
     Flat coordinates zeta are recorded per vertex; the seam vertices at
     theta = 2 pi and t = 2 pi are duplicated rather than stitched.
     """
+    n_theta, n_phi = check_count(n_theta, "n_theta"), check_count(n_phi, "n_phi")
     if n_theta < 8 or n_phi < 8:
         raise ValueError("resolutions must be at least 8")
     chart = _chart(curve)
@@ -523,6 +525,8 @@ def drape_tiling(
     shift testing only the centers still unlabelled. The result is one
     _grid_mesh, so the mesh is checked once, with its polylines.
     """
+    subdivisions = check_count(subdivisions, "subdivisions")
+    surface_res = check_count(surface_res, "surface resolution")
     if subdivisions < 32:
         raise ValueError("need at least 32 subdivisions per edge")
     if surface_res < 1:
@@ -544,10 +548,9 @@ def drape_tiling(
     def to_flat(z: np.ndarray) -> np.ndarray:
         return lam * (np.asarray(z, dtype=complex) / tiling.alpha)
 
-    n = int(surface_res)
     if isinstance(target, RectEmbedding):
         a = target.a
-        points, uv = _rect_surface(a, n, n)
+        points, uv = _rect_surface(a, surface_res, surface_res)
         centers = (uv[:-1, :-1] + uv[1:, 1:]) / 2.0
         flat_centers = (centers[..., 0] + 1j * centers[..., 1]).ravel()
 
@@ -556,7 +559,7 @@ def drape_tiling(
 
     elif isinstance(target, HopfEmbedding):
         chart = _chart(target.curve)
-        points, uv = _hopf_surface(chart, n, n)
+        points, uv = _hopf_surface(chart, surface_res, surface_res)
         zeta = uv[..., 0] + 1j * uv[..., 1]
         flat_centers = (
             zeta[:-1, :-1] + zeta[1:, 1:] + zeta[:-1, 1:] + zeta[1:, :-1]

@@ -226,13 +226,13 @@ def _seg_point_gap(a, b, p):
     return a + t * ab - p
 
 
-def _crosses(a, b, c, d):
-    """True where the segments ab and cd cross: each has one end strictly
-    left of the other's line and one end not (scalars or arrays)."""
-    ab, cd = b - a, d - c
-    return ((_cross(ab, c - a) > 0) != (_cross(ab, d - a) > 0)) & (
-        (_cross(cd, a - c) > 0) != (_cross(cd, b - c) > 0)
-    )
+def _orient(p, q, r):
+    """Orientation cross(q - p, r - p) of the corners p, q, r, positive where
+    r lies strictly left of the line pq (scalars or arrays). Written out, not
+    through _cross, which would add a call to each of the 24 that the scalar
+    test of a hexagon takes."""
+    u, v = q - p, r - p
+    return u.real * v.imag - u.imag * v.real
 
 
 @functools.lru_cache(maxsize=8)
@@ -260,24 +260,19 @@ def _tests(n: int) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _scalar_plan(n: int) -> tuple:
-    """What first_violation reads: ``_tests(n)``, then its pickers of the
-    crossings, distances and sides of ``_atoms(n)``."""
+    """What first_violation reads: ``_tests(n)``, the triples of
+    ``_orients(n)``, then pickers of the crossings of ``_atoms(n)`` each with
+    its rows, and of its distances and sides."""
     tests = _tests(n)
     pickers = {pick(range(n)): pick for *_, picks in tests for pick in picks}
-    return tests, *(tuple(map(pickers.get, group)) for group in _atoms(n)[:3])
+    triples, rows = _orients(n)
+    crossings, distances, sides, _ = (tuple(map(pickers.get, group)) for group in _atoms(n))
+    return tests, triples, tuple(zip(crossings, rows)), distances, sides
 
 
-_CHECK = {2: lambda a, b: abs(b - a), 3: seg_point_dist, 4: _crosses}  # by corner count
-
-
-def _passes_outright(c, check: dict, tol: float, crossings, distances, sides) -> bool:
-    """Whether the loop c has no crossing and every distance and side above
-    tol, crossings first, as they reject most loops. The checks it works
-    out are kept in check, by the picker of their corners."""
-    for pick in crossings:
-        check[pick] = crossed = _crosses(*pick(c))
-        if crossed:
-            return False
+def _passes_outright(c, check: dict, tol: float, distances, sides) -> bool:
+    """Whether every distance and side of the loop c is above tol. The
+    distances it works out are kept in check, by the picker of their corners."""
     for pick in distances:
         check[pick] = gap = abs(_seg_point_gap(*pick(c)))
         if not gap > tol:
@@ -292,15 +287,16 @@ def first_violation(corners, tol: float = MERGE_TOL):
     side indices. Unlike :func:`is_simple` this never raises, so callers can
     treat degeneracy as plain rejection; a length past the float range
     (Python's abs raises OverflowError) fails the first test that reads it,
-    as a NaN one does. The tests rest on the distinct
-    checks of ``_atoms``, as :func:`simple_mask` does, each worked out at
-    most once per call; only a loop that fails one runs the tests in order.
+    as a NaN one does. The tests rest on ``_orients`` and the distinct checks
+    of ``_atoms``, as :func:`simple_mask` does, each worked out at most once
+    per call; only a loop that fails one runs the tests in order.
     """
     c = tuple(complex(z) for z in corners)
-    tests, *atoms = _scalar_plan(len(c))
-    check = {}
+    tests, triples, crossings, *atoms = _scalar_plan(len(c))
+    left = [_orient(c[p], c[q], c[r]) > 0 for p, q, r in triples]
+    check = {pick: left[i] != left[j] and left[k] != left[l] for pick, (i, j, k, l) in crossings}
     try:
-        if _passes_outright(c, check, tol, *atoms):
+        if not any(check.values()) and _passes_outright(c, check, tol, *atoms):
             return None
     except OverflowError:  # from abs: decided where the tests reach it
         pass
@@ -309,7 +305,7 @@ def first_violation(corners, tol: float = MERGE_TOL):
         if pick not in check:
             at = pick(c)
             try:
-                check[pick] = _CHECK[len(at)](*at)
+                check[pick] = seg_point_dist(*at) if len(at) == 3 else abs(at[1] - at[0])
             except OverflowError:  # -inf fails the test, whatever the other distances
                 check[pick] = -math.inf
         return check[pick]
@@ -344,18 +340,30 @@ def _atoms(n: int) -> tuple:
         tuple(dict.fromkeys(picks[0](range(n)) for k, _, _, picks in _tests(n) if k == kind))
         for kind in ("cross", "touch", "degenerate")
     )
-    distances = dict.fromkeys(touches)
-    for a, b, c, d in crossings:  # the ends of each side against the other side
-        distances.update(dict.fromkeys([(a, b, c), (a, b, d), (c, d, a), (c, d, b)]))
-    return crossings, tuple(distances), sides, touches
+    return crossings, tuple(dict.fromkeys(touches + _orients(n)[0])), sides, touches
+
+
+@functools.lru_cache(maxsize=8)
+def _orients(n: int) -> tuple:
+    """The orientations the crossings of ``_atoms(n)`` read: (the distinct
+    corner triples (p, q, r) of ``_orient``, side by side, each side pq with
+    the n - 2 corners r off it; each crossing's four rows among them, the
+    distances of its cross test in ``_tests``). A hexagon has 24 for 9."""
+    roles = [[pick(range(n)) for pick in picks[1:]] for k, *_, picks in _tests(n) if k == "cross"]
+    triples = tuple(sorted(set(itertools.chain.from_iterable(roles))))
+    row = {t: k for k, t in enumerate(triples)}
+    return triples, tuple(tuple(map(row.get, r)) for r in roles)
 
 
 @functools.lru_cache(maxsize=8)
 def _checks(n: int, tol: float) -> tuple:
     """(check, corner indices) per kind of atom that has any, crossings
     first: a loop is simple where each check is True on its corners at
-    each column of the indices, whose row k holds corner k of the checks."""
-    crossings, distances, sides, touches = _atoms(n)
+    each column of the indices, whose row k holds corner k of the checks.
+    The crossings' check reads the orientations of ``_orients(n)``."""
+    _, distances, sides, touches = _atoms(n)
+    triples, rows = _orients(n)
+    roles = np.array(rows, dtype=np.intp).reshape(-1, 4).T  # roles[k, j]: role k of crossing j
 
     def exceeds(gap):
         # |gap| > tol as Python's abs decides it: numpy's complex abs can
@@ -371,20 +379,25 @@ def _checks(n: int, tol: float) -> tuple:
     def far(a, b, p):
         return exceeds(_seg_point_gap(a, b, p))
 
-    def cross(a, b, c, d):
+    def cross(p, q, r):
+        ab_c, ab_d, cd_a, cd_b = (_orient(p, q, r) > 0).reshape(len(triples), -1)[roles]
+        crossed = (ab_c != ab_d) & (cd_a != cd_b)
         if 0.0 > tol:  # a crossing's distance 0 passes, whatever the four others
-            return _crosses(a, b, c, d) | far(a, b, c) & far(a, b, d) & far(c, d, a) & far(c, d, b)
-        return np.logical_not(_crosses(a, b, c, d))
+            return crossed | far(p, q, r).reshape(len(triples), -1)[roles].all(axis=0)
+        return ~crossed
 
     def long(a, b):
         return exceeds(b - a)
 
     checks = []
-    plan = (cross, crossings), (far, touches if 0.0 > tol else distances), (long, sides)
-    for check, group in plan:
+    if triples:  # each side's two ends once, against its n - 2 far corners
+        side = np.array(triples, dtype=np.intp).reshape(n, -1, 3)
+        side.setflags(write=False)  # every call through the cache shares it
+        checks.append((cross, (side[:, :1, 0], side[:, :1, 1], side[:, :, 2])))
+    for check, group in (far, touches if 0.0 > tol else distances), (long, sides):
         if group:
             at = np.array(group).T
-            at.setflags(write=False)  # every call through the cache shares it
+            at.setflags(write=False)
             checks.append((check, at))
     return tuple(checks)
 
@@ -396,10 +409,11 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     or one array whose rows are the corners, such as the transpose of an
     (f, n) stack of loops, which is read without a copy. The cells are
     decided _BLOCK at a time: each kind of distinct check (``_checks``, on
-    the atom list ``_atoms`` that the scalar form shares) runs as one pass
-    over the block's live cells, and the cells it rejects are dropped before
-    the next kind: the crossings, which reject most loops, then each
-    point-side distance once, then the sides. A cell's bit is the AND of the
+    the tables ``_atoms`` and ``_orients`` that the scalar form shares) runs
+    as one pass over the block's live cells, and the cells it rejects are
+    dropped before the next kind: the crossings, which reject most loops,
+    read from each orientation worked out once, then each point-side
+    distance once, then the sides. A cell's bit is the AND of the
     comparisons its tests make in array arithmetic, except that a length
     within a few ulps of tol is measured as Python's abs does. NaN and
     overflow just fail or pass comparisons, without numpy warnings.
@@ -417,7 +431,7 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
             block = stack[:, lo : lo + _BLOCK]
             live = np.arange(lo, lo + block.shape[1])
             for check, at in checks:  # at[k] is corner k of each check
-                keep = np.flatnonzero(check(*block[at]).all(axis=0))
+                keep = np.flatnonzero(check(*(block[k] for k in at)).all(axis=0))
                 if len(keep) < len(live):
                     block, live = block[:, keep], live[keep]
             bits[live] = True

@@ -168,6 +168,7 @@ def hnf_of_basis(basis: IntBasis | tuple[int, int, int, int]) -> HnfTriple:
 
 def enumerate_hnf(index: int) -> list[HnfTriple]:
     """All HNF triples of the given sublattice index, sorted by (m, l)."""
+    index = check_count(index, "index")
     if index < 1:
         raise ValueError("index must be a positive integer")
     triples = []

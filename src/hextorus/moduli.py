@@ -21,7 +21,7 @@ import math
 from ._np import np
 from ._value import value_type
 from .construct import B_POINT, FAMILIES, R_POINT, family, hexagon_corners
-from .geom import MERGE_TOL, _atoms, _cross, first_violation, seg_point_dist, simple_mask
+from .geom import MERGE_TOL, _atoms, _cross, _orients, first_violation, seg_point_dist, simple_mask
 from .lattice import check_count, components
 
 KINDS = tuple(FAMILIES)
@@ -113,45 +113,29 @@ class _Certificates:
     The corners are real-affine in the free parameter z = x + iy:
     A + B*z + C*conj(z), with the family's exact ``slopes`` (B, C). At the
     offset (x, y) from the box centre they are at + x*dx + y*dy, with
-    dx = B + C and dy = i(B - C). So each crossing orientation, the signed
-    area of one of 18 corner triangles, is a real quadratic in (x, y): over
-    a block of half-widths (hx, hy) it differs from its centre value by at
-    most its exact gradient there times the half-widths plus its constant
-    quadratic part. The distance of corner p from the side ab (a side
-    length is that of its far end from the side aa) moves at most by the
-    larger of the reaches |d| hx + |e| hy of p - a and p - b, d and e their
-    slopes. A bound decides only beyond a margin of _ROUNDING times the
-    coordinate scale (squared for orientations), far above the rounding of
-    these bounds and of the per-cell arithmetic, so a block within rounding
-    of a sign change or of tol stays undecided.
+    dx = B + C and dy = i(B - C). So each of the 24 orientations of
+    ``geom._orients(6)``, twice the signed area of a corner triangle, is a
+    real quadratic in (x, y): over a block of half-widths (hx, hy) it
+    differs from its centre value by at most its exact gradient there times
+    the half-widths plus its constant quadratic part. The distance of corner
+    p from the side ab (a side length is that of its far end from the side
+    aa) moves at most by the larger of the reaches |d| hx + |e| hy of p - a
+    and p - b, d and e their slopes. A bound decides only beyond a margin of
+    _ROUNDING times the coordinate scale (squared for orientations), far
+    above the rounding of these bounds and of the per-cell arithmetic, so a
+    block within rounding of a sign change or of tol stays undecided.
     """
 
     def __init__(self, key, fixed, tol, xs, ys):
         self.tol = tol
-        crossings, distances, sides, _ = _atoms(6)
-        # orientations cross(q - p, r - p) as in geom._crosses, by role
-        # (a, b, c), (a, b, d), (c, d, a), (c, d, b) and then by crossing
-        orients = [
-            t
-            for role in zip(*(((a, b, c), (a, b, d), (c, d, a), (c, d, b)) for a, b, c, d in crossings))
-            for t in role
-        ]
-        triangles = {t: i for i, t in enumerate(sorted({tuple(sorted(t)) for t in orients}))}
-        self.crossings = len(crossings)
-
-        def rows(p, q, r):
-            # orientation (p, q, r) is + or - the area of its triangle, as
-            # (p, q, r) is an even or odd permutation of it
-            i, n = triangles[tuple(sorted((p, q, r)))], len(triangles)
-            return (i, i + n) if (p < q) + (q < r) + (p < r) in (1, 3) else (i + n, i)
-
-        # per orientation, its rows in (area certainly > 0, area certainly < 0)
-        self.signs_at = np.array([rows(*t) for t in orients]).T
+        _, distances, sides, _ = _atoms(6)
+        triples, rows = _orients(6)
+        self.roles = np.array(rows).T  # roles[k, j]: the orientation of role k of crossing j
         b, c = (np.array(v, complex) for v in FAMILIES[key].slopes)
         self.dx, self.dy = b + c, 1j * (b - c)
         self.x0, self.y0 = (xs[0] + xs[-1]) / 2, (ys[0] + ys[-1]) / 2
         self.at = np.array(hexagon_corners(key, fixed, complex(self.x0, self.y0)), complex)
-        p, q, r = np.array(list(triangles)).T
+        p, q, r = np.array(triples).T
         u, v = self.at[q] - self.at[p], self.at[r] - self.at[p]
         pu, pv = self.dx[q] - self.dx[p], self.dx[r] - self.dx[p]
         qu, qv = self.dy[q] - self.dy[p], self.dy[r] - self.dy[p]
@@ -187,8 +171,8 @@ class _Certificates:
         value = c + 0.5 * (x * (gx + cx) + y * (gy + cy))
         spread = np.abs(gx) * hx + np.abs(gy) * hy
         spread += np.abs(cxx) * (hx * hx) + np.abs(cxy) * (hx * hy) + np.abs(cyy) * (hy * hy)
-        sure = np.concatenate([value - spread > self.margin2, value + spread < -self.margin2])
-        return tuple(sure[k].reshape(4, self.crossings, len(x)) for k in self.signs_at)
+        pos, neg = value - spread > self.margin2, value + spread < -self.margin2
+        return pos[self.roles], neg[self.roles]
 
     def far(self, x, y, hx, hy):
         """Per distance (the distance atoms, then the sides) and block: the

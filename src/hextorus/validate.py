@@ -29,8 +29,9 @@ The per-tile checks run as a few array passes over one flat corner table
 (``geom.corner_table``) instead of Python loops over tiles, corners and
 clusters, each with the formulas of the scalar code:
 - simplicity of the 6-corner tiles, one pass per kind of check over the
-  (f, 6) stack, a block of tiles at a time: 9 side crossings, each
-  point-side distance once (24) and 6 side lengths (``geom.simple_mask``);
+  (f, 6) stack, a block of tiles at a time: 9 side crossings read from 24
+  orientations, each point-side distance once (24) and 6 side lengths
+  (``geom.simple_mask``);
 - orientation, tile areas and corner angles, from per-tile shoelace sums in
   corner order and ``math.atan2``, so every value is the scalar one;
 - vertex degrees and angle sums per cluster, through ``np.bincount``;

@@ -143,6 +143,16 @@ def test_bounds_hold_over_blocks(name, tol):
     assert pos.any() and neg.any() and far.any()
 
 
+def test_signs_come_by_role_crossing_and_block():
+    kind, fixed = GRIDS["cs"]
+    key, norm = _normalize_fixed(kind, fixed)
+    sure = _Certificates(key, norm, 1e-9, np.array([-3.0, 3.0]), np.array([-3.0, 3.0]))
+    x, y = np.linspace(-1.0, 1.0, 5), np.linspace(1.0, -1.0, 5)
+    pos, neg = sure.signs(x, y, np.full(5, 0.01), np.full(5, 0.01))
+    assert pos.shape == neg.shape == (4, len(_atoms(6)[0]), 5)
+    assert pos.any() and neg.any() and not (pos & neg).any()
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("name", sorted(GRIDS))

@@ -17,6 +17,7 @@ from hextorus.cli import (
     parse_document,
     serialize_document,
     tiling_from_document,
+    write_svg,
 )
 from hextorus.construct import GenericityWarning
 
@@ -435,6 +436,12 @@ class TestRenderSvg:
         ns = "{http://www.w3.org/2000/svg}"
         assert len(root.findall(f".//{ns}polygon")) == 3 * 4
 
+    def test_extent_must_be_integral(self, tmp_path):
+        with open(construct_doc(tmp_path, "iii")) as fh:
+            tiling = tiling_from_document(parse_document(fh.read()))
+        with pytest.raises(ValueError, match=r"^extent must be an integer, got 1\.5$"):
+            write_svg(tiling, extent=1.5)
+        assert write_svg(tiling, extent=2.0) == write_svg(tiling, extent=2)
 
     @pytest.mark.parametrize("where", ["kind", "source-kind"])
     def test_kind_not_a_string_gets_no_palette(self, tmp_path, capsys, where):
@@ -517,6 +524,40 @@ def test_mutated_documents_never_crash(tmp_path, capsys, seed):
             code, err = run_in_process(capsys, argv)
             assert code in (0, 1, 2), (argv, doc)
             assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (argv, doc, err)
+
+
+def nested_document(tmp_path, name: str) -> str:
+    """A valid document whose extra key holds 100,000 nested arrays, or whose
+    provenance nests 990 or 900 cover sources, written as text."""
+    with open(construct_doc(tmp_path, "i")) as fh:
+        doc = json.load(fh)
+    provenance = json.dumps(doc.pop("provenance"))
+    head = json.dumps(doc)[:-1] + ', "provenance": '
+    if name == "arrays":
+        return head + provenance + ', "extra": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    levels = int(name)
+    return head + '{"kind": "cover", "source": ' * levels + provenance + "}" * levels + "}"
+
+
+@pytest.mark.parametrize("name", ["arrays", "990", "900"])
+def test_deeply_nested_documents_never_crash(tmp_path, capsys, name):
+    # every command handles the document or refuses it alike, with one error
+    # line; the first two are past what the parser can follow
+    path, out = str(tmp_path / "deep.json"), str(tmp_path / "out")
+    (tmp_path / "deep.json").write_text(nested_document(tmp_path, name))
+    commands = [
+        ["validate", path], ["classify", path],
+        ["cover", path, "--m=1", "--n=2", "--l=0", "-o", out], ["render", "svg", path, "-o", out],
+    ]
+    capsys.readouterr()
+    codes = []
+    for argv in commands:
+        code, err = run_in_process(capsys, argv)
+        assert code in (0, 1) and "Traceback" not in err, (argv, err)
+        assert sum(line.startswith("error:") for line in err.splitlines()) == code, (argv, err)
+        codes.append(code)
+    assert len(set(codes)) == 1
+    assert name == "900" or codes[0] == 1
 
 
 class TestRenderObj:

@@ -89,6 +89,12 @@ class TestCurveParams:
         with pytest.raises(ValueError):
             CurveParams(1.0, 0.5, 0)
 
+    def test_k_must_be_integral(self):
+        with pytest.raises(ValueError, match=r"^k must be an integer, got 1\.5$"):
+            CurveParams(1.5, 0.3, 1.5)
+        curve = CurveParams(1.0, 0.3, 3.0)
+        assert curve == CurveParams(1.0, 0.3, 3) and type(curve.k) is int
+
     def test_colatitude_evaluation(self):
         curve = CurveParams(1.0, 0.3, 3)
         theta = np.linspace(0, 2 * math.pi, 13)
@@ -227,6 +233,18 @@ class TestMeshBuilders:
         with pytest.raises(ValueError):
             rect_torus_mesh(1.0, 4, 16)
 
+    def test_rect_mesh_resolutions_must_be_integral(self):
+        with pytest.raises(ValueError, match=r"^nu must be an integer, got 8\.5$"):
+            rect_torus_mesh(1, 8.5, 8)
+        mesh = rect_torus_mesh(1, 16.0, 12.0)
+        assert np.array_equal(mesh.vertices, rect_torus_mesh(1, 16, 12).vertices)
+
+    def test_hopf_mesh_resolutions_must_be_integral(self):
+        with pytest.raises(ValueError, match=r"^n_theta must be an integer, got 8\.5$"):
+            hopf_torus_mesh(OMEGA3_CURVE, 8.5, 8)
+        mesh, _ = hopf_torus_mesh(OMEGA3_CURVE, 8.0, 8.0)
+        assert np.array_equal(mesh.vertices, hopf_torus_mesh(OMEGA3_CURVE, 8, 8)[0].vertices)
+
     def test_hopf_mesh_modulus_matches_invariants(self):
         mesh, modulus = hopf_torus_mesh(CurveParams(1.0, 0.0, 1), 16, 16)
         assert mesh.vertices.shape == (17 * 17, 3)
@@ -328,6 +346,21 @@ class TestDrapeTiling:
         tiling = type_i_minimal(2j, self.sigma())
         with pytest.raises(ValueError):
             drape_tiling(tiling, RectEmbedding(2.0), subdivisions=16)
+
+    def test_surface_res_must_be_integral(self):
+        tiling = type_i_minimal(2j, self.sigma())
+        with pytest.raises(ValueError, match=r"^surface resolution must be an integer, got 24\.9$"):
+            drape_tiling(tiling, RectEmbedding(2.0), surface_res=24.9)
+        mesh = drape_tiling(tiling, RectEmbedding(2.0), surface_res=24.0)
+        again = drape_tiling(tiling, RectEmbedding(2.0), surface_res=24)
+        assert np.array_equal(mesh.quads, again.quads) and len(mesh.quads) == 24 * 24
+
+    def test_subdivisions_must_be_integral(self):
+        tiling = type_i_minimal(2j, self.sigma())
+        with pytest.raises(ValueError, match=r"^subdivisions must be an integer, got 32\.5$"):
+            drape_tiling(tiling, RectEmbedding(2.0), surface_res=24, subdivisions=32.5)
+        mesh = drape_tiling(tiling, RectEmbedding(2.0), surface_res=24, subdivisions=32.0)
+        assert all(len(loop) == 1 + 6 * 32 for loop in mesh.polylines)
 
     def test_invalid_tiling_refused(self):
         base = type_i_minimal(2j, self.sigma())

@@ -20,7 +20,7 @@ from hextorus.geom import (
     Isometry,
     Polygon,
     _atoms,
-    _crosses,
+    _orients,
     _tests,
     congruent,
     corner_angle,
@@ -315,13 +315,31 @@ def test_atoms_of_a_hexagon():
     assert all(b == (a + 1) % 6 and p not in (a, b) for a, b, p in distances)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_orientation_table_holds_each_role_triple_once(n):
+    triples, rows = _orients(n)
+    crossings = _atoms(n)[0]
+    roles = [[(a, b, c), (a, b, d), (c, d, a), (c, d, b)] for a, b, c, d in crossings]
+    assert len(triples) == len(set(triples))
+    assert set(triples) == {t for role in roles for t in role}
+    assert len(rows) == len(crossings)
+    assert [[triples[k] for k in row] for row in rows] == roles
+    assert len(triples) == (0 if n == 3 else n * (n - 2))  # each side against n - 2 corners
+
+
 def atom_passes(at, corners, tol):
     """Whether the check on the corners at passes: a crossing (a, b, c, d)
     where the sides ab and cd do not cross, a distance (a, b, p) or a side
     (a, b) where it exceeds tol."""
     z = [corners[k] for k in at]
-    if len(at) == 4:
-        return not _crosses(*z)
+    if len(at) == 4:  # each side has one end strictly left of the other's line, one not
+        a, b, c, d = z
+
+        def left(p, q, r):
+            u, v = q - p, r - p
+            return u.real * v.imag - u.imag * v.real > 0
+
+        return not (left(a, b, c) != left(a, b, d) and left(c, d, a) != left(c, d, b))
     if len(at) == 3:
         return seg_point_dist(*z) > tol
     return abs(z[1] - z[0]) > tol

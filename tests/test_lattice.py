@@ -224,6 +224,11 @@ class TestEnumerateHnf:
     def test_index_one(self):
         assert enumerate_hnf(1) == [HnfTriple(1, 1, 0)]
 
+    def test_index_must_be_integral(self):
+        with pytest.raises(ValueError, match=r"^index must be an integer, got 2\.5$"):
+            enumerate_hnf(2.5)
+        assert enumerate_hnf(6.0) == enumerate_hnf(6)
+
     def test_index_six(self):
         got = enumerate_hnf(6)
         want = [

@@ -173,24 +173,24 @@ def counting(monkeypatch, name):
 )
 def test_a_simple_hexagon_works_out_each_check_once(monkeypatch, corners):
     distances = counting(monkeypatch, "_seg_point_gap")
-    crossings = counting(monkeypatch, "_crosses")
+    orientations = counting(monkeypatch, "_orient")
     assert first_violation(corners) is None
     assert len(distances) <= 24
-    assert len(crossings) <= 9
+    assert len(orientations) == len(set(orientations)) == 24
     assert array_oracle.first_violation(corners) is None
 
 
 def test_a_rejected_loop_works_out_each_check_at_most_once(monkeypatch):
     distances = counting(monkeypatch, "_seg_point_gap")
-    crossings = counting(monkeypatch, "_crosses")
+    orientations = counting(monkeypatch, "_orient")
     # random corners, all distinct, so that equal arguments mean one check
     for seed in range(30):
         for corners in loops(seed, "random"):
             distances.clear()
-            crossings.clear()
+            orientations.clear()
             first_violation(corners, 0.3)
             assert len(distances) == len(set(distances))
-            assert len(crossings) == len(set(crossings))
+            assert len(orientations) == len(set(orientations))
 
 
 def random_specs(seed: int, count: int = 8):
