@@ -299,8 +299,9 @@ def _doc_kind(provenance: dict) -> str:
 
 
 def _side_label(labels, j: int) -> int:
-    nxt = labels[(j + 1) % 6]
-    if nxt == (labels[j] + 1) % 6:
+    n = len(labels)
+    nxt = labels[(j + 1) % n]
+    if nxt == (labels[j] + 1) % n:
         return labels[j]
     return nxt
 
@@ -323,9 +324,8 @@ def write_svg(tiling, extent: int = 1) -> str:
                 corners = [c + shift for c in tile.corners]
                 pts = " ".join(f"{c.real:.9g},{-c.imag:.9g}" for c in corners)
                 fills.append(f'<polygon points="{pts}" fill="#f5f5f0" stroke="none"/>')
-                for s in range(6):
-                    a = corners[s]
-                    b = corners[(s + 1) % 6]
+                for s, a in enumerate(corners):
+                    b = corners[(s + 1) % len(corners)]
                     color = palette.get(_side_label(tile.labels, s), "#000000")
                     strokes.append(
                         f'<line x1="{a.real:.9g}" y1="{-a.imag:.9g}" '

@@ -312,9 +312,11 @@ def _parse_signs(signs) -> tuple[int, ...]:
             raise ValueError(f"sign word may only contain + and -, got {bad[0]!r}")
         word = [1 if ch == "+" else -1 for ch in signs]
     else:
-        word = [int(v) for v in signs]
-        if any(v not in (1, -1) for v in word):
-            raise ValueError("sign sequence entries must be +1 or -1")
+        word = list(signs)
+        bad = [v for v in word if v not in (1, -1)]  # 1.0 is 1, 1.5 is refused
+        if bad:
+            raise ValueError(f"sign sequence entries must be +1 or -1, got {bad[0]!r}")
+        word = [1 if v == 1 else -1 for v in word]
     if not word:
         raise ValueError("sign word must be nonempty")
     return tuple(word)

@@ -228,56 +228,50 @@ def _seg_point_gap(a, b, p):
 
 def _orient(p, q, r):
     """Orientation cross(q - p, r - p) of the corners p, q, r, positive where
-    r lies strictly left of the line pq (scalars or arrays). Written out, not
-    through _cross, which would add a call to each of the 24 that the scalar
-    test of a hexagon takes."""
+    r lies strictly left of the line pq (scalars or arrays); written out, as
+    _cross would add a call to each of the 24 rows of a hexagon."""
     u, v = q - p, r - p
     return u.real * v.imag - u.imag * v.real
 
 
 @functools.lru_cache(maxsize=8)
-def _tests(n: int) -> tuple:
-    """The simplicity tests of an n-corner loop in reporting order, as
-    (kind, i, j, pickers of the corners of the checks of ``_atoms`` it reads):
-    the loop is simple iff every test's distance exceeds the tolerance."""
-    nxt = [(k + 1) % n for k in range(n)]  # side k runs from corner k to nxt[k]
-    pick = functools.cache(operator.itemgetter)  # one picker per check
-    tests = [("degenerate", k, nxt[k], (pick(k, nxt[k]),)) for k in range(n)]
+def _rows(n: int) -> tuple:
+    """The simplicity test of an n-corner loop as one table of indices:
+    (rows, crossings, tests).
+
+    A row (p, q, r), a side pq against a corner r off it, is read both as the
+    orientation ``_orient(p, q, r)`` and as the distance of r from the side;
+    the rows run side by side, side k (from corner k to k + 1) against its
+    n - 2 far corners. A crossing of the sides ab and cd is its four rows
+    (a, b, c), (a, b, d), (c, d, a), (c, d, b): they cross where both pairs
+    of signs differ. The tests, in reporting order, are (kind, i, j, at): the
+    "degenerate" side from corner i to j (at the side i), a "touch" of the
+    adjacent sides i and j (at its row) and the "cross" of the sides i and j
+    (at their crossing). The loop is simple iff each test's distance (the
+    side's length, the row's, and 0 at a crossing or else the least of its
+    rows) exceeds the tolerance. A hexagon has 24 rows and 9 crossings.
+    """
+    nxt = [(k + 1) % n for k in range(n)]
+    rows = [(k, nxt[k], r) for k in range(n) for r in range(n) if r not in (k, nxt[k])]
+    row = {triple: k for k, triple in enumerate(rows)}
+
+    def at(triple):  # below 3 corners a touch reads a corner of its own side
+        return row.setdefault(triple, len(row))
+
+    crossings, tests = [], [("degenerate", k, nxt[k], k) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if j - i == 1 or (i == 0 and j == n - 1):
                 s, t = (n - 1, 0) if (i == 0 and j == n - 1) else (i, j)
                 # adjacent sides share corner t; only the far endpoints may
                 # come near the other side
-                tests.append(("touch", s, t, (pick(t, nxt[t], s),)))
-                tests.append(("touch", s, t, (pick(s, nxt[s], nxt[t]),)))
+                tests.append(("touch", s, t, at((t, nxt[t], s))))
+                tests.append(("touch", s, t, at((s, t, nxt[t]))))
             else:
                 a, b, c, d = i, nxt[i], j, nxt[j]
-                at = ((a, b, c, d), (a, b, c), (a, b, d), (c, d, a), (c, d, b))
-                tests.append(("cross", i, j, tuple(pick(*x) for x in at)))
-    return tuple(tests)
-
-
-@functools.lru_cache(maxsize=8)
-def _scalar_plan(n: int) -> tuple:
-    """What first_violation reads: ``_tests(n)``, the triples of
-    ``_orients(n)``, then pickers of the crossings of ``_atoms(n)`` each with
-    its rows, and of its distances and sides."""
-    tests = _tests(n)
-    pickers = {pick(range(n)): pick for *_, picks in tests for pick in picks}
-    triples, rows = _orients(n)
-    crossings, distances, sides, _ = (tuple(map(pickers.get, group)) for group in _atoms(n))
-    return tests, triples, tuple(zip(crossings, rows)), distances, sides
-
-
-def _passes_outright(c, check: dict, tol: float, distances, sides) -> bool:
-    """Whether every distance and side of the loop c is above tol. The
-    distances it works out are kept in check, by the picker of their corners."""
-    for pick in distances:
-        check[pick] = gap = abs(_seg_point_gap(*pick(c)))
-        if not gap > tol:
-            return False
-    return all(abs(b - a) > tol for a, b in (pick(c) for pick in sides))
+                tests.append(("cross", i, j, len(crossings)))
+                crossings.append(tuple(map(at, ((a, b, c), (a, b, d), (c, d, a), (c, d, b)))))
+    return tuple(row), tuple(crossings), tuple(tests)
 
 
 def first_violation(corners, tol: float = MERGE_TOL):
@@ -287,83 +281,55 @@ def first_violation(corners, tol: float = MERGE_TOL):
     side indices. Unlike :func:`is_simple` this never raises, so callers can
     treat degeneracy as plain rejection; a length past the float range
     (Python's abs raises OverflowError) fails the first test that reads it,
-    as a NaN one does. The tests rest on ``_orients`` and the distinct checks
-    of ``_atoms``, as :func:`simple_mask` does, each worked out at most once
-    per call; only a loop that fails one runs the tests in order.
+    as a NaN one does. Each row of ``_rows`` is worked out once as an
+    orientation and at most once as a distance; only a loop that fails a
+    test runs the tests in order.
     """
     c = tuple(complex(z) for z in corners)
-    tests, triples, crossings, *atoms = _scalar_plan(len(c))
-    left = [_orient(c[p], c[q], c[r]) > 0 for p, q, r in triples]
-    check = {pick: left[i] != left[j] and left[k] != left[l] for pick, (i, j, k, l) in crossings}
+    rows, crossings, tests = _rows(len(c))
+    left = [_orient(c[p], c[q], c[r]) > 0 for p, q, r in rows]
+    crossed = [left[i] != left[j] and left[k] != left[l] for i, j, k, l in crossings]
+    gaps = {}  # the distances worked out, by row
     try:
-        if not any(check.values()) and _passes_outright(c, check, tol, *atoms):
-            return None
+        if not any(crossed):
+            gaps = dict(enumerate(abs(_seg_point_gap(c[p], c[q], c[r])) for p, q, r in rows))
+            sides = zip(c, c[1:] + c[:1])
+            if all(gap > tol for gap in gaps.values()) and all(abs(b - a) > tol for a, b in sides):
+                return None
     except OverflowError:  # from abs: decided where the tests reach it
         pass
 
-    def value(pick):
-        if pick not in check:
-            at = pick(c)
-            try:
-                check[pick] = seg_point_dist(*at) if len(at) == 3 else abs(at[1] - at[0])
-            except OverflowError:  # -inf fails the test, whatever the other distances
-                check[pick] = -math.inf
-        return check[pick]
+    def gap(k):
+        if k not in gaps:
+            p, q, r = rows[k]
+            gaps[k] = seg_point_dist(c[p], c[q], c[r])
+        return gaps[k]
 
-    for kind, i, j, picks in tests:
-        if kind != "cross":
-            gap = value(picks[0])
-        elif value(picks[0]):
-            gap = 0.0
-        else:
-            ab_c, ab_d, cd_a, cd_b = map(value, picks[1:])
-            gap = min(min(ab_c, ab_d), min(cd_a, cd_b))
-        if not gap > tol:  # a NaN distance fails, as in simple_mask
+    for kind, i, j, at in tests:
+        try:
+            if kind == "degenerate":
+                value = abs(c[j] - c[i])
+            elif kind == "touch":
+                value = gap(at)
+            else:  # 0 where the sides cross
+                ab_c, ab_d, cd_a, cd_b = [0.0] * 4 if crossed[at] else map(gap, crossings[at])
+                value = min(min(ab_c, ab_d), min(cd_a, cd_b))
+        except OverflowError:  # a length past the float range fails its test
+            return (kind, i, j)
+        if not value > tol:  # a NaN distance fails, as in simple_mask
             return (kind, i, j)
     return None
 
 
 @functools.lru_cache(maxsize=8)
-def _atoms(n: int) -> tuple:
-    """The distinct checks behind the tests of ``_tests(n)``, as corner index
-    tuples: (crossings, distances, sides, touches).
-
-    A crossing (a, b, c, d) asks whether the sides ab and cd cross, a
-    distance (a, b, p) is that of corner p from the side ab, a side (a, b)
-    is its length, and touches are the distances of the touch tests. A cross
-    test has its crossing and four distances, each shared with another test
-    (for a hexagon 9 crossings, 24 distances and 6 sides for 27 tests). The
-    scalar :func:`first_violation` and the array :func:`simple_mask` both
-    rest on this one list.
-    """
-    crossings, touches, sides = (
-        tuple(dict.fromkeys(picks[0](range(n)) for k, _, _, picks in _tests(n) if k == kind))
-        for kind in ("cross", "touch", "degenerate")
-    )
-    return crossings, tuple(dict.fromkeys(touches + _orients(n)[0])), sides, touches
-
-
-@functools.lru_cache(maxsize=8)
-def _orients(n: int) -> tuple:
-    """The orientations the crossings of ``_atoms(n)`` read: (the distinct
-    corner triples (p, q, r) of ``_orient``, side by side, each side pq with
-    the n - 2 corners r off it; each crossing's four rows among them, the
-    distances of its cross test in ``_tests``). A hexagon has 24 for 9."""
-    roles = [[pick(range(n)) for pick in picks[1:]] for k, *_, picks in _tests(n) if k == "cross"]
-    triples = tuple(sorted(set(itertools.chain.from_iterable(roles))))
-    row = {t: k for k, t in enumerate(triples)}
-    return triples, tuple(tuple(map(row.get, r)) for r in roles)
-
-
-@functools.lru_cache(maxsize=8)
 def _checks(n: int, tol: float) -> tuple:
-    """(check, corner indices) per kind of atom that has any, crossings
+    """(check, corner indices) per kind of check that has any, crossings
     first: a loop is simple where each check is True on its corners at
     each column of the indices, whose row k holds corner k of the checks.
-    The crossings' check reads the orientations of ``_orients(n)``."""
-    _, distances, sides, touches = _atoms(n)
-    triples, rows = _orients(n)
-    roles = np.array(rows, dtype=np.intp).reshape(-1, 4).T  # roles[k, j]: role k of crossing j
+    The crossings and the distances read the rows of ``_rows(n)``, each
+    side's two ends once against its far corners."""
+    rows, crossings, tests = _rows(n)
+    roles = np.array(crossings, dtype=np.intp).reshape(-1, 4).T  # roles[k, j]: role k of crossing j
 
     def exceeds(gap):
         # |gap| > tol as Python's abs decides it: numpy's complex abs can
@@ -376,29 +342,35 @@ def _checks(n: int, tol: float) -> tuple:
             ok[near] = np.hypot(gap.real[near], gap.imag[near]) > tol
         return ok
 
-    def far(a, b, p):
-        return exceeds(_seg_point_gap(a, b, p))
+    def far(a, b, p):  # one row per distance, of as many cells as p has
+        return exceeds(_seg_point_gap(a, b, p)).reshape(math.prod(p.shape[:-1]), -1)
 
     def cross(p, q, r):
-        ab_c, ab_d, cd_a, cd_b = (_orient(p, q, r) > 0).reshape(len(triples), -1)[roles]
+        ab_c, ab_d, cd_a, cd_b = (_orient(p, q, r) > 0).reshape(len(rows), -1)[roles]
         crossed = (ab_c != ab_d) & (cd_a != cd_b)
         if 0.0 > tol:  # a crossing's distance 0 passes, whatever the four others
-            return crossed | far(p, q, r).reshape(len(triples), -1)[roles].all(axis=0)
+            return crossed | far(p, q, r)[roles].all(axis=0)
         return ~crossed
 
     def long(a, b):
         return exceeds(b - a)
 
+    def frozen(at):
+        at.setflags(write=False)  # every call through the cache shares it
+        return at
+
     checks = []
-    if triples:  # each side's two ends once, against its n - 2 far corners
-        side = np.array(triples, dtype=np.intp).reshape(n, -1, 3)
-        side.setflags(write=False)  # every call through the cache shares it
-        checks.append((cross, (side[:, :1, 0], side[:, :1, 1], side[:, :, 2])))
-    for check, group in (far, touches if 0.0 > tol else distances), (long, sides):
-        if group:
-            at = np.array(group).T
-            at.setflags(write=False)
-            checks.append((check, at))
+    if rows:
+        side = frozen(np.array(rows, dtype=np.intp).reshape(n, -1, 3))
+        ends = side[:, :1, 0], side[:, :1, 1], side[:, :, 2]
+        if crossings:
+            checks.append((cross, ends))
+        if 0.0 > tol:  # the cross check reads the rows that no touch reads
+            touches = dict.fromkeys(rows[at] for kind, *_, at in tests if kind == "touch")
+            ends = frozen(np.array(list(touches)).T)
+        checks.append((far, ends))
+    sides = [(i, j) for kind, i, j, _ in tests if kind == "degenerate"]
+    checks.append((long, frozen(np.array(sides).T)))
     return tuple(checks)
 
 
@@ -408,15 +380,15 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     The corners are complex arrays or scalars that broadcast to one shape,
     or one array whose rows are the corners, such as the transpose of an
     (f, n) stack of loops, which is read without a copy. The cells are
-    decided _BLOCK at a time: each kind of distinct check (``_checks``, on
-    the tables ``_atoms`` and ``_orients`` that the scalar form shares) runs
-    as one pass over the block's live cells, and the cells it rejects are
-    dropped before the next kind: the crossings, which reject most loops,
-    read from each orientation worked out once, then each point-side
-    distance once, then the sides. A cell's bit is the AND of the
-    comparisons its tests make in array arithmetic, except that a length
-    within a few ulps of tol is measured as Python's abs does. NaN and
-    overflow just fail or pass comparisons, without numpy warnings.
+    decided _BLOCK at a time: each kind of check (``_checks``, on the rows
+    of ``_rows`` that the scalar form shares) runs as one pass over the
+    block's live cells, and the cells it rejects are dropped before the next
+    kind: the crossings, which reject most loops, from each row's
+    orientation worked out once, then each row's distance, then the sides.
+    A cell's bit is the AND of the comparisons its tests make in array
+    arithmetic, except that a length within a few ulps of tol is measured as
+    Python's abs does. NaN and overflow just fail or pass comparisons,
+    without numpy warnings.
     """
     if isinstance(corners, np.ndarray):
         shape, stack = corners.shape[1:], corners.reshape(len(corners), -1)

@@ -49,6 +49,8 @@ def check_height(y, name: str) -> float:
 
 def check_count(n, name: str) -> int:
     """n as an int; ValueError unless it is integral (12.0 is 12)."""
+    if n.__class__ is int:  # the common case, without converting it twice
+        return n
     try:
         if int(n) == n:
             return int(n)
@@ -101,6 +103,7 @@ class UnimodularMap:
     """Moebius map tau -> (c + d*tau)/(a + b*tau) with ad - bc = 1."""
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        a, b, c, d = check_count(a, "a"), check_count(b, "b"), check_count(c, "c"), check_count(d, "d")
         self.__dict__.update(a=a, b=b, c=c, d=d)  # the message shows self
         if a * d - b * c != 1:
             raise ValueError(f"determinant of {self} must be 1")
@@ -131,6 +134,7 @@ class IntBasis:
     """Sublattice of Z + Z*tau generated by a + b*tau and c + d*tau."""
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        a, b, c, d = check_count(a, "a"), check_count(b, "b"), check_count(c, "c"), check_count(d, "d")
         self.__dict__.update(a=a, b=b, c=c, d=d)  # the message shows self
         if a * d - b * c == 0:
             raise SingularBasisError(f"basis {self} has zero determinant")
@@ -145,6 +149,7 @@ class HnfTriple:
     """Sublattice Z*m + Z*(l + n*tau) in Hermite normal form."""
 
     def __init__(self, m: int, n: int, l: int) -> None:
+        m, n, l = check_count(m, "m"), check_count(n, "n"), check_count(l, "l")
         self.__dict__.update(m=m, n=n, l=l)  # the messages show self
         if m < 1 or n < 1:
             raise ValueError(f"m and n must be positive in {self}")

@@ -21,7 +21,7 @@ import math
 from ._np import np
 from ._value import value_type
 from .construct import B_POINT, FAMILIES, R_POINT, family, hexagon_corners
-from .geom import MERGE_TOL, _atoms, _cross, _orients, first_violation, seg_point_dist, simple_mask
+from .geom import MERGE_TOL, _cross, _rows, first_violation, seg_point_dist, simple_mask
 from .lattice import check_count, components
 
 KINDS = tuple(FAMILIES)
@@ -108,49 +108,45 @@ _MARGIN_RANGE = (1e-280, 1e280)
 
 
 class _Certificates:
-    """Bounds on the checks of ``geom._atoms(6)`` over blocks of cells.
+    """Bounds on the simplicity test of ``geom._rows(6)`` over blocks of cells.
 
     The corners are real-affine in the free parameter z = x + iy:
     A + B*z + C*conj(z), with the family's exact ``slopes`` (B, C). At the
     offset (x, y) from the box centre they are at + x*dx + y*dy, with
-    dx = B + C and dy = i(B - C). So each of the 24 orientations of
-    ``geom._orients(6)``, twice the signed area of a corner triangle, is a
-    real quadratic in (x, y): over a block of half-widths (hx, hy) it
-    differs from its centre value by at most its exact gradient there times
-    the half-widths plus its constant quadratic part. The distance of corner
-    p from the side ab (a side length is that of its far end from the side
-    aa) moves at most by the larger of the reaches |d| hx + |e| hy of p - a
-    and p - b, d and e their slopes. A bound decides only beyond a margin of
-    _ROUNDING times the coordinate scale (squared for orientations), far
-    above the rounding of these bounds and of the per-cell arithmetic, so a
-    block within rounding of a sign change or of tol stays undecided.
+    dx = B + C and dy = i(B - C). So each of the 24 rows (a, b, p), read as
+    an orientation (twice the signed area of a corner triangle), is a real
+    quadratic in (x, y): over a block of half-widths (hx, hy) it differs from
+    its centre value by at most its exact gradient there times the
+    half-widths plus its constant quadratic part. Read as the distance of p
+    from the side ab (a side length is that of b from the side aa), it moves
+    at most by the larger of the reaches |d| hx + |e| hy of p - a and p - b,
+    d and e their slopes. A bound decides only beyond a margin of _ROUNDING
+    times the coordinate scale (squared for orientations), far above the
+    rounding of these bounds and of the per-cell arithmetic, so a block
+    within rounding of a sign change or of tol stays undecided.
     """
 
     def __init__(self, key, fixed, tol, xs, ys):
         self.tol = tol
-        _, distances, sides, _ = _atoms(6)
-        triples, rows = _orients(6)
-        self.roles = np.array(rows).T  # roles[k, j]: the orientation of role k of crossing j
+        rows, crossings, tests = _rows(6)
+        self.roles = np.array(crossings).T  # roles[k, j]: the row of role k of crossing j
+        sides = tuple((a, a, b) for kind, a, b, _ in tests if kind == "degenerate")
+        self.dist = np.array(rows + sides).T  # the rows, then the sides as distances
         b, c = (np.array(v, complex) for v in FAMILIES[key].slopes)
         self.dx, self.dy = b + c, 1j * (b - c)
         self.x0, self.y0 = (xs[0] + xs[-1]) / 2, (ys[0] + ys[-1]) / 2
         self.at = np.array(hexagon_corners(key, fixed, complex(self.x0, self.y0)), complex)
-        p, q, r = np.array(triples).T
-        u, v = self.at[q] - self.at[p], self.at[r] - self.at[p]
-        pu, pv = self.dx[q] - self.dx[p], self.dx[r] - self.dx[p]
-        qu, qv = self.dy[q] - self.dy[p], self.dy[r] - self.dy[p]
-        self.poly = tuple(
-            t[:, None]
-            for t in (
-                _cross(u, v),
-                _cross(pu, v) + _cross(u, pv),
-                _cross(qu, v) + _cross(u, qv),
-                _cross(pu, pv),
-                _cross(pu, qv) + _cross(qu, pv),
-                _cross(qu, qv),
-            )
+        p, q, r = self.dist[:, : len(rows), None]  # one row per orientation, against the blocks
+        u, pu, qu = (w[q] - w[p] for w in (self.at, self.dx, self.dy))
+        v, pv, qv = (w[r] - w[p] for w in (self.at, self.dx, self.dy))
+        self.poly = (
+            _cross(u, v),
+            _cross(pu, v) + _cross(u, pv),
+            _cross(qu, v) + _cross(u, qv),
+            _cross(pu, pv),
+            _cross(pu, qv) + _cross(qu, pv),
+            _cross(qu, qv),
         )
-        self.dist = np.array(list(distances) + [(a, a, b) for a, b in sides]).T
         a, b, p = self.dist
         self.slopes = tuple(
             np.abs(d[p] - d[e])[:, None] for e in (a, b) for d in (self.dx, self.dy)
@@ -175,8 +171,8 @@ class _Certificates:
         return pos[self.roles], neg[self.roles]
 
     def far(self, x, y, hx, hy):
-        """Per distance (the distance atoms, then the sides) and block: the
-        distance certainly exceeds tol."""
+        """Per distance (the rows, then the sides) and block: the distance
+        certainly exceeds tol."""
         corner = self.at[:, None] + self.dx[:, None] * x + self.dy[:, None] * y
         a, b, p = self.dist
         dxa, dya, dxb, dyb = self.slopes
@@ -213,8 +209,8 @@ def sample_region(
 
     The bits are those of ``simple_mask`` at every cell centre, decided a
     block of cells at a time: the grid splits into a quadtree of blocks,
-    64 cells on a side down to 4, and :class:`_Certificates` bound the
-    distinct simplicity checks (``geom._atoms``) over each block from its
+    64 cells on a side down to 4, and :class:`_Certificates` bound the rows
+    of the simplicity test (``geom._rows``) over each block from its
     centre. A block is all non-members where one crossing's four
     orientation signs are certain and say "crosses", and all members where
     every crossing is certainly uncrossed and every point-side distance and

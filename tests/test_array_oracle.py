@@ -63,7 +63,7 @@ from hextorus.embed import (
 )
 from hextorus.geom import (
     DegenerateError,
-    _atoms,
+    _rows,
     corner_angle,
     corner_angles,
     first_violation,
@@ -657,9 +657,10 @@ def test_a_crossing_clears_its_test_below_zero():
     ]
     corners = [np.array([z]) for z in loop]
     with np.errstate(all="ignore"):
-        _, distances, _, touches = _atoms(5)
-        nan = [at for at in distances if np.isnan(seg_point_dist(*(corners[k] for k in at)))]
-        assert nan and not set(nan) & set(touches)
+        rows, _, tests = _rows(5)
+        touches = {rows[at] for kind, *_, at in tests if kind == "touch"}
+        nan = [at for at in rows if np.isnan(seg_point_dist(*(corners[k] for k in at)))]
+        assert nan and not set(nan) & touches
         for tol in (-1e-3, 1e-9):
             expected = first_violation(loop, tol) is None
             assert expected == (tol < 0)

@@ -20,7 +20,7 @@ import pytest
 
 from hextorus import moduli
 from hextorus.construct import hexagon_corners
-from hextorus.geom import _atoms, seg_point_dist, simple_mask
+from hextorus.geom import _rows, seg_point_dist, simple_mask
 from hextorus.moduli import _Certificates, _normalize_fixed, membership_mask, sample_region
 from test_array_oracle import GRIDS
 
@@ -129,16 +129,18 @@ def test_bounds_hold_over_blocks(name, tol):
     px = (x + sure.x0)[:, None, None] + hx[:, None, None] * s[:, None]
     py = (y + sure.y0)[:, None, None] + hy[:, None, None] * s
     c = np.broadcast_arrays(*hexagon_corners(key, norm, (px + 1j * py).reshape(len(x), -1)))
-    crossings, distances, sides, _ = _atoms(6)
+    rows, crossings, tests = _rows(6)
     pos, neg = sure.signs(x, y, hx, hy)
     for k, role in enumerate([(0, 1, 2), (0, 1, 3), (2, 3, 0), (2, 3, 1)]):
         for j, crossing in enumerate(crossings):
-            p, q, r = (c[crossing[i]] for i in role)
+            ends = rows[crossing[0]] + rows[crossing[1]][2:]  # the sides' ends a, b, c, d
+            p, q, r = (c[ends[i]] for i in role)
             u, v = q - p, r - p
             o = u.real * v.imag - u.imag * v.real
             assert (o[pos[k, j]] > 0).all() and (o[neg[k, j]] < 0).all()
     far = sure.far(x, y, hx, hy)
-    for k, (a, b, p) in enumerate(list(distances) + [(a, a, b) for a, b in sides]):
+    sides = [(a, a, b) for kind, a, b, _ in tests if kind == "degenerate"]
+    for k, (a, b, p) in enumerate(list(rows) + sides):
         assert (seg_point_dist(c[a], c[b], c[p])[far[k]] > tol).all()
     assert pos.any() and neg.any() and far.any()
 
@@ -149,7 +151,7 @@ def test_signs_come_by_role_crossing_and_block():
     sure = _Certificates(key, norm, 1e-9, np.array([-3.0, 3.0]), np.array([-3.0, 3.0]))
     x, y = np.linspace(-1.0, 1.0, 5), np.linspace(1.0, -1.0, 5)
     pos, neg = sure.signs(x, y, np.full(5, 0.01), np.full(5, 0.01))
-    assert pos.shape == neg.shape == (4, len(_atoms(6)[0]), 5)
+    assert pos.shape == neg.shape == (4, len(_rows(6)[1]), 5)
     assert pos.any() and neg.any() and not (pos & neg).any()
 
 

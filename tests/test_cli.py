@@ -8,6 +8,7 @@ import math
 import random
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,8 @@ from hextorus.cli import (
     tiling_from_document,
     write_svg,
 )
-from hextorus.construct import GenericityWarning
+from hextorus.construct import GenericityWarning, TorusTiling
+from hextorus.geom import Polygon
 
 warnings.simplefilter("ignore", GenericityWarning)
 
@@ -84,7 +86,7 @@ class TestConstructAndValidate:
 
     def test_document_structure(self, tmp_path):
         path = construct_doc(tmp_path, "i")
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         assert doc["format"] == FORMAT_TAG
         assert len(doc["tiles"]) == 2
         assert all(len(t["corners"]) == 6 for t in doc["tiles"])
@@ -97,7 +99,7 @@ class TestConstructAndValidate:
 
     def test_perturbed_corner_fails_validation(self, tmp_path, capsys):
         path = construct_doc(tmp_path, "i")
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["tiles"][0]["corners"][0][0] += 1e-3
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
@@ -134,13 +136,13 @@ class TestConstructAndValidate:
 class TestDocumentRoundTrip:
     def test_serialize_parse_byte_identity(self, tmp_path):
         path = construct_doc(tmp_path, "cs")
-        text = open(path).read()
+        text = Path(path).read_text()
         assert serialize_document(parse_document(text)) == text
 
     def test_corners_survive_bit_exact(self, tmp_path):
         path = construct_doc(tmp_path, "iii")
-        tiling = tiling_from_document(parse_document(open(path).read()))
-        reserialized = serialize_document(parse_document(open(path).read()))
+        tiling = tiling_from_document(parse_document(Path(path).read_text()))
+        reserialized = serialize_document(parse_document(Path(path).read_text()))
         again = tiling_from_document(parse_document(reserialized))
         for a, b in zip(tiling.tiles, again.tiles):
             assert a.corners == b.corners
@@ -148,7 +150,7 @@ class TestDocumentRoundTrip:
     def test_keys_the_writer_does_not_write_are_kept(self, tmp_path, capsys):
         """A document with a validation report and another extra key still
         parses, validates and round-trips byte for byte."""
-        doc = parse_document(open(construct_doc(tmp_path, "ii")).read())
+        doc = parse_document(Path(construct_doc(tmp_path, "ii")).read_text())
         doc["validation"] = {"passed": True, "census": {"v": 8, "h": 8}, "failures": []}
         doc["note"] = "written by another tool"
         text = serialize_document(doc)
@@ -166,7 +168,7 @@ class TestDocumentRoundTrip:
 
     def test_wrong_format_tag_reports_field(self, tmp_path, capsys):
         path = construct_doc(tmp_path, "i")
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["format"] = "something-else"
         (tmp_path / "tag.json").write_text(json.dumps(doc))
         assert main(["validate", str(tmp_path / "tag.json")]) == 1
@@ -174,7 +176,7 @@ class TestDocumentRoundTrip:
 
     def test_bad_labels_report_path(self, tmp_path, capsys):
         path = construct_doc(tmp_path, "i")
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["tiles"][0]["labels"] = [0, 1, 2, 3, 4, 4]
         (tmp_path / "labels.json").write_text(json.dumps(doc))
         assert main(["validate", str(tmp_path / "labels.json")]) == 1
@@ -193,7 +195,7 @@ class TestDocumentRoundTrip:
         self, tmp_path, capsys, field, value, where
     ):
         path = construct_doc(tmp_path, "i")
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         if field == "labels":
             doc["tiles"][0]["labels"] = value
         else:
@@ -247,7 +249,7 @@ class TestDocumentRoundTrip:
 
     def test_one_huge_corner_is_one_error_line(self, tmp_path, capsys):
         path = self.scaled_readme_doc(tmp_path, 1.0)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["tiles"][1]["corners"][4] = [0.5, -2e150]
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         assert main(["validate", str(tmp_path / "bad.json")]) == 1
@@ -268,7 +270,7 @@ class TestDocumentRoundTrip:
 
     def test_stdin_dash_path(self, tmp_path, capsys, monkeypatch):
         path = construct_doc(tmp_path, "i")
-        monkeypatch.setattr("sys.stdin", io.StringIO(open(path).read()))
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(path).read_text()))
         assert main(["validate", "-"]) == 0
         assert "passed: yes" in capsys.readouterr().out
 
@@ -301,7 +303,7 @@ class TestCoverCommand:
         path = construct_doc(tmp_path, "i")
         out_path = str(tmp_path / "cover.json")
         assert main(["cover", path, "--m", "1", "--n", "3", "--l", "0", "-o", out_path]) == 0
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert len(doc["tiles"]) == 6
         assert main(["validate", out_path]) == 0
         assert "census: f=6" in capsys.readouterr().out
@@ -443,13 +445,30 @@ class TestRenderSvg:
             write_svg(tiling, extent=1.5)
         assert write_svg(tiling, extent=2.0) == write_svg(tiling, extent=2)
 
+    @pytest.mark.parametrize(
+        "corners",
+        [(0, 1, 1 + 1j, 1j), (0, 0.5, 1, 1 + 0.5j, 1 + 1j, 0.5 + 1j, 1j, 0.5j)],
+        ids=["4 corners", "8 corners"],
+    )
+    def test_every_side_of_a_tile_is_drawn(self, corners):
+        # validate reports such carriers as data, so they must draw
+        tile = Polygon(corners)
+        root = ET.fromstring(write_svg(TorusTiling(1, 1j, [tile])))
+        ns = "{http://www.w3.org/2000/svg}"
+        drawn = []
+        for line in root.findall(f".//{ns}line"):
+            x1, y1, x2, y2 = (float(line.get(k)) for k in ("x1", "y1", "x2", "y2"))
+            drawn.append((complex(x1, -y1), complex(x2, -y2)))  # the SVG's y runs down
+        c = tile.corners
+        assert drawn == [(c[k], c[(k + 1) % len(c)]) for k in range(len(c))]
+
     @pytest.mark.parametrize("where", ["kind", "source-kind"])
     def test_kind_not_a_string_gets_no_palette(self, tmp_path, capsys, where):
         # as an unknown kind does: every side black
         path = construct_doc(tmp_path, "i")
         cover = str(tmp_path / "cover.json")
         assert main(["cover", path, "--m=1", "--n=2", "--l=0", "-o", cover]) == 0
-        doc = json.loads(open(cover).read())
+        doc = json.loads(Path(cover).read_text())
         if where == "kind":
             doc["provenance"]["kind"] = ["x"]
         else:
@@ -508,7 +527,9 @@ def test_mutated_documents_never_crash(tmp_path, capsys, seed):
     # one error line; an exception or a RuntimeWarning (an error under the
     # pytest settings) fails the test
     rng = random.Random(seed)
-    sources = {kind: json.loads(open(construct_doc(tmp_path, kind)).read()) for kind in CONSTRUCT_ARGS}
+    sources = {
+        kind: json.loads(Path(construct_doc(tmp_path, kind)).read_text()) for kind in CONSTRUCT_ARGS
+    }
     bad, out = str(tmp_path / "bad.json"), str(tmp_path / "out")
     commands = [
         ["validate", bad], ["classify", bad], ["cover", bad, "--m=1", "--n=2", "--l=0", "-o", out],
@@ -569,7 +590,7 @@ class TestRenderObj:
         ) == 0
         kinds: dict[str, int] = {}
         groups = []
-        for line in open(out_path):
+        for line in Path(out_path).read_text().splitlines():
             head = line.split(" ", 1)[0]
             kinds[head] = kinds.get(head, 0) + 1
             if head == "g":
@@ -586,7 +607,7 @@ class TestRenderObj:
         assert main(
             ["render", "obj", path, "--embed", "hopf:w3", "--res", "48", "-o", out_path]
         ) == 0
-        text = open(out_path).read()
+        text = Path(out_path).read_text()
         assert "g tile_2" in text
 
     def test_oblique_modulus_needs_explicit_rect(self, tmp_path, capsys):

@@ -267,6 +267,13 @@ class TestStrip:
         assert a.provenance["signs"] == "+-" == b.provenance["signs"]
         assert len(a.tiles) == len(b.tiles)
 
+    def test_signs_must_equal_plus_or_minus_one(self):
+        message = r"^sign sequence entries must be \+1 or -1, got 1\.5$"
+        with pytest.raises(ValueError, match=message):
+            strip_tiling(1.2, 0.9, 0.15, self.SIGMA, [1.5, -1.9])
+        a = strip_tiling(1.2, 0.9, 0.15, self.SIGMA, [1.0, -1.0])
+        assert a == strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+-")
+
     def test_empty_signs_raises(self):
         with pytest.raises(ValueError):
             strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "")

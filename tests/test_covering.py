@@ -47,6 +47,14 @@ class TestBuildCover:
         assert cover.alpha == base.alpha
         assert cover.beta == base.beta
 
+    def test_integral_float_triple_is_taken(self):
+        base = type_iii_minimal(0.05 + 0.22j)
+        cover = build_cover(base, (2.0, 1, 0))
+        assert cover.provenance["triple"] == (2, 1, 0)
+        assert cover == build_cover(base, (2, 1, 0))
+        with pytest.raises(ValueError, match=r"^m must be an integer, got 2\.5$"):
+            build_cover(base, (2.5, 1, 0))
+
     def test_cover_lattice_generators(self):
         base = base_type_i()
         cover = build_cover(base, HnfTriple(2, 3, 1))

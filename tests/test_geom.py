@@ -19,9 +19,7 @@ from hextorus.geom import (
     DegenerateError,
     Isometry,
     Polygon,
-    _atoms,
-    _orients,
-    _tests,
+    _rows,
     congruent,
     corner_angle,
     first_violation,
@@ -308,23 +306,31 @@ class TestCongruent:
 
 
 def test_atoms_of_a_hexagon():
-    crossings, distances, sides, touches = _atoms(6)
-    assert (len(crossings), len(distances), len(sides), len(touches)) == (9, 24, 6, 12)
-    assert set(touches) <= set(distances)
-    # a distance (a, b, p) is that of a corner off the side ab
-    assert all(b == (a + 1) % 6 and p not in (a, b) for a, b, p in distances)
+    rows, crossings, tests = _rows(6)
+    touches = {at for kind, *_, at in tests if kind == "touch"}
+    kinds = [kind for kind, *_ in tests]
+    assert (len(crossings), len(rows), kinds.count("degenerate"), len(touches)) == (9, 24, 6, 12)
+    # a row (a, b, p) is a side ab against a corner off it
+    assert all(b == (a + 1) % 6 and p not in (a, b) for a, b, p in rows)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_orientation_table_holds_each_role_triple_once(n):
-    triples, rows = _orients(n)
-    crossings = _atoms(n)[0]
-    roles = [[(a, b, c), (a, b, d), (c, d, a), (c, d, b)] for a, b, c, d in crossings]
-    assert len(triples) == len(set(triples))
-    assert set(triples) == {t for role in roles for t in role}
-    assert len(rows) == len(crossings)
-    assert [[triples[k] for k in row] for row in rows] == roles
-    assert len(triples) == (0 if n == 3 else n * (n - 2))  # each side against n - 2 corners
+    rows, crossings, tests = _rows(n)
+    roles = {}  # by crossing, from the sides of its cross test
+    for kind, i, j, at in tests:
+        if kind == "cross":
+            a, b, c, d = i, (i + 1) % n, j, (j + 1) % n
+            roles[at] = [(a, b, c), (a, b, d), (c, d, a), (c, d, b)]
+    roles = [roles[k] for k in range(len(roles))]
+    assert len(rows) == len(set(rows)) == n * (n - 2)  # each side against n - 2 corners
+    assert len(crossings) == len(roles) == sum(kind == "cross" for kind, *_ in tests)
+    assert [[rows[k] for k in crossing] for crossing in crossings] == roles
+    if n > 3:  # every row is some crossing's role
+        assert set(rows) == {t for role in roles for t in role}
+    # every row is read by a touch or a crossing
+    touched = {at for kind, *_, at in tests if kind == "touch"}
+    assert touched | {k for crossing in crossings for k in crossing} == set(range(len(rows)))
 
 
 def atom_passes(at, corners, tol):
@@ -348,8 +354,7 @@ def atom_passes(at, corners, tol):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_each_test_passes_exactly_when_its_atoms_pass(n):
     # against the distance of each test as the reference loop works it out
-    crossings, distances, sides, _ = _atoms(n)
-    groups = {4: crossings, 3: distances, 2: sides}
+    rows, crossings, tests = _rows(n)
     rng = np.random.default_rng(n)
     used = set()
     for trial in range(300):
@@ -359,20 +364,21 @@ def test_each_test_passes_exactly_when_its_atoms_pass(n):
         if trial % 2:
             corners = [complex(round(2 * z.real) / 2, round(2 * z.imag) / 2) for z in corners]
         reference = list(array_oracle._gaps(tuple(corners)))
-        assert len(reference) == len(_tests(n))
+        assert len(reference) == len(tests)
         for tol in (0.0, 1e-9, 0.05):
-            for (kind, i, j, picks), (kind0, i0, j0, gap) in zip(_tests(n), reference):
+            for (kind, i, j, at), (kind0, i0, j0, gap) in zip(tests, reference):
                 assert (kind, i, j) == (kind0, i0, j0)
-                atoms = [pick(range(n)) for pick in picks]
-                if kind == "cross":
-                    a, b, c, d = atoms[0]
-                    assert atoms[1:] == [(a, b, c), (a, b, d), (c, d, a), (c, d, b)]
+                if kind == "degenerate":
+                    assert j == (i + 1) % n
+                    atoms = [(i, j)]
+                elif kind == "touch":
+                    atoms = [rows[at]]
                 else:
-                    assert len(atoms) == 1
-                for x in atoms:
-                    assert x in groups[len(x)]
+                    a, b, c, d = i, (i + 1) % n, j, (j + 1) % n
+                    atoms = [(a, b, c, d)] + [rows[k] for k in crossings[at]]
+                    assert atoms[1:] == [(a, b, c), (a, b, d), (c, d, a), (c, d, b)]
                 used.update(atoms)
                 expected = all(atom_passes(x, corners, tol) for x in atoms)
                 assert (gap > tol) == expected
-    # every atom serves some test
-    assert used == {x for group in groups.values() for x in group}
+    # every row serves some test
+    assert {x for x in used if len(x) == 3} == set(rows)

@@ -156,6 +156,23 @@ class TestTypes:
             HnfTriple(0, 1, 0)
         assert HnfTriple(4, 3, 1).index == 12
 
+    def test_hnf_triple_fields_are_integers(self):
+        with pytest.raises(ValueError, match=r"^m must be an integer, got 2\.5$"):
+            HnfTriple(2.5, 1, 0)
+        h = HnfTriple(2.0, 1, 0)
+        assert h == HnfTriple(2, 1, 0) and type(h.m) is int and h.index == 2
+
+    def test_int_basis_entries_are_integers(self):
+        with pytest.raises(ValueError, match=r"^a must be an integer, got 1\.5$"):
+            hnf_of_basis((1.5, 0, 0, 1))
+        assert hnf_of_basis((1.0, 0, 0, 1)) == HnfTriple(1, 1, 0)
+        assert type(IntBasis(2.0, 0, 0, 1).det) is int
+
+    def test_unimodular_entries_are_integers(self):
+        with pytest.raises(ValueError, match=r"^a must be an integer, got 1\.5$"):
+            UnimodularMap(1.5, 0, 0, 2 / 3)
+        assert UnimodularMap(1.0, 0, 0, 1.0) == IDENTITY_MAP
+
 
 class TestHnfOfBasis:
     def test_identity(self):
