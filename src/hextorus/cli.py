@@ -48,7 +48,9 @@ def _num(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    return format(float(x), ".17g")
+    if not math.isfinite(x := float(x)):  # JSON has no such number to read back
+        raise DocumentError(f"cannot serialize the number {x!r}")
+    return format(x, ".17g")
 
 
 def _emit(value, parts: list[str]) -> None:

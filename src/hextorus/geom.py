@@ -370,7 +370,7 @@ def _checks(n: int, tol: float) -> tuple:
             ends = frozen(np.array(list(touches)).T)
         checks.append((far, ends))
     sides = [(i, j) for kind, i, j, _ in tests if kind == "degenerate"]
-    checks.append((long, frozen(np.array(sides).T)))
+    checks.append((long, frozen(np.array(sides, dtype=np.intp).reshape(-1, 2).T)))
     return tuple(checks)
 
 
@@ -390,12 +390,10 @@ def simple_mask(corners, tol: float = MERGE_TOL) -> np.ndarray:
     Python's abs does. NaN and overflow just fail or pass comparisons,
     without numpy warnings.
     """
-    if isinstance(corners, np.ndarray):
-        shape, stack = corners.shape[1:], corners.reshape(len(corners), -1)
-    else:
-        corners = tuple(corners)
-        shape = np.broadcast_shapes(*map(np.shape, corners))
-        stack = np.stack(np.broadcast_arrays(*corners)).reshape(len(corners), -1)
+    if not isinstance(corners, np.ndarray):
+        corners = np.array(np.broadcast_arrays(*corners))
+    shape = corners.shape[1:]
+    stack = corners.reshape(len(corners), math.prod(shape))
     checks = _checks(len(stack), tol)
     bits = np.zeros(stack.shape[1], dtype=bool)
     with np.errstate(all="ignore"):

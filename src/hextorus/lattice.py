@@ -5,8 +5,9 @@ lattice Z + Z*tau. This module provides the SL(2,Z) action and reduction,
 Hermite normal form for finite-index sublattices, sublattice enumeration,
 covering moduli, lattice isometry tests, a bounded search for rectangular
 minimal moduli, the covolume of a lattice, the lattice frame that reduces
-points modulo a lattice and finds the pairs of points that lie close modulo
-it, and the connected components of a graph on such points.
+points modulo a lattice, the hash that finds the lattice copies of points
+that lie close to other points, and the connected components of a graph on
+such points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ TOL = 1e-9
 
 _BOUNDARY_EPS = 1e-12
 
-_CANDIDATES = 1 << 14  # candidate pairs NearPairs.pairs tests at a time
+_CANDIDATES = 1 << 14  # candidate copies a NearPairs query tests at a time
+_COPIES = 1 << 20  # copies NearPairs may store past 25 per point
 
 
 class SingularBasisError(ValueError):
@@ -337,6 +339,12 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def _finite_or_nan(pts) -> np.ndarray:
+    """The points as a flat complex array, NaN where not finite (inf warns)."""
+    pts = np.asarray(pts, dtype=complex).ravel()
+    return pts if np.isfinite(pts).all() else np.where(np.isfinite(pts), pts, np.nan)
+
+
 class LatticeFrame:
     """The lattice Z*alpha + Z*beta in coordinates.
 
@@ -389,7 +397,7 @@ class LatticeFrame:
 
 
 class NearPairs:
-    """Candidate pairs of points that lie within a radius modulo a lattice.
+    """The lattice copies of reference points within a radius of query points.
 
     A sort-based spatial hash (Teschner et al., "Optimized Spatial Hashing for
     Collision Detection of Deformable Objects", VMV 2003). The reference
@@ -397,42 +405,52 @@ class NearPairs:
     copied across its edges as far as their radius reaches, and sorted by
     square grid cell of side the largest radius; a query point reads the
     3 x 3 cells around its own reduced position with ``searchsorted``.
-    ``radius`` is one radius for all reference points, or an array of one
-    radius per reference point: a pair is then within the radius of its
-    reference point. A negative or NaN radius admits no pair, a zero one only
-    points that coincide up to rounding. Each radius is widened by a margin
-    for the rounding of the reduction, so every pair within it is found;
-    callers decide each candidate themselves.
+    ``radius`` is one radius for all reference points or one per point. A
+    negative or NaN radius admits no copy, a zero one only points that
+    coincide up to rounding. Each radius is widened by a margin for rounding,
+    1e-9 times the longer reduced basis vector plus 1e-12 times the largest
+    finite reference point, so every copy within it is found; callers decide
+    each candidate themselves. Radii so far beyond the lattice that their
+    copies would outnumber ``_COPIES`` and 25 per point keep only the copies
+    up to two reduced steps beyond the parallelogram, which hold each point's
+    nearest copy, so ``pairs`` stays complete and ``copies`` does not.
     """
 
     def __init__(self, frame: LatticeFrame, ref, radius):
+        # row i: reduced basis vector i in the caller's basis, exact integers
+        self.steps = np.round(frame.reduced.basis @ frame.inv_basis)
         self.frame = frame = frame.reduced
-        ref = np.asarray(ref, dtype=complex).ravel()
+        ref = _finite_or_nan(ref)
         self.n_ref = len(ref)
         frac = frame.frac(ref)
         finite = np.isfinite(frac).all(axis=-1)
         scale = max(abs(frame.alpha), abs(frame.beta))
         size = np.abs(ref[finite]).max(initial=0.0)
         reach = np.asarray(radius, dtype=float) + 1e-9 * scale + 1e-12 * size
-        # a negative or NaN radius admits no pair
+        # a negative or NaN radius admits no copy
         index = np.flatnonzero(finite & (reach > 0.0))
-        ref, frac = ref[index], frac[index] - np.floor(frac[index])
+        frac = frac.take(index, axis=0)  # take: row gathers at a fraction of the cost
+        home = np.floor(frac)
+        frac -= home
         reach = np.broadcast_to(reach, (self.n_ref,))[index]
         self.cell = reach.max(initial=0.0)
         # the copy of a point shifted by k*alpha + j*beta lies within reach of
         # the parallelogram only if (k, j) plus its coordinates lies within
-        # margin of [0, 1]^2; in a reduced basis the nearest copy of any point
-        # has |k|, |j| <= 1 (2 allows for rounding), whatever the radius
+        # margin of [0, 1]^2
         margin = reach[:, None] * np.hypot(frame.inv_basis[0], frame.inv_basis[1])
-        lo = np.maximum(np.ceil(-margin - frac), -2.0).astype(np.int64)
-        hi = np.minimum(np.floor(1.0 + margin - frac), 2.0).astype(np.int64)
-        span = hi - lo + 1
+        lo, hi = np.ceil(-margin - frac), np.floor(1.0 + margin - frac)
+        span = hi - lo + 1.0
+        if not np.dot(span[:, 0], span[:, 1]) <= max(_COPIES, 25 * len(index)):
+            # the nearest copy of a point has |k|, |j| <= 1 (2 for rounding)
+            lo = np.maximum(lo, -2.0)
+            span = np.minimum(hi, 2.0) - lo + 1.0
+        lo, span = lo.astype(np.int64), span.astype(np.int64)
         copies = span[:, 0] * span[:, 1]
-        src = np.repeat(np.arange(len(ref)), copies)
+        src = np.repeat(np.arange(len(index)), copies)
         j = np.arange(len(src)) - np.repeat(np.cumsum(copies) - copies, copies)
-        k0 = lo[src, 0] + j // span[src, 1]
-        k1 = lo[src, 1] + j % span[src, 1]
-        pts = (frac[src, 0] + k0) * frame.alpha + (frac[src, 1] + k1) * frame.beta
+        k = lo.take(src, axis=0) + np.stack(np.divmod(j, span[:, 1].take(src)), axis=-1)
+        pts = frac.take(src, axis=0) + k  # each copy in reduced coordinates
+        pts = pts[:, 0] * frame.alpha + pts[:, 1] * frame.beta
         cx, cy = self._cells(pts)
         # a cell is keyed by the ranks of its two coordinates, which stay below
         # the point count whatever the ratio of the coordinates to the radius
@@ -441,6 +459,8 @@ class NearPairs:
         order = np.argsort(key, kind="stable")
         src = src[order]
         self.key, self.pts, self.src, self.reach = key[order], pts[order], index[src], reach[src]
+        # each stored copy less its reference point, in reduced coordinates
+        self.shift = k.take(order, axis=0) - home.take(src, axis=0)
 
     def _cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -448,14 +468,16 @@ class NearPairs:
             np.floor(pts.imag / self.cell).astype(np.int64),
         )
 
-    def pairs(self, query) -> tuple[np.ndarray, np.ndarray]:
-        """(query index, reference index) of every pair of points within the
-        radius of each other modulo the lattice, each pair once, sorted."""
-        z = self.frame.reduce(np.asarray(query, dtype=complex).ravel())
+    def _near(self, query):
+        """Blocks of (query index, stored copy) of the stored copies within reach
+        of a query point, each with the query points' reduced coordinates' floors."""
+        frac = self.frame.frac(_finite_or_nan(query))
+        home = np.floor(frac)
+        frac -= home
+        z = frac[:, 0] * self.frame.alpha + frac[:, 1] * self.frame.beta
         index = np.flatnonzero(np.isfinite(z))
         if not len(index) or not len(self.key):
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
+            return
         cx, cy = self._cells(z[index])
         # queries by column, so that the keys searched below come nearly
         # sorted, which searchsorted reads fastest
@@ -476,7 +498,6 @@ class NearPairs:
         # so that memory stays bounded however many points the cells hold
         cuts = np.searchsorted(np.cumsum(count), np.arange(_CANDIDATES, count.sum(), _CANDIDATES))
         cuts = [0, *cuts.tolist(), len(count)]
-        keys = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             n = count[a:b]
             q = np.repeat(run_query[a:b], n)
@@ -484,6 +505,19 @@ class NearPairs:
             gap = z[q]
             gap -= self.pts[r]
             near = np.abs(gap) <= self.reach[r]
-            keys.append(index[q[near]] * self.n_ref + self.src[r[near]])
-        keys = _distinct(np.concatenate(keys))
+            q, r, gap = index[q[near]], r[near], None  # freed before the caller's turn
+            yield q, r, home
+
+    def pairs(self, query) -> tuple[np.ndarray, np.ndarray]:
+        """(query index, reference index) of every pair of points within the
+        radius of each other modulo the lattice, each pair once, sorted."""
+        keys = [q * self.n_ref + self.src[r] for q, r, _ in self._near(query)]
+        keys = _distinct(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
         return keys // self.n_ref, keys % self.n_ref
+
+    def copies(self, query):
+        """Blocks of (query index, reference index, shift), one row per copy
+        within the radius of a query point: the shift's integer coordinates
+        (exact floats) in the caller's basis carry the reference to the copy."""
+        for q, r, home in self._near(query):
+            yield q, self.src[r], (self.shift.take(r, axis=0) + home.take(q, axis=0)) @ self.steps

@@ -7,22 +7,17 @@ and the areas fill one fundamental domain. The checks work directly on corner
 coordinates and share no code with the constructors' corner formulas.
 
 Two points meet modulo the lattice when the difference of their lattice
-coordinates, less its rounding, is at most tol long. The pairs worth testing
-come from a spatial hash modulo the lattice (``lattice.NearPairs``), which
-returns every pair of points within a given radius of each other:
+coordinates, less its rounding, is at most tol long. The candidates come
+from a spatial hash modulo the lattice (``lattice.NearPairs``), which finds
+in a reduced basis every lattice copy of a point within a radius of another:
 - corner pairs within 3*tol, for clustering, for the ambiguity band
-  (tol, 3*tol], and for side matching, since side k can match side j only
-  if the start of k meets the end of j;
-- cluster and side-midpoint pairs within half that side's length plus tol,
-  each side with its own radius, for half vertices. Of the nine lattice
-  copies of a side that the half-vertex test tries for such a pair, only
-  those whose midpoint lies within that radius of the cluster, whose line
-  passes within tol of it and whose ends lie more than tol from it get the
-  full test.
-Every pair and copy the formulas could accept is among these candidates
-(each bound carries a margin for rounding), and each candidate is accepted
-or rejected by the same formulas an all-pairs comparison applies. So
-verdicts, censuses and failure lists are those of the all-pairs check,
+  (tol, 3*tol], and for side matching (side k can match side j only if the
+  start of k meets the end of j);
+- for half vertices, each copy of a side whose midpoint lies within half its
+  length plus tol of a cluster, shifted by the integer coordinates the hash
+  gives in the tiling's basis, and tested in full.
+Each candidate is decided by the formulas of an all-pairs comparison, so the
+reports are its reports, in whichever basis the tiling gives its lattice,
 while time and memory grow with the corner count instead of its square.
 
 The per-tile checks run as a few array passes over one flat corner table
@@ -68,14 +63,9 @@ from .geom import (
     seg_point_dist,
     simple_mask,
 )
-from .lattice import LatticeFrame, NearPairs, components, covolume
+from .lattice import LatticeFrame, NearPairs, _distinct, components, covolume
 
 ANGLE_TOL = 1e-9
-
-# the lattice shifts, in coordinates, around the nearest one
-_NEIGHBOURS = [(ox, oy) for ox in (-1.0, 0.0, 1.0) for oy in (-1.0, 0.0, 1.0)]
-_BLOCK = 2048  # candidate pairs per half-vertex test
-_ROUNDING = 1e-12  # half-vertex bounds' margin, relative to the coordinates
 
 
 class ToleranceAmbiguityError(ValueError):
@@ -194,52 +184,27 @@ class _Analysis:
         self.pairs = int(np.count_nonzero(k[matched] <= j[matched]))
 
     def _find_half_vertices(self) -> None:
-        # a cluster inside side s lies within half the side's length plus tol
-        # of its midpoint, within tol of its line and more than tol from both
-        # of its ends: the pairs within the first bound are the candidates,
-        # and of the nine lattice copies of the side the test tries, those
-        # within all three bounds get the full test; each bound has a margin,
-        # relative to the coordinates, far above their rounding
-        tol, frame = self.tol, self.frame
+        # a cluster inside side s lies within half its length plus tol of its
+        # midpoint; each copy that near gets the full test, in a call whose
+        # arrays go before the next block, and each (cluster, side) counts once
         mids = (self.side_p + self.side_q) / 2.0
-        side = self.side_q - self.side_p
-        length = np.abs(side)
-        size = np.abs(self.corners)
-        margin = _ROUNDING * (
-            size[np.isfinite(size)].max(initial=0.0) + abs(frame.alpha) + abs(frame.beta)
-        )
-        reach = length / 2.0 + tol + margin
-        slack = (tol + margin) * length + margin * reach  # |cross(side, offset)|
-        c, s = NearPairs(frame, mids, reach).pairs(self.reps)
-        base = np.round(frame.frac(self.reps)[c] - frame.frac(mids)[s])
-        neighbours = np.array(_NEIGHBOURS)
-        shifts = neighbours @ frame.basis
-        shifts = shifts[:, 0] + 1j * shifts[:, 1]
-        through = np.zeros(len(c), dtype=bool)
-        for lo in range(0, len(c), _BLOCK):
-            cb, sb, kb = c[lo : lo + _BLOCK], s[lo : lo + _BLOCK], base[lo : lo + _BLOCK]
-            # the offset of the cluster from the midpoint of the base copy,
-            # and then of copy base + neighbours[i], as a (9, block) test
-            xy = kb @ frame.basis
-            w = self.reps[cb] - mids[sb] - (xy[:, 0] + 1j * xy[:, 1])
-            i, j = np.nonzero(np.abs(w - shifts[:, None]) <= reach[sb])
-            v, d = w[j] - shifts[i], side[sb[j]]
-            near = (
-                (np.abs(d.real * v.imag - d.imag * v.real) <= slack[sb[j]])
-                & (np.abs(v + d / 2.0) > tol - margin)
-                & (np.abs(v - d / 2.0) > tol - margin)
-            )
-            i, j = i[near], j[near]
-            # the full test, each shift computed from its lattice coordinates
-            shift_xy = (kb[j] + neighbours[i]) @ frame.basis
-            shift = shift_xy[:, 0] + 1j * shift_xy[:, 1]
-            z, a, b = self.reps[cb[j]], self.side_p[sb[j]] + shift, self.side_q[sb[j]] + shift
-            on_interior = (
-                (seg_point_dist(a, b, z) <= tol) & (np.abs(z - a) > tol) & (np.abs(z - b) > tol)
-            )
-            through[lo + j[on_interior]] = True
-        self.through_count = np.bincount(c[through], minlength=self.n_clusters)
+        reach = np.abs(self.side_q - self.side_p) / 2.0 + self.tol
+        n = len(mids)
+        through = [np.zeros(0, dtype=np.int64)]
+        for c, s, k in NearPairs(self.frame, mids, reach).copies(self.reps):
+            inside = self._inside(c, s, k)
+            through.append(c[inside] * n + s[inside])
+        through = _distinct(np.concatenate(through)) // n
+        self.through_count = np.bincount(through, minlength=self.n_clusters)
         self.is_half = self.through_count > 0
+
+    def _inside(self, c: np.ndarray, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """True where cluster c lies inside side s shifted by coordinates k."""
+        tol = self.tol
+        xy = k @ self.frame.basis
+        shift = xy[:, 0] + 1j * xy[:, 1]
+        z, a, b = self.reps[c], self.side_p[s] + shift, self.side_q[s] + shift
+        return (seg_point_dist(a, b, z) <= tol) & (np.abs(z - a) > tol) & (np.abs(z - b) > tol)
 
     def census(self) -> TilingCensus:
         e = self.pairs + int((self.partner_count == 0).sum())

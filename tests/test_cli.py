@@ -14,6 +14,7 @@ import pytest
 
 from hextorus.cli import (
     FORMAT_TAG,
+    DocumentError,
     main,
     parse_document,
     serialize_document,
@@ -138,6 +139,11 @@ class TestDocumentRoundTrip:
         path = construct_doc(tmp_path, "cs")
         text = Path(path).read_text()
         assert serialize_document(parse_document(text)) == text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_not_serialized(self, value):
+        with pytest.raises(DocumentError, match=f"^cannot serialize the number {value!r}$"):
+            serialize_document({"provenance": {"note": [1.0, value]}})
 
     def test_corners_survive_bit_exact(self, tmp_path):
         path = construct_doc(tmp_path, "iii")
@@ -307,6 +313,24 @@ class TestCoverCommand:
         assert len(doc["tiles"]) == 6
         assert main(["validate", out_path]) == 0
         assert "census: f=6" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_provenance_is_one_error_line_and_no_file(self, tmp_path, capsys, value):
+        # the parser takes NaN and Infinity, but JSON has no such number, so
+        # a document written with one could not be read back
+        path = construct_doc(tmp_path, "cs")
+        doc = json.loads(Path(path).read_text())
+        doc["provenance"]["note"] = value
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        out_path = tmp_path / "cover.json"
+        capsys.readouterr()
+        argv = ["cover", str(tmp_path / "bad.json"), "--m=1", "--n=2", "--l=0", "-o", str(out_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot serialize the number {value!r}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "tiling.json"]
 
 
 class TestEnumerateCommand:

@@ -29,6 +29,7 @@ from hextorus.geom import (
     rotation,
     seg_point_dist,
     signed_area,
+    simple_mask,
     translation,
 )
 
@@ -382,3 +383,36 @@ def test_each_test_passes_exactly_when_its_atoms_pass(n):
                 assert (gap > tol) == expected
     # every row serves some test
     assert {x for x in used if len(x) == 3} == set(rows)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_mask_of_short_loops_agrees_with_first_violation(n):
+    # a loop of 0 corners has no test to fail; 1 and 2 corners and
+    # coincident ones fail theirs
+    rng = np.random.default_rng(n)
+    loops = rng.normal(0.0, 1.0, (40, n)) + 1j * rng.normal(0.0, 1.0, (40, n))
+    loops[:10] = np.round(2 * loops[:10]) / 2  # on a coarse grid: sides collapse and touch
+    loops[10] = 0.5
+    for tol in (0.0, 1e-9, 0.05):
+        expected = [first_violation(loop, tol) is None for loop in loops.tolist()]
+        assert simple_mask(loops.T, tol).tolist() == expected
+        assert [bool(simple_mask(list(loop), tol)) for loop in loops] == expected
+
+
+@pytest.mark.parametrize(
+    "corners,shape",
+    [
+        ([], ()),
+        (np.empty((0, 5), complex), (5,)),
+        (np.empty((0, 2, 3), complex), (2, 3)),
+        (np.empty((6, 0), complex), (0,)),
+        ([np.zeros((2, 0), complex)] * 6, (2, 0)),
+    ],
+    ids=["no-corners", "no-corners-5-cells", "no-corners-2x3-cells", "no-cells", "no-cells-2x0"],
+)
+def test_mask_of_no_corners_or_no_cells(corners, shape):
+    # zero corners are simple, as first_violation([]) is None; zero cells
+    # give an empty mask
+    mask = simple_mask(corners)
+    assert mask.shape == shape and mask.dtype == bool and mask.all()
+    assert first_violation([]) is None

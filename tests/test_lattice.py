@@ -563,3 +563,93 @@ class TestNearPairs:
     def test_a_lattice_that_does_not_reduce_is_its_own_reduced_frame(self):
         frame = LatticeFrame(complex(np.nan, 0.0), 1j)
         assert frame.reduced is frame
+
+
+# (alpha, beta, j) of the copies tests: a reduced lattice, a thin one, and
+# skewed bases (alpha, beta + j*alpha) of both
+COPY_LATTICES = [
+    (1.0, 0.3 + 0.8j, 0),
+    (1.0, 0.3 + 0.8j, 7),
+    (1.0, 0.3 + 0.8j, 40),
+    (2.0, 0.15j, 0),
+    (2.0, 0.15j, 3),
+    (2.0, 0.15j, 40),
+]
+
+
+class TestCopies:
+    """Every lattice copy within the radius, against a window of copies
+    around each reference point counted in an unskewed basis."""
+
+    def points(self, rng, alpha, beta):
+        """30 reference and 30 query points, the first 10 queries lattice
+        translates of reference points, with a NaN and an infinite point
+        among each."""
+        ref = rng.uniform(-2, 2, 30) + 1j * rng.uniform(-2, 2, 30)
+        query = np.concatenate(
+            [ref[:10] + 3 * alpha - beta, rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)]
+        )
+        ref[[11, 12]] = np.nan, complex(np.inf, 0.5)
+        query[[-1, -2]] = np.nan, complex(0.5, -np.inf)
+        return ref, query
+
+    def brute_force(self, alpha, beta, j, query, ref, radii):
+        """(query, reference, k0, k1) of each copy ref + k0*alpha + k1*(beta
+        + j*alpha) within the radius of a query point."""
+        inv = np.linalg.inv(np.array([[alpha.real, alpha.imag], [beta.real, beta.imag]]))
+        gap = np.abs(query[np.isfinite(query)][:, None] - ref[np.isfinite(ref)]).max()
+        reach = gap + np.nanmax(radii)
+        na, nb = (int(math.ceil(reach * np.hypot(*inv[:, i]))) for i in range(2))
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(-na, na + 1), np.arange(-nb, nb + 1)))
+        dist = np.abs(query[:, None, None] - ref[None, :, None] - (a * alpha + b * beta))
+        q, r, s = np.nonzero(dist <= radii[None, :, None])
+        return set(zip(q.tolist(), r.tolist(), (a[s] - j * b[s]).tolist(), b[s].tolist()))
+
+    def check(self, alpha, beta, j, radius, rng):
+        ref, query = self.points(rng, alpha, beta)
+        frame = LatticeFrame(alpha, beta + j * alpha)
+        index = NearPairs(frame, ref, radius)
+        blocks = list(index.copies(query))
+        q, r, k = (np.concatenate(x) for x in zip(*blocks))
+        assert np.array_equal(k, np.round(k)) and k.shape == (len(q), 2)
+        found = list(zip(q.tolist(), r.tolist(), k[:, 0].tolist(), k[:, 1].tolist()))
+        assert len(set(found)) == len(found)  # each copy once
+        radii = np.broadcast_to(np.asarray(radius, dtype=float), ref.shape)
+        assert self.brute_force(alpha, beta, j, query, ref, radii) <= set(found)
+        # each copy lies within its radius and the documented margin
+        reduced = index.frame
+        size = np.abs(ref[np.isfinite(ref)]).max()
+        margin = 1e-9 * max(abs(reduced.alpha), abs(reduced.beta)) + 1e-12 * size
+        shift = k[:, 0] * frame.alpha + k[:, 1] * frame.beta
+        assert (np.abs(query[q] - ref[r] - shift) <= radii[r] + margin).all()
+        # pairs are the distinct (query, reference) pairs of the copies
+        pairs = sorted(set(zip(q.tolist(), r.tolist())))
+        assert list(zip(*(x.tolist() for x in index.pairs(query)))) == pairs
+        return found
+
+    @pytest.mark.parametrize("alpha,beta,j", COPY_LATTICES)
+    @pytest.mark.parametrize("radius", [0.0, 0.05, 0.7])
+    def test_copies_are_every_copy_within_radius(self, alpha, beta, j, radius):
+        found = self.check(complex(alpha), complex(beta), j, radius, np.random.default_rng(17))
+        assert len(found) >= 10  # the translated queries' own copies
+        if radius == 0.7:  # past the thin lattice's width: several copies a pair
+            assert len(found) > len({(q, r) for q, r, *_ in found})
+
+    @pytest.mark.parametrize("alpha,beta,j", COPY_LATTICES)
+    def test_per_point_copies_are_every_copy_within_its_radius(self, alpha, beta, j):
+        rng = np.random.default_rng(19)
+        radii = rng.uniform(0.0, 0.7, 30)
+        radii[::7] = 0.0
+        radii[1::7] = np.nan
+        radii[2::7] = -rng.uniform(0.0, 1.0, len(radii[2::7]))
+        found = self.check(complex(alpha), complex(beta), j, radii, rng)
+        # a NaN or negative radius admits no copy
+        assert not {r for _, r, *_ in found} & (set(range(1, 30, 7)) | set(range(2, 30, 7)))
+
+    def test_a_radius_far_beyond_the_lattice_keeps_every_pair(self):
+        # its copies would outnumber what the hash stores, so each point
+        # keeps its nearest ones, which hold every pair
+        rng = np.random.default_rng(23)
+        ref = rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)
+        q, r = NearPairs(LatticeFrame(1.0, 0.3 + 0.8j), ref, 1e5).pairs(ref[:15])
+        assert len(q) == 15 * 20

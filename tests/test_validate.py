@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import cmath
 import importlib
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hextorus.construct import (
@@ -265,3 +268,72 @@ def test_validate_peak_memory(base, h, bound_mib):
         tracemalloc.stop()
     assert report.passed
     assert peak <= bound_mib * 2**20
+
+
+# bases whose covers are validated in other bases of their lattice: a thin
+# centrally symmetric tiling, a plain one and the three-tile type iii
+RE_BASED = {
+    "thin-cs": lambda: central_minimal(1, 0.15j, 0.45 + 0.06j),
+    "cs": lambda: central_minimal(1, 0.3 + 1j, 0.55 + 0.6j),
+    "iii": lambda: type_iii_minimal(0.05 + 0.22j),
+}
+
+
+def broken_covers(base, rng):
+    """Covers of the base, intact and with one tile translated, slid along
+    one of its sides (a slide leaves corners inside other tiles' sides) or
+    with one corner nudged, as (alpha, beta, tiles)."""
+    for h in [(2, 1, 0), (1, 2, 0), (2, 2, 1)]:
+        cover = build_cover(base, HnfTriple(*h))
+        yield cover.alpha, cover.beta, cover.tiles
+        for how in ("translate", "slide", "nudge") * 6:
+            tiles = list(cover.tiles)
+            k, i = int(rng.integers(len(tiles))), int(rng.integers(6))
+            corners = tiles[k].corners
+            if how == "translate":
+                tiles[k] = tiles[k].translated(0.05 * cmath.exp(2j * math.pi * rng.uniform()))
+            elif how == "slide":
+                slide = rng.uniform(0.1, 0.9) * (corners[i] - corners[i - 1])
+                tiles[k] = tiles[k].translated(slide)
+            else:
+                corners = list(corners)
+                corners[i] += 1e-3 * cmath.exp(2j * math.pi * rng.uniform())
+                tiles[k] = Polygon(tuple(corners), tiles[k].labels)
+            yield cover.alpha, cover.beta, tuple(tiles)
+
+
+def unimodular(rng) -> tuple[int, int, int, int]:
+    """A random integer matrix (a, b; c, d) of determinant 1, entries up to
+    about 100."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(3):
+        s, t = (int(x) for x in rng.integers(-4, 5, 2))
+        a, b, c, d = a + s * c, b + s * d, c, d  # row 1 += s * row 2
+        a, b, c, d = a, b, c + t * a, d + t * b  # row 2 += t * row 1
+    return a, b, c, d
+
+
+def verdict(report):
+    """A report without the covolume digits that an area-mismatch message
+    prints, which the basis changes in the last bits."""
+    failures = tuple(
+        (kind, re.sub(r"fundamental domain .*", "fundamental domain", text))
+        for kind, text in report.failures
+    )
+    return report.passed, report.census, failures
+
+
+@pytest.mark.parametrize("name", RE_BASED)
+def test_verdicts_do_not_depend_on_the_basis(name):
+    rng = np.random.default_rng(2026)
+    changed = []
+    for alpha, beta, tiles in broken_covers(RE_BASED[name](), rng):
+        own = verdict(validate(SimpleNamespace(alpha=alpha, beta=beta, tiles=tiles)))
+        a, b, c, d = unimodular(rng)
+        bases = [(alpha, beta + j * alpha) for j in (3, 10, 40, 1000)]
+        bases.append((a * alpha + b * beta, c * alpha + d * beta))
+        for other in bases:
+            carrier = SimpleNamespace(alpha=other[0], beta=other[1], tiles=tiles)
+            if verdict(validate(carrier)) != own:
+                changed.append((other, own))
+    assert changed == []
