@@ -28,7 +28,7 @@ from .construct import (
 )
 from .covering import build_cover, enumerate_coverings
 from .geom import Polygon
-from .hexagon import classify, spec_from_polygon
+from .hexagon import _GENERIC, _RESIDUAL, classify, spec_from_polygon
 from .lattice import HnfTriple, check_count, covolume
 from .validate import validate
 
@@ -512,11 +512,11 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     tiling = _load_tiling(args.doc, strict=False)
     report = classify(spec_from_polygon(tiling.tiles[0]), tol=args.tol)
-    for name in ("type_i", "type_ii", "type_iii", "central"):
-        residual = getattr(report, "residual_" + name.removeprefix("type_"))
+    for name, field in _RESIDUAL.items():
+        residual = getattr(report, field)
         print(f"{name}: {'yes' if getattr(report, name) else 'no'} (residual {residual:.3e})")
-    for kind in ("i", "ii", "iii", "central", "strip"):
-        print(f"generic_{kind}: {'yes' if getattr(report, 'generic_' + kind) else 'no'}")
+    for name in _GENERIC:
+        print(f"{name}: {'yes' if getattr(report, name) else 'no'}")
     return 0
 
 

@@ -9,7 +9,6 @@ the genericity conditions under which each minimal tiling is unique.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 
@@ -96,17 +95,41 @@ def _spec(p: Polygon) -> HexagonSpec:
     return HexagonSpec(tuple(angles), tuple(lengths))
 
 
-@value_type(
-    "type_i", "type_ii", "type_iii", "central", "generic_i", "generic_ii", "generic_iii",
-    "generic_central", "generic_strip", "residual_i", "residual_ii", "residual_iii",
-    "residual_central", "tol",
-)
+# The table. A relation sets two terms equal, its residual their absolute
+# difference: [k] is the angle and |k| the length at label k, [i]+[j]+[k]
+# adds in the order written, and |k|=|*| is |k| equal to any other side.
+_FORCED = {  # the relations each TypeReport condition forces
+    "type_i": "[0]+[1]+[2]=2pi |2|=|5|",
+    "type_ii": "[0]+[1]+[3]=2pi |1|=|3| |2|=|5|",
+    "type_iii": "[1]=2pi/3 [3]=2pi/3 [5]=2pi/3 |0|=|1| |2|=|3| |4|=|5|",
+    # opposite sides parallel and equal reduces to equal opposite angles
+    # and lengths once the angle sum is pinned at 4pi
+    "central": "[0]=[3] [1]=[4] [2]=[5] |0|=|3| |1|=|4| |2|=|5|",
+}
+_GENERIC = {  # flag: (condition, relations that must also hold, relations that must fail)
+    "generic_i": ("type_i", "", "|0|=|*| |1|=|*| |3|=|4|"),
+    "generic_ii": ("type_ii", "", "|0|=|*| |4|=|*| |1|=|2| [2]=[3]"),
+    "generic_iii": ("type_iii", "", "|0|=|2| |2|=|4| |0|=|4| [0]=2pi/3 [2]=2pi/3 [4]=2pi/3"),
+    "generic_central": ("central", "", "|0|=|1| |1|=|2| |0|=|2|"),
+    "generic_strip": ("type_i", "|3|=|4|", "|0|=|*| |1|=|*|"),
+}
+_RESIDUAL = {flag: "residual_" + flag.removeprefix("type_") for flag in _FORCED}
+
+
+@value_type(*_FORCED, *_GENERIC, *_RESIDUAL.values(), "tol")
 class TypeReport:
     """Classification flags, genericity, and worst residual per condition.
 
     A flag is set iff the corresponding residual is at most the tolerance the
     report was computed with. Residuals mix radians (angle conditions) and
     length units (side conditions); each is the best over all 12 relabelings.
+    With [k] the angle and |k| the length at label k, the conditions are
+    type_i: [0]+[1]+[2] = 2pi and |2| = |5|;
+    type_ii: [0]+[1]+[3] = 2pi, |1| = |3| and |2| = |5|;
+    type_iii: [1] = [3] = [5] = 2pi/3, |0| = |1|, |2| = |3| and |4| = |5|;
+    central: [k] = [k+3] and |k| = |k+3| for k = 0, 1, 2.
+    The genericity flags of classify follow them, then residual_i,
+    residual_ii, residual_iii, residual_central and tol.
     """
 
 
@@ -122,95 +145,62 @@ def relabelings(angles, lengths):
     return [(corner(angles), side(lengths)) for corner, side in _RELABELINGS]
 
 
-def _residuals(a, l) -> tuple[float, float, float, float]:
-    """The residuals of the type i, ii and iii and central conditions at one
-    labeling (each a max of non-negative terms, none NaN for a spec)."""
-    a0, a1, a2, a3, a4, a5 = a
-    l0, l1, l2, l3, l4, l5 = l
-    l25 = abs(l2 - l5)
-    return (
-        max(abs(a0 + a1 + a2 - TWO_PI), l25),
-        max(abs(a0 + a1 + a3 - TWO_PI), abs(l1 - l3), l25),
-        max(
-            abs(a1 - TWO_THIRDS_PI),
-            abs(a3 - TWO_THIRDS_PI),
-            abs(a5 - TWO_THIRDS_PI),
-            abs(l0 - l1),
-            abs(l2 - l3),
-            abs(l4 - l5),
-        ),
-        # opposite sides parallel and equal reduces to equal opposite angles
-        # and lengths once the angle sum is pinned at 4pi
-        max(abs(a0 - a3), abs(a1 - a4), abs(a2 - a5), abs(l0 - l3), abs(l1 - l4), l25),
-    )
+# the terms [0]..[5], |0|..|5|, 2pi/3 and 2pi in classify's order; sums follow
+_SIMPLE = [f"[{k}]" for k in range(6)] + [f"|{k}|" for k in range(6)] + ["2pi/3", "2pi"]
+_SUMS = {}  # the angles (i, j, k), i < j, of each sum ([i] + [j]) + [k]: its index
+_RELATIONS = {}  # the two terms (u, v), u < v, of each relation: its index
 
 
-def _distinct_from_rest(l, k: int, tol: float) -> bool:
-    return all(abs(l[k] - l[j]) > tol for j in range(6) if j != k)
+def _rows(relations: str) -> list[tuple[int, ...]]:
+    """The residual indices of the relations at each of the 12 relabelings."""
+    texts = []
+    for text in relations.split():  # |k|=|*| is |k|=|m| at each side m other than k
+        texts += [text.replace("*", m) for m in "012345" if m != text[1]] if "*" in text else [text]
+    rows = []
+    for corner, side in relabelings(range(6), range(6, 12)):
+        at = dict(zip(_SIMPLE, (*corner, *side, 12, 13)))  # 2pi/3 and 2pi stay
+        row = []
+        for text in texts:
+            left, right = ([at[t] for t in term.split("+")] for term in text.split("="))
+            if len(left) == 3:  # [i] and [j] commute bit for bit, [k] does not
+                i, j, k = left
+                left = [len(_SIMPLE) + _SUMS.setdefault((min(i, j), max(i, j), k), len(_SUMS))]
+            row.append(_RELATIONS.setdefault(tuple(sorted(left + right)), len(_RELATIONS)))
+        rows.append(tuple(row))
+    return rows
 
 
-def _generic_i(a, l, tol: float) -> bool:
-    return (
-        _distinct_from_rest(l, 0, tol)
-        and _distinct_from_rest(l, 1, tol)
-        and abs(l[3] - l[4]) > tol
-    )
-
-
-def _generic_strip(a, l, tol: float) -> bool:
-    return (
-        _distinct_from_rest(l, 0, tol)
-        and _distinct_from_rest(l, 1, tol)
-        and abs(l[3] - l[4]) <= tol
-    )
-
-
-def _generic_ii(a, l, tol: float) -> bool:
-    return (
-        _distinct_from_rest(l, 0, tol)
-        and _distinct_from_rest(l, 4, tol)
-        and abs(l[1] - l[2]) > tol
-        and abs(a[2] - a[3]) > tol
-    )
-
-
-def _generic_iii(a, l, tol: float) -> bool:
-    return (
-        abs(l[0] - l[2]) > tol
-        and abs(l[2] - l[4]) > tol
-        and abs(l[0] - l[4]) > tol
-        and all(abs(a[j] - TWO_THIRDS_PI) > tol for j in (0, 2, 4))
-    )
-
-
-def _generic_central(a, l, tol: float) -> bool:
-    return (
-        abs(l[0] - l[1]) > tol
-        and abs(l[1] - l[2]) > tol
-        and abs(l[0] - l[2]) > tol
-    )
-
-
-# each condition's TypeReport flag, in the order of _residuals, and the
-# genericity flags it decides, each tested on the relabelings that meet it
-_CONDITIONS = (
-    ("type_i", {"generic_i": _generic_i, "generic_strip": _generic_strip}),
-    ("type_ii", {"generic_ii": _generic_ii}),
-    ("type_iii", {"generic_iii": _generic_iii}),
-    ("central", {"generic_central": _generic_central}),
-)
+_MEETS = {flag: [operator.itemgetter(*row) for row in _rows(rel)] for flag, rel in _FORCED.items()}
+_TESTS = {
+    name: (flag, [(h, operator.itemgetter(*f)) for h, f in zip(_rows(hold), _rows(fail))])
+    for name, (flag, hold, fail) in _GENERIC.items()
+}
 
 
 def classify(s: HexagonSpec, tol: float = 1e-9) -> TypeReport:
-    """Classify a hexagon spec over all relabelings."""
-    labelings = relabelings(s.angles, s.lengths)
-    fields = {"tol": tol}
-    columns = zip(*itertools.starmap(_residuals, labelings))
-    for (flag, generics), res in zip(_CONDITIONS, columns):
-        fields[flag] = holds = min(res) <= tol
-        fields["residual_" + flag.removeprefix("type_")] = min(res)
-        for name, generic in generics.items():
-            fields[name] = holds and any(
-                generic(a, l, tol) for (a, l), r in zip(labelings, res) if r <= tol
-            )
+    """Classify a hexagon spec over all relabelings.
+
+    A genericity flag is set iff one relabeling meets its condition and the
+    relations that must hold, and fails each that must fail; |k| = |*| is
+    |k| equal to any other side:
+    generic_i: type i; fails |0| = |*|, |1| = |*| and |3| = |4|;
+    generic_ii: type ii; fails |0| = |*|, |4| = |*|, |1| = |2| and [2] = [3];
+    generic_iii: type iii; fails |0| = |2|, |2| = |4|, |0| = |4| and [0], [2], [4] = 2pi/3;
+    generic_central: central; fails |0| = |1|, |1| = |2| and |0| = |2|;
+    generic_strip: type i and |3| = |4|; fails |0| = |*| and |1| = |*|.
+    """
+    a = s.angles
+    terms = (*a, *s.lengths, TWO_THIRDS_PI, TWO_PI, *(a[i] + a[j] + a[k] for i, j, k in _SUMS))
+    # never NaN for a spec, so a row's max does not depend on the order of its relations
+    r = [abs(terms[u] - terms[v]) for u, v in _RELATIONS]
+    fields, met = {"tol": tol}, {}
+    for flag, rows in _MEETS.items():
+        met[flag] = [max(row(r)) for row in rows]
+        fields[flag] = min(met[flag]) <= tol
+        fields[_RESIDUAL[flag]] = min(met[flag])
+    for name, (flag, tests) in _TESTS.items():
+        fields[name] = fields[flag] and any(
+            x <= tol < min(fail(r)) and all(r[k] <= tol for k in hold)
+            for x, (hold, fail) in zip(met[flag], tests)
+        )
     return TypeReport(**fields)

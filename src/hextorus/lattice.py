@@ -353,7 +353,8 @@ class LatticeFrame:
     coordinate vector, ``residual`` that length after subtracting the nearest
     integer coordinates, ``reduce`` moves points into the fundamental
     parallelogram [0, 1) alpha + [0, 1) beta, and ``reduced`` is the frame of
-    a reduced basis, which every ``NearPairs`` of this frame shares.
+    a reduced basis, which every ``NearPairs`` of this frame shares. Parallel
+    or zero generators raise ValueError.
     """
 
     def __init__(self, alpha: complex, beta: complex):
@@ -361,7 +362,15 @@ class LatticeFrame:
         self.basis = np.array(
             [[self.alpha.real, self.alpha.imag], [self.beta.real, self.beta.imag]]
         )
-        self.inv_basis = np.linalg.inv(self.basis)
+        flat = covolume(self.alpha, self.beta) == 0.0  # NaN passes: validate reports it
+        try:
+            self.inv_basis = np.linalg.inv(self.basis)
+        except np.linalg.LinAlgError:  # nearly parallel: the elimination rounds to zero
+            flat = True
+        if flat:
+            raise ValueError(
+                f"lattice generators {self.alpha} and {self.beta} are parallel or zero"
+            )
 
     def frac(self, pts) -> np.ndarray:
         # the real and imaginary parts of contiguous complex numbers, viewed

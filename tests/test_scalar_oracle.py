@@ -8,13 +8,15 @@ and collinear sides), on corners 1e-10 apart and on corners near
 -1e-3, 0.3 and NaN; a length whose abs overflows, where the walk raises,
 fails the test that reads it. On a simple hexagon it works out each of the 24
 point-side distances once (the walk works out 48). classify must give the
-same TypeReport on the specs of random hexagons and of the five families'
-prototiles. Each constructor must raise the same ModuliViolation, and warn
-on the same parameters, as the reference walk and classifier decide.
+same TypeReport on the specs of random hexagons, of the five families'
+prototiles and of hexagons on which a genericity relation holds. Each
+constructor must raise the same ModuliViolation, and warn on the same
+parameters, as the reference walk and classifier decide.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -218,11 +220,36 @@ def family_specs(seed: int, count: int = 8):
             yield spec_from_polygon(p if geom.signed_area(p) > 0 else p.reversed())
 
 
+def prototile_spec(build, *args):
+    """The spec of a constructor's prototile, without its GenericityWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GenericityWarning)
+        return spec_from_polygon(build(*args).tiles[0])
+
+
+def central_hexagon(u, v, w):
+    """Centrally symmetric hexagon with side vectors u, v, w, u, v, w (as in
+    test_hexagon)."""
+    pts = [0j, u, u + v, u + v + w, v + w, w]
+    return Polygon(tuple(z - (u + v + w) / 2 for z in pts))
+
+
 SYMMETRIC = [
     HexagonSpec((TWO_THIRDS_PI,) * 6, (1.0,) * 6),  # regular: every condition on every labeling
     HexagonSpec((TWO_THIRDS_PI,) * 6, (1.0, 2.0, 1.0, 2.0, 1.0, 2.0)),
     spec_from_polygon(Polygon((0j, 2 + 0j, 3 + 1j, 3 + 2j, 1 + 2j, 1j))),  # centrally symmetric
     spec_from_polygon(type_iii_minimal(0.05 + 0.22j).tiles[0]),
+    # where the strip's l3 = l4 holds, so generic_i fails and generic_strip
+    # holds: a type i prototile with l3 = l4 and a strip prototile
+    prototile_spec(type_i_minimal, 0.6j, (0.2 + 0.2j, -0.15 + 0.25j)),
+    prototile_spec(strip_tiling, 1.2, 0.9, 0.15, (0.3 + 0.45j, 0.2 + 0.525j), "+-"),
+    # cs hexagons with two and with three equal side lengths: generic_central fails
+    prototile_spec(central_minimal, 1, 1j, 0.25 + 0.25j),
+    spec_from_polygon(central_hexagon(1.0 + 0j, cmath.exp(1.0j), cmath.exp(2.0j))),
+    # found by bisection on the free parameter: |4| = |5| where type ii holds,
+    # [0] = 2pi/3 where type iii holds, so generic_ii and generic_iii fail
+    prototile_spec(type_ii_minimal, 1.0, (0.35 + 0.05j, 0.12 + 0.2670253441421071j)),
+    prototile_spec(type_iii_minimal, 0.0829114670534274 + 0.22j),
 ]
 
 

@@ -230,6 +230,30 @@ def test_overflow_and_nan_give_a_report_without_warnings(case):
         assert ("non-simple-tile", "tile 1 is not simple") in report.failures
 
 
+@pytest.mark.parametrize("check", [validate, census])
+@pytest.mark.parametrize(
+    "alpha, beta", [(1, 2), (0, 0), (1 + 1j, 2 + 2j)], ids=["real-line", "zero", "diagonal"]
+)
+def test_a_flat_lattice_is_one_value_error(check, alpha, beta):
+    # generators spanning no area get hextorus's own error, not numpy's
+    # LinAlgError (a ValueError too) with "Singular matrix"
+    carrier = SimpleNamespace(alpha=alpha, beta=beta, tiles=type_iii_minimal(0.05 + 0.22j).tiles)
+    with pytest.raises(ValueError) as raised:
+        check(carrier)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == (
+        f"lattice generators {complex(alpha)} and {complex(beta)} are parallel or zero"
+    )
+
+
+def test_a_nan_lattice_still_gets_a_failure_report():
+    tiles = type_iii_minimal(0.05 + 0.22j).tiles
+    carrier = SimpleNamespace(alpha=complex(math.nan, 0.0), beta=1j, tiles=tiles)
+    report = validate(carrier)
+    assert not report.passed and report.failures
+    assert census(carrier) == report.census
+
+
 def test_one_lattice_reduction_per_check(monkeypatch):
     # both spatial hashes of validate share one reduced frame, and
     # is_minimal's hash reads one too
