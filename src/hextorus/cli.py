@@ -353,7 +353,7 @@ def write_svg(tiling, extent: int = 1) -> str:
     )
 
 
-_BLOCK = 8192  # rows per % operation of write_obj
+_BLOCK = 2048  # rows per % operation of write_obj
 
 
 def _records(fmt: str, rows: np.ndarray):
@@ -377,8 +377,10 @@ def _uv_texts(uv: np.ndarray) -> np.ndarray:
 def write_obj(mesh) -> str:
     """ASCII OBJ: v/vt/f records grouped as tile_<i>, l records for edges.
 
-    Records are formatted in bulk, a block of rows per % operation, and each
-    distinct uv value is formatted once.
+    Records are formatted in bulk, a block of 2048 rows per % operation, and
+    each distinct uv value is formatted once. A face's 1-based vertex and uv
+    indices are worked out a block of faces at a time, so beyond the quads
+    in group order no whole-mesh array of them is built.
     """
     vertex = "v %.9g %.9g %.9g\n"
     parts = [*_records(vertex, mesh.vertices), *_records("vt %s %s\n", _uv_texts(mesh.uv))]
@@ -386,10 +388,11 @@ def write_obj(mesh) -> str:
     by_group = np.argsort(mesh.groups, kind="stable")
     groups = mesh.groups[by_group]
     heads = np.flatnonzero(np.r_[len(groups) > 0, groups[1:] != groups[:-1]])
-    faces = np.repeat(mesh.quads[by_group] + 1, 2, axis=1)
-    for gid, run in zip(groups[heads].tolist(), np.split(faces, heads[1:])):
+    for gid, run in zip(groups[heads].tolist(), np.split(mesh.quads[by_group], heads[1:])):
         parts.append(f"g tile_{gid}\n")
-        parts.extend(_records("f %d/%d %d/%d %d/%d %d/%d\n", run))
+        for lo in range(0, len(run), _BLOCK):  # one record block each
+            faces = np.repeat(run[lo : lo + _BLOCK] + 1, 2, axis=1)
+            parts.extend(_records("f %d/%d %d/%d %d/%d %d/%d\n", faces))
     base = len(mesh.vertices)
     for i, polyline in enumerate(mesh.polylines):
         parts.append(f"g tile_{i}_edges\n")
@@ -684,6 +687,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation, Python's own is blank
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

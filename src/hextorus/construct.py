@@ -15,7 +15,7 @@ import warnings
 
 from ._value import value_type
 from .geom import MERGE_TOL, Isometry, Polygon, first_violation, rotation, signed_area
-from .hexagon import _spec, classify, spec_from_polygon
+from .hexagon import _generic_flag, _spec, spec_from_polygon
 from .lattice import HnfTriple, IntBasis, check_count, check_height, check_lattice, check_modulus
 from .lattice import covering_modulus, covolume, hnf_of_basis, lattices_isometric, rectangular_solve
 
@@ -255,7 +255,7 @@ def _warn_if_nongeneric(tiling: TorusTiling, prototile: Polygon, stacklevel: int
     kind = tiling.provenance["kind"]
     flag = "generic_" + kind.removeprefix("type_")  # type_i: generic_i, strip: generic_strip
     spec = (spec_from_polygon if prototile.labels[0] else _spec)(prototile)
-    if not getattr(classify(spec), flag):
+    if not _generic_flag(spec, flag):
         warnings.warn(
             f"prototile violates the {kind} genericity conditions",
             GenericityWarning,

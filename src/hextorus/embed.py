@@ -414,15 +414,19 @@ def conformality(mesh: Mesh3) -> float:
         if dets[-1] <= 1e-300:
             continue
         # rows of J^T: the rows of the inverse of [[u_j, v_j], [u_i, v_i]]
-        # times (x_j, x_i), each a sum of two products built in place:
-        # einsum's bits and peak memory
-        jt = np.empty((len(x_j), 2, 3))
-        for row, (a, b) in enumerate(((v_i, -v_j), (-u_i, u_j))):
-            np.multiply((a / det_uv)[:, None], x_j, out=jt[:, row])
-            jt[:, row] += (b / det_uv)[:, None] * x_i
-        g = np.einsum("nab,ncb->nac", jt, jt)  # pullback metric (n, 2, 2)
-        tr = g[:, 0, 0] + g[:, 1, 1]
-        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        # times (x_j, x_i); the pullback metric J^T J from their dot
+        # products, added in the order of einsum("nab,ncb->nac"), whose
+        # bits they keep
+        p, q = (
+            (a / det_uv)[:, None] * x_j + (b / det_uv)[:, None] * x_i
+            for a, b in ((v_i, -v_j), (-u_i, u_j))
+        )
+        g00, g01, g11 = (
+            (s[:, 0] * t[:, 0] + s[:, 2] * t[:, 2]) + s[:, 1] * t[:, 1]
+            for s, t in ((p, p), (p, q), (q, q))
+        )
+        tr = g00 + g11
+        det = g00 * g11 - g01 * g01
         disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
         lam_max = tr / 2.0 + disc
         lam_min = tr / 2.0 - disc

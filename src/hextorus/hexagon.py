@@ -9,6 +9,7 @@ the genericity conditions under which each minimal tiling is unique.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 
@@ -147,12 +148,13 @@ def relabelings(angles, lengths):
 
 # the terms [0]..[5], |0|..|5|, 2pi/3 and 2pi in classify's order; sums follow
 _SIMPLE = [f"[{k}]" for k in range(6)] + [f"|{k}|" for k in range(6)] + ["2pi/3", "2pi"]
-_SUMS = {}  # the angles (i, j, k), i < j, of each sum ([i] + [j]) + [k]: its index
-_RELATIONS = {}  # the two terms (u, v), u < v, of each relation: its index
 
 
-def _rows(relations: str) -> list[tuple[int, ...]]:
-    """The residual indices of the relations at each of the 12 relabelings."""
+def _rows(relations: str, sums: dict, pairs: dict) -> list[tuple[int, ...]]:
+    """The residual indices of the relations at each of the 12 relabelings.
+    sums maps the angles (i, j, k), i < j, of each sum ([i] + [j]) + [k] to
+    its index and pairs the two terms (u, v), u < v, of each relation to
+    its index; a sum or relation not yet there is added."""
     texts = []
     for text in relations.split():  # |k|=|*| is |k|=|m| at each side m other than k
         texts += [text.replace("*", m) for m in "012345" if m != text[1]] if "*" in text else [text]
@@ -164,17 +166,57 @@ def _rows(relations: str) -> list[tuple[int, ...]]:
             left, right = ([at[t] for t in term.split("+")] for term in text.split("="))
             if len(left) == 3:  # [i] and [j] commute bit for bit, [k] does not
                 i, j, k = left
-                left = [len(_SIMPLE) + _SUMS.setdefault((min(i, j), max(i, j), k), len(_SUMS))]
-            row.append(_RELATIONS.setdefault(tuple(sorted(left + right)), len(_RELATIONS)))
+                left = [len(_SIMPLE) + sums.setdefault((min(i, j), max(i, j), k), len(sums))]
+            row.append(pairs.setdefault(tuple(sorted(left + right)), len(pairs)))
         rows.append(tuple(row))
     return rows
 
 
-_MEETS = {flag: [operator.itemgetter(*row) for row in _rows(rel)] for flag, rel in _FORCED.items()}
-_TESTS = {
-    name: (flag, [(h, operator.itemgetter(*f)) for h, f in zip(_rows(hold), _rows(fail))])
-    for name, (flag, hold, fail) in _GENERIC.items()
-}
+@functools.lru_cache(maxsize=8)
+def _table(conditions: tuple[str, ...], flags: tuple[str, ...]):
+    """The index tables of the given conditions and genericity flags, over
+    only the sums and relations that they read: the sums and pairs of
+    :func:`_rows`, the rows of each condition (meets), and each flag's
+    condition and, at each relabeling, the relations that must hold and
+    the row of those that must fail (tests). Built on first use, so a
+    command that classifies nothing does not build classify's."""
+    sums, pairs = {}, {}
+    meets = {
+        flag: [operator.itemgetter(*row) for row in _rows(_FORCED[flag], sums, pairs)] for flag in conditions
+    }
+    tests = {}
+    for name in flags:
+        flag, hold, fail = _GENERIC[name]
+        fails = [operator.itemgetter(*row) for row in _rows(fail, sums, pairs)]
+        tests[name] = flag, list(zip(_rows(hold, sums, pairs), fails))
+    return list(sums), list(pairs), meets, tests
+
+
+def _residuals(s: HexagonSpec, sums, pairs) -> list[float]:
+    """The residual of each relation of a table, in the order of its pairs;
+    a term past the simple ones is one of its sums."""
+    a = s.angles
+    terms = (*a, *s.lengths, TWO_THIRDS_PI, TWO_PI, *(a[i] + a[j] + a[k] for i, j, k in sums))
+    # never NaN for a spec, so a row's max does not depend on the order of its relations
+    return [abs(terms[u] - terms[v]) for u, v in pairs]
+
+
+def _generic(tests, met: list[float], r: list[float], tol: float) -> bool:
+    """A genericity flag from its tests, the worst residual of its
+    condition at each relabeling (met) and the residuals r: some
+    relabeling meets the condition and passes the tests."""
+    return any(
+        x <= tol < min(fail(r)) and all(r[k] <= tol for k in hold) for x, (hold, fail) in zip(met, tests)
+    )
+
+
+def _generic_flag(s: HexagonSpec, name: str, tol: float = 1e-9) -> bool:
+    """``getattr(classify(s, tol), name)`` for a genericity flag, from only
+    the relations that its condition and tests read."""
+    flag, _, _ = _GENERIC[name]
+    sums, pairs, meets, tests = _table((flag,), (name,))
+    r = _residuals(s, sums, pairs)
+    return _generic(tests[name][1], [max(row(r)) for row in meets[flag]], r, tol)
 
 
 def classify(s: HexagonSpec, tol: float = 1e-9) -> TypeReport:
@@ -189,18 +231,13 @@ def classify(s: HexagonSpec, tol: float = 1e-9) -> TypeReport:
     generic_central: central; fails |0| = |1|, |1| = |2| and |0| = |2|;
     generic_strip: type i and |3| = |4|; fails |0| = |*| and |1| = |*|.
     """
-    a = s.angles
-    terms = (*a, *s.lengths, TWO_THIRDS_PI, TWO_PI, *(a[i] + a[j] + a[k] for i, j, k in _SUMS))
-    # never NaN for a spec, so a row's max does not depend on the order of its relations
-    r = [abs(terms[u] - terms[v]) for u, v in _RELATIONS]
+    sums, pairs, meets, tests = _table(tuple(_FORCED), tuple(_GENERIC))
+    r = _residuals(s, sums, pairs)
     fields, met = {"tol": tol}, {}
-    for flag, rows in _MEETS.items():
+    for flag, rows in meets.items():
         met[flag] = [max(row(r)) for row in rows]
-        fields[flag] = min(met[flag]) <= tol
-        fields[_RESIDUAL[flag]] = min(met[flag])
-    for name, (flag, tests) in _TESTS.items():
-        fields[name] = fields[flag] and any(
-            x <= tol < min(fail(r)) and all(r[k] <= tol for k in hold)
-            for x, (hold, fail) in zip(met[flag], tests)
-        )
+        fields[_RESIDUAL[flag]] = least = min(met[flag])
+        fields[flag] = least <= tol
+    for name, (flag, rows) in tests.items():
+        fields[name] = fields[flag] and _generic(rows, met[flag], r, tol)
     return TypeReport(**fields)

@@ -102,6 +102,10 @@ _BLOCK = 64  # cells on a side of the largest block sample_region decides at onc
 # costs on 4 to 16 cells, so undecided 4x4 blocks go to the mask cell by
 # cell (2x2 leaves measured as fast, 1x1 and 8x8 ones slower)
 _LEAF = 4
+# blocks per call of _Certificates.decide and cells per call of simple_mask
+# in sample_region, which bound its memory beyond the bits
+_PASS = 1024
+_CHUNK = 8192
 _ROUNDING = 1e-12  # certificates' margin, relative to the coordinate scale
 # certify only while the orientation margin is far from under- and overflow
 _MARGIN_RANGE = (1e-280, 1e280)
@@ -219,43 +223,57 @@ def sample_region(
     coordinate scale (its square for orientations), so the float arithmetic
     of the per-cell test cannot decide a certified cell the other way. The
     cells of undecided 4x4 blocks, those near a region boundary, go through
-    ``simple_mask`` on the ``cell_centers()`` values. A negative or NaN tol,
-    or a coordinate scale at which the margins would under- or overflow
-    (outside about 1e-134 to 1e146), certifies nothing and masks every cell.
+    ``simple_mask`` at their ``cell_centers()`` values. A negative or NaN
+    tol, or a coordinate scale at which the margins would under- or
+    overflow (outside about 1e-134 to 1e146), certifies nothing and masks
+    every cell.
+
+    Memory beyond the bits stays bounded at any grid size: the
+    certificates take at most 1024 blocks and the mask at most 8192 cells
+    at a time, and member blocks are set through a block view of bits
+    padded to whole 64-cell blocks, of which the grid's bits are a view.
     """
     key, norm = _normalize_fixed(kind, fixed)
     if bbox is None:
         bbox = _default_bbox(key, norm)
     nx, ny = check_count(nx, "nx"), check_count(ny, "ny")
     _check_resolution(nx, ny)
-    grid = RegionGrid(tuple(bbox), nx, ny, np.zeros((ny, nx), dtype=bool))
-    xs, ys = grid.axes()
-    bits = np.zeros((grid.ny, grid.nx), dtype=bool)
-    lo, hi = _MARGIN_RANGE
+    # a zero-stride grid checks the box and gives the axes
+    xs, ys = RegionGrid(tuple(bbox), nx, ny, np.broadcast_to(False, (ny, nx))).axes()
+    bits = np.zeros((-(-ny // _BLOCK) * _BLOCK, -(-nx // _BLOCK) * _BLOCK), dtype=bool)
+    low, high = _MARGIN_RANGE
     with np.errstate(all="ignore"):
         sure = _Certificates(key, norm, tol, xs, ys)
-        if tol >= 0.0 and lo <= sure.margin2 <= hi:
-            ci, cj = _open_cells(sure, xs, ys, bits)
-        else:
-            ci, cj = (a.ravel() for a in np.indices(bits.shape))
-        bits[ci, cj] = simple_mask(hexagon_corners(key, norm, xs[cj] + 1j * ys[ci]), tol)
-    return RegionGrid(grid.bbox, grid.nx, grid.ny, bits)
+        if tol >= 0.0 and low <= sure.margin2 <= high:
+            bk, bj = _open_blocks(sure, xs, ys, bits)
+            per = _CHUNK // (_LEAF * _LEAF)
+            cells = (_cells(bk[at : at + per], bj[at : at + per], (ny, nx)) for at in range(0, len(bk), per))
+        else:  # every cell, in raster order
+            cells = (np.divmod(np.arange(at, min(at + _CHUNK, ny * nx)), nx) for at in range(0, ny * nx, _CHUNK))
+        for ci, cj in cells:
+            bits[ci, cj] = simple_mask(hexagon_corners(key, norm, xs[cj] + 1j * ys[ci]), tol)
+    return RegionGrid(tuple(bbox), nx, ny, bits[:ny, :nx])
 
 
-def _open_cells(sure: _Certificates, xs, ys, bits) -> tuple[np.ndarray, np.ndarray]:
-    """Set the cells of the blocks certified all members in bits and return
-    the rows and columns of the cells that no certificate decides."""
-    ny, nx = bits.shape
+def _open_blocks(sure: _Certificates, xs, ys, bits) -> tuple[np.ndarray, np.ndarray]:
+    """Set the blocks certified all members in bits, padded to whole
+    _BLOCK-cell blocks, and return the indices (row, column) of the
+    _LEAF-cell blocks that no certificate decides."""
+    ny, nx = len(ys), len(xs)
     size = _BLOCK
-    bk, bj = (a.ravel() for a in np.indices(((ny - 1) // size + 1, (nx - 1) // size + 1)))
+    bk, bj = (a.ravel() for a in np.indices((bits.shape[0] // size, bits.shape[1] // size)))
     while True:
         r0, c0 = bk * size, bj * size
         r1, c1 = np.minimum(r0 + size, ny) - 1, np.minimum(c0 + size, nx) - 1
-        inside, outside = sure.decide(xs[c0], xs[c1], ys[r0], ys[r1])
-        bits[_cells(bk[inside], bj[inside], size, bits.shape)] = True
+        inside, outside = np.empty((2, len(bk)), dtype=bool)
+        for at in range(0, len(bk), _PASS):
+            s = slice(at, at + _PASS)
+            inside[s], outside[s] = sure.decide(xs[c0[s]], xs[c1[s]], ys[r0[s]], ys[r1[s]])
+        blocks = bits.reshape(bits.shape[0] // size, size, bits.shape[1] // size, size)
+        blocks[bk[inside], :, bj[inside], :] = True
         bk, bj = bk[~(inside | outside)], bj[~(inside | outside)]
         if size == _LEAF:
-            return _cells(bk, bj, size, bits.shape)
+            return bk, bj
         size //= 2  # each open block splits into its quarters inside the grid
         bk = (2 * bk[:, None] + [0, 0, 1, 1]).ravel()
         bj = (2 * bj[:, None] + [0, 1, 0, 1]).ravel()
@@ -263,11 +281,11 @@ def _open_cells(sure: _Certificates, xs, ys, bits) -> tuple[np.ndarray, np.ndarr
         bk, bj = bk[keep], bj[keep]
 
 
-def _cells(bk, bj, size, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the cells in the blocks (bk, bj) of the given
-    size, clipped to a grid of the given shape."""
-    di, dj = (a.ravel() for a in np.indices((size, size)))
-    ci, cj = (bk[:, None] * size + di).ravel(), (bj[:, None] * size + dj).ravel()
+def _cells(bk, bj, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the cells in the _LEAF-cell blocks (bk, bj),
+    clipped to a grid of the given shape."""
+    di, dj = (a.ravel() for a in np.indices((_LEAF, _LEAF)))
+    ci, cj = (bk[:, None] * _LEAF + di).ravel(), (bj[:, None] * _LEAF + dj).ravel()
     keep = (ci < shape[0]) & (cj < shape[1])
     return ci[keep], cj[keep]
 

@@ -440,6 +440,42 @@ class TestModuliSampleCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "where, argv",
+    [
+        ("moduli.sample_region", ["moduli", "sample", "--type=iii", "--grid=300000,300000"]),
+        ("embed.drape_tiling", ["render", "obj", "DOC", "--embed=rect", "--res=200000"]),
+    ],
+)
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        (
+            "Unable to allocate 83.8 GiB for an array with shape (300000, 300000) and data type bool",
+            "error: out of memory (Unable to allocate 83.8 GiB for an array with shape (300000, 300000) "
+            "and data type bool)",
+        ),
+        ("", "error: out of memory"),
+    ],
+)
+def test_a_refused_allocation_is_one_error_line(tmp_path, capsys, monkeypatch, where, argv, message, line):
+    # the allocation is refused by a stand-in, never made
+    module, name = where.split(".")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    argv = [construct_doc(tmp_path, "i") if arg == "DOC" else arg for arg in argv]
+    monkeypatch.setattr(f"hextorus.{module}.{name}", refuse)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    assert not out.exists()
+
+
 class TestRenderSvg:
     def test_svg_parses_with_expected_shapes(self, tmp_path):
         path = construct_doc(tmp_path, "i")

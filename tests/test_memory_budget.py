@@ -1,12 +1,15 @@
-"""Peak memory of the render path, one call at a time.
+"""Peak memory of the render and sampling paths, one call at a time.
 
 Each budget bounds the ``tracemalloc`` peak (numpy's array buffers
 included) of one library call: building the 256x256 mesh of the
 rectangular torus, measuring its conformality, draping a 2-tile tiling at
-surface resolution 192, and writing that drape as OBJ. Meshes are checked
-and measured a block at a time, so no call holds a whole-mesh temporary per
-coordinate; each budget leaves about a third of headroom over what the
-blocked code takes. A small warm-up of every call first loads numpy and
+surface resolution 192, writing that drape as OBJ, and sampling the
+centrally symmetric benchmark region at 512x512 and 2048x2048. Meshes are
+checked and measured a block at a time, so no call holds a whole-mesh
+temporary per coordinate, and regions are certified and masked a bounded
+number of blocks and cells at a time, so sampling holds little beyond its
+bits; each budget leaves about a third of headroom over what the blocked
+code takes. A small warm-up of every call first loads numpy and
 whatever the calls import lazily, so no peak counts an import. The builders
 start from an empty quad-grid cache, so they pay for their quads;
 conformality reads the quads its mesh cached, as it does right after a
@@ -23,6 +26,8 @@ import pytest
 from hextorus.cli import write_obj
 from hextorus.construct import GenericityWarning, type_i_minimal
 from hextorus.embed import RectEmbedding, _grid_quads, conformality, drape_tiling, rect_torus_mesh
+from hextorus.moduli import sample_region
+from test_array_oracle import GRIDS
 
 warnings.simplefilter("ignore", GenericityWarning)
 
@@ -48,6 +53,7 @@ def warm_up():
     conformality(mesh)
     write_obj(mesh)
     rect_torus_mesh(1.0, 8, 8)
+    sample_region(*GRIDS["cs"], nx=64, ny=64)
 
 
 def test_rect_torus_mesh():
@@ -66,3 +72,8 @@ def test_drape_tiling():
 
 def test_write_obj():
     assert peak_mib(write_obj, drape()) <= 13.0
+
+
+@pytest.mark.parametrize("n, budget", [(512, 6.0), (2048, 11.5)])
+def test_sample_region(n, budget):
+    assert peak_mib(sample_region, *GRIDS["cs"], nx=n, ny=n) <= budget
