@@ -15,9 +15,18 @@ from reprlib import recursive_repr
 
 
 def _eq(self, other):
-    if other.__class__ is self.__class__:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    try:
         return self.__dict__ == other.__dict__  # the dicts hold the fields alone
-    return NotImplemented
+    except ValueError:  # an array's truth value: arrays compare by shape and values
+        return all(_same(v, other.__dict__[k]) for k, v in self.__dict__.items())
+
+
+def _same(a, b) -> bool:
+    if a.__class__ is tuple is b.__class__:  # Mesh3.polylines
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a.shape == b.shape and bool((a == b).all()) if hasattr(a, "ndim") else a == b
 
 
 def _setattr(self, name, value):
@@ -31,11 +40,11 @@ def _delattr(self, name):
 def value_type(*fields: str):
     """Class decorator for a value type with the given fields, in order.
 
-    Instances equal the instances of the same class whose fields are equal,
-    hash as the tuple of their fields (a TypeError if one is unhashable),
-    show as ``Name(field=value, ...)`` and refuse the assignment and the
-    deletion of any attribute. A class without an ``__init__`` of its own
-    gets one that takes each field once, positionally or by name.
+    Instances equal the instances of the same class whose fields are equal
+    (arrays by shape and values), hash as the tuple of their fields (a
+    TypeError if one is unhashable), show as ``Name(field=value, ...)`` and
+    refuse the assignment and the deletion of any attribute. A class without
+    an ``__init__`` of its own gets one taking each field once, by position or name.
     """
     get = attrgetter(*fields)
     names = frozenset(fields)

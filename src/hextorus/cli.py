@@ -29,7 +29,7 @@ from .construct import (
 from .covering import build_cover, enumerate_coverings
 from .geom import Polygon
 from .hexagon import _GENERIC, _RESIDUAL, classify, spec_from_polygon
-from .lattice import HnfTriple, check_count, covolume
+from .lattice import HnfTriple, check_count, check_tolerance, covolume
 from .validate import validate
 
 FORMAT_TAG = "tiling-document/1"
@@ -291,6 +291,7 @@ _PALETTES = {
     },
 }
 _PALETTES["strip"] = _PALETTES["type_i"]
+_SVG_COPIES = 1 << 17  # tile copies write_svg draws at most
 
 
 def _doc_kind(provenance: dict) -> str:
@@ -309,10 +310,12 @@ def _side_label(labels, j: int) -> int:
 
 
 def write_svg(tiling, extent: int = 1) -> str:
-    """SVG drawing of extent x extent fundamental-domain translates."""
+    """SVG drawing of extent x extent fundamental-domain translates: at most 2**17 tile copies."""
     extent = check_count(extent, "extent")
     if extent < 1:
         raise ValueError("extent must be at least 1")
+    if (copies := extent**2 * len(tiling.tiles)) > _SVG_COPIES:
+        raise ValueError(f"extent {extent} draws {copies} tile copies, over the {_SVG_COPIES} cap")
     palette = _PALETTES.get(_doc_kind(tiling.provenance), {})
     alpha, beta = tiling.alpha, tiling.beta
     xs: list[float] = []
@@ -457,12 +460,9 @@ def _parse_embed(text: str):
 
 def _tolerance(text: str) -> float:
     try:
-        tol = float(text)
-        if 0.0 <= tol < math.inf:
-            return tol
+        return check_tolerance(float(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
 
 
 def _require(args, names: tuple[str, ...], kind: str) -> None:

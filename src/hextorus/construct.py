@@ -305,29 +305,12 @@ def central_minimal(alpha: complex, beta: complex, u: complex) -> TorusTiling:
     return FAMILIES["cs"].build((alpha, beta), u, {"alpha": alpha, "beta": beta, "u": u})
 
 
-def _parse_signs(signs) -> tuple[int, ...]:
-    if isinstance(signs, str):
-        bad = [ch for ch in signs if ch not in "+-"]
-        if bad:
-            raise ValueError(f"sign word may only contain + and -, got {bad[0]!r}")
-        word = [1 if ch == "+" else -1 for ch in signs]
-    else:
-        word = list(signs)
-        bad = [v for v in word if v not in (1, -1)]  # 1.0 is 1, 1.5 is refused
-        if bad:
-            raise ValueError(f"sign sequence entries must be +1 or -1, got {bad[0]!r}")
-        word = [1 if v == 1 else -1 for v in word]
-    if not word:
-        raise ValueError("sign word must be nonempty")
-    return tuple(word)
-
-
 def strip_tiling(
     h: float,
     w: float,
     s: float,
     sigma,
-    signs,
+    signs: str,
     mode: str = "torus",
     extent: int | None = None,
 ) -> TorusTiling | PlanarPatch:
@@ -336,8 +319,8 @@ def strip_tiling(
     Each strip repeats with vertical period i*h; consecutive strips are
     offset by w + i*sign*s, where the sign flips the strip upside down. The
     prototile must have its two strip-boundary sides of equal length, which
-    pins Im(2t - i) = h/2 for the free vector. With mode="torus" the sign
-    word is one period of the tiling, giving 2*len(signs) tiles; with
+    pins Im(2t - i) = h/2 for the free vector. The sign word is a string of
+    + and -. With mode="torus" it is one period, giving 2*len(signs) tiles; with
     mode="patch" the word is laid out literally as a finite planar patch of
     2*(2*extent+1) tiles per strip (extent 1 by default). Only patch mode
     takes an extent.
@@ -345,7 +328,13 @@ def strip_tiling(
     h, w, s = float(h), float(w), float(s)
     if not (h > 0 and w > 0):
         raise ValueError("strip periods h and w must be positive")
-    word = _parse_signs(signs)
+    if not isinstance(signs, str):
+        raise ValueError(f"sign word must be a string of + and -, got {signs!r}")
+    bad = [ch for ch in signs if ch not in "+-"]
+    if bad:
+        raise ValueError(f"sign word may only contain + and -, got {bad[0]!r}")
+    if not signs:
+        raise ValueError("sign word must be nonempty")
     if mode not in ("torus", "patch"):
         raise ValueError(f"mode must be 'torus' or 'patch', got {mode!r}")
     if mode == "torus" and extent is not None:
@@ -372,8 +361,8 @@ def strip_tiling(
     flipped = tuple(_oriented(tile.transformed(flip)) for tile in base)
 
     offsets = [0j]
-    for sign in word:
-        offsets.append(offsets[-1] + complex(w, sign * s))
+    for sign in signs:
+        offsets.append(offsets[-1] + complex(w, s if sign == "+" else -s))
 
     provenance = {
         "kind": "strip",
@@ -381,19 +370,19 @@ def strip_tiling(
         "w": w,
         "s": s,
         "sigma": (i, t),
-        "signs": "".join("+" if sign > 0 else "-" for sign in word),
+        "signs": signs,
     }
     rows = range(-extent, extent + 1) if mode == "patch" else (0,)
     tiles = tuple(
         tile.translated(c + j * v)
-        for c, sign in zip(offsets, word)
+        for c, sign in zip(offsets, signs)
         for j in rows
-        for tile in (base if sign > 0 else flipped)
+        for tile in (base if sign == "+" else flipped)
     )
     if mode == "patch":
         return PlanarPatch(tiles, provenance)
     # the word's p plus and q minus strips advance by (p + q)*w + i*(p - q)*s
-    alpha = complex(len(word) * w, sum(word) * s)
+    alpha = complex(len(signs) * w, (signs.count("+") - signs.count("-")) * s)
     return _warn_if_nongeneric(TorusTiling(alpha, v, tiles, provenance), t1)
 
 

@@ -12,7 +12,7 @@ from ._np import np
 from .construct import FAMILIES, TorusTiling, family, translates
 from .geom import corner_table
 from .lattice import HnfTriple, LatticeFrame, NearPairs, check_bound, check_count, check_modulus
-from .lattice import enumerate_hnf
+from .lattice import check_tolerance, enumerate_hnf
 
 MINIMAL_TILE_COUNT = {kind: f.tiles for kind, f in FAMILIES.items()}
 
@@ -40,6 +40,7 @@ def is_minimal(t: TorusTiling, tol: float = 1e-9) -> bool:
     corners; a candidate under which corner 0 of tile 1 meets no corner is
     dropped before the full test.
     """
+    tol = check_tolerance(tol)
     tiles = t.tiles
     if len(tiles) < 2:
         return True

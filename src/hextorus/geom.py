@@ -62,10 +62,6 @@ class Isometry:
             return np.array([[a, b], [b, -a]])
         return np.array([[a, -b], [b, a]])
 
-    @property
-    def translation(self) -> Point2:
-        return self.shift
-
     def __call__(self, z: Point2) -> Point2:
         return self.mult * (z.conjugate() if self.reflect else z) + self.shift
 
@@ -92,10 +88,6 @@ class Isometry:
         return Isometry(1.0 / self.mult, -self.shift / self.mult, False)
 
 
-def translation(v: Point2) -> Isometry:
-    return Isometry(1.0 + 0j, v, False)
-
-
 def rotation(angle: float, center: Point2 = 0j) -> Isometry:
     m = cmath.exp(1j * angle)
     return Isometry(m, center - m * center, False)
@@ -109,9 +101,7 @@ def reflection(anchor: Point2, direction: float) -> Isometry:
 
 def glide(anchor: Point2, direction: float, shift: float) -> Isometry:
     """Reflection across a line composed with a translation along it."""
-    return translation(cmath.rect(shift, direction)).compose(
-        reflection(anchor, direction)
-    )
+    return Isometry(1.0 + 0j, cmath.rect(shift, direction)).compose(reflection(anchor, direction))
 
 
 @value_type("corners", "labels")

@@ -69,6 +69,16 @@ def check_bound(bound) -> int:
     return bound
 
 
+def check_tolerance(tol) -> float:
+    """tol as a float; ValueError unless it is a finite number >= 0."""
+    try:
+        if 0.0 <= tol < math.inf:
+            return float(tol)
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def covolume(alpha: complex, beta: complex) -> float:
     """Signed area alpha.real*beta.imag - alpha.imag*beta.real of the cell
     spanned by alpha and then beta; positive iff Im(beta/alpha) > 0."""

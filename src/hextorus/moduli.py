@@ -24,9 +24,6 @@ from .construct import B_POINT, FAMILIES, R_POINT, family, hexagon_corners
 from .geom import MERGE_TOL, _cross, _rows, first_violation, seg_point_dist, simple_mask
 from .lattice import check_count, components
 
-KINDS = tuple(FAMILIES)
-
-
 def _check_resolution(nx, ny) -> None:
     if nx < 2 or ny < 2:
         raise ValueError("grid resolution must be at least 2x2")

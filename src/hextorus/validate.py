@@ -10,9 +10,9 @@ Two points meet modulo the lattice when the difference of their lattice
 coordinates, less its rounding, is at most tol long. The candidates come
 from a spatial hash modulo the lattice (``lattice.NearPairs``), which finds
 in a reduced basis every lattice copy of a point within a radius of another:
-- corner pairs within 3*tol, for clustering, for the ambiguity band
-  (tol, 3*tol], and for side matching (side k can match side j only if the
-  start of k meets the end of j);
+- corner pairs within 3*tol, for clustering and for the ambiguity band
+  (tol, 3*tol]; side matching reuses the pairs within tol and their lattice
+  shifts (side k can match side j only if the start of k meets the end of j);
 - for half vertices, each copy of a side whose midpoint lies within half its
   length plus tol of a cluster, shifted by the integer coordinates the hash
   gives in the tiling's basis, and tested in full.
@@ -63,7 +63,7 @@ from .geom import (
     seg_point_dist,
     simple_mask,
 )
-from .lattice import LatticeFrame, NearPairs, _distinct, components, covolume
+from .lattice import LatticeFrame, NearPairs, _distinct, check_tolerance, components, covolume
 
 ANGLE_TOL = 1e-9
 
@@ -104,7 +104,7 @@ class _Analysis:
     """
 
     def __init__(self, tiling, tol: float, table=None):
-        self.tol = tol
+        self.tol = check_tolerance(tol)
         tiles = tiling.tiles
         self.f = len(tiles)
         self.frame = LatticeFrame(tiling.alpha, tiling.beta)
@@ -114,11 +114,10 @@ class _Analysis:
         # corner k to corner nxt[k], so side prev[k] ends at corner k
         start, size = first[self.owner], sizes[self.owner]
         self.position = np.arange(len(corners)) - start
-        nxt = start + (self.position + 1) % size
+        self.nxt = start + (self.position + 1) % size
         self.prev = start + (self.position - 1) % size
         self.corners = corners
-        self.side_p = corners
-        self.side_q = corners[nxt]
+        self.side_q = corners[self.nxt]
         # the shoelace and corner_angles term by term: per-tile sums in
         # corner order, and math.atan2, whose last bits np.arctan2 misses
         self.areas = 0.5 * _tile_sums(_cross(corners, self.side_q), sizes, first)
@@ -137,12 +136,15 @@ class _Analysis:
         self._match_sides(*self._cluster())
         self._find_half_vertices()
 
-    def _cluster(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cluster the corners; return the corner pairs within 3*tol."""
+    def _cluster(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cluster the corners; return the corner pairs (a, b) within tol and
+        the rounded lattice coordinates of a - b."""
         tol = self.tol
-        frac = self.frame.frac(self.corners)
+        self.frac = self.frame.frac(self.corners)
         a, b = NearPairs(self.frame, self.corners, 3.0 * tol).pairs(self.corners)
-        dist = self.frame.residual(frac[a] - frac[b])
+        delta = self.frac[a] - self.frac[b]
+        shifts = np.round(delta)
+        dist = self.frame.norm(delta - shifts)
         close = dist <= tol
         # clusters are numbered in order of their first corner
         label, first = components(len(self.corners), a[close], b[close])
@@ -159,36 +161,31 @@ class _Analysis:
         self.offsets = np.cumsum(self.sizes) - self.sizes
         self.angle_sums = np.bincount(label, self.angles, minlength=self.n_clusters)
         self.reps = self.corners[first]
-        return a, b
+        return a[close], b[close], shifts[close]
 
     def members(self, c: int) -> np.ndarray:
         """The corners of cluster c, in corner order."""
         return self.order[self.offsets[c] : self.offsets[c] + self.sizes[c]]
 
-    def _match_sides(self, a: np.ndarray, b: np.ndarray) -> None:
-        # sides k and j can match only if the start of k lies within tol of
-        # the end of j, so the corner pairs (k, end of j) are the candidates
-        tol = self.tol
-        k, j = a, self.prev[b]
-        pf = self.frame.frac(self.side_p)
-        qf = self.frame.frac(self.side_q)
-        d1 = pf[k] - qf[j]
-        offsets = np.round(d1)
-        r1 = self.frame.norm(d1 - offsets)
-        d2 = qf[k] - pf[j]
-        r2 = self.frame.norm(d2 - offsets)
-        matched = (r1 <= tol) & (r2 <= tol)
-        self.partner_count = np.bincount(k[matched], minlength=len(self.side_p))
+    def _match_sides(self, k: np.ndarray, b: np.ndarray, shifts: np.ndarray) -> None:
+        # side k matches side j when the start of k meets the end of j, which
+        # is corner b of the pairs within tol, and the end of k meets the
+        # start of j under the same lattice shift
+        j = self.prev[b]
+        far = self.frame.norm(self.frac[self.nxt[k]] - self.frac[j] - shifts)
+        hit = far <= self.tol
+        k, j = k[hit], j[hit]
+        self.partner_count = np.bincount(k, minlength=len(self.corners))
         # the match relation is symmetric, so pairs with k <= j (k == j for
         # torus-wrapping self-matches) count unordered pairs
-        self.pairs = int(np.count_nonzero(k[matched] <= j[matched]))
+        self.pairs = int(np.count_nonzero(k <= j))
 
     def _find_half_vertices(self) -> None:
         # a cluster inside side s lies within half its length plus tol of its
         # midpoint; each copy that near gets the full test, in a call whose
         # arrays go before the next block, and each (cluster, side) counts once
-        mids = (self.side_p + self.side_q) / 2.0
-        reach = np.abs(self.side_q - self.side_p) / 2.0 + self.tol
+        mids = (self.corners + self.side_q) / 2.0
+        reach = np.abs(self.side_q - self.corners) / 2.0 + self.tol
         n = len(mids)
         through = [np.zeros(0, dtype=np.int64)]
         for c, s, k in NearPairs(self.frame, mids, reach).copies(self.reps):
@@ -203,7 +200,7 @@ class _Analysis:
         tol = self.tol
         xy = k @ self.frame.basis
         shift = xy[:, 0] + 1j * xy[:, 1]
-        z, a, b = self.reps[c], self.side_p[s] + shift, self.side_q[s] + shift
+        z, a, b = self.reps[c], self.corners[s] + shift, self.side_q[s] + shift
         return (seg_point_dist(a, b, z) <= tol) & (np.abs(z - a) > tol) & (np.abs(z - b) > tol)
 
     def census(self) -> TilingCensus:
@@ -240,6 +237,7 @@ def census(tiling, tol: float = 1e-9) -> TilingCensus:
 
 def validate(tiling, tol: float = 1e-9) -> ValidationReport:
     """Full validation: side matching, vertex structure, congruence, area."""
+    tol = check_tolerance(tol)
     with np.errstate(all="ignore"):  # as in census
         failures: list[tuple[str, str]] = []
         tiles = tiling.tiles
@@ -259,14 +257,12 @@ def validate(tiling, tol: float = 1e-9) -> ValidationReport:
         cen = analysis.census()
 
         for k in np.flatnonzero(analysis.partner_count != 1).tolist():
-            ti, ci = analysis.owner[k], analysis.position[k]
+            where = f"side {analysis.position[k]} of tile {analysis.owner[k]}"
             count = analysis.partner_count[k]
             if count == 0:
-                failures.append(("unmatched-side", f"side {ci} of tile {ti}"))
+                failures.append(("unmatched-side", where))
             else:
-                failures.append(
-                    ("multi-matched-side", f"side {ci} of tile {ti} has {count} partners")
-                )
+                failures.append(("multi-matched-side", f"{where} has {count} partners"))
 
         # the array sums may differ from the exact ones in the last bits, so the
         # flag allows for that and each flagged cluster is decided as before

@@ -505,6 +505,21 @@ class TestRenderSvg:
             write_svg(tiling, extent=1.5)
         assert write_svg(tiling, extent=2.0) == write_svg(tiling, extent=2)
 
+    @pytest.mark.parametrize("extent,copies", [(100000000, 2 * 10**16), (257, 132098)])
+    def test_extent_past_the_cap_is_one_error_line(self, tmp_path, capsys, extent, copies):
+        # the README's 2-tile document: extent 256 draws 2 * 256**2 = 2**17
+        # tile copies, the most write_svg draws, so 257 is the first refused
+        path = str(tmp_path / "two_tile.json")
+        readme = ["--type=i", "--tau=0,0.6", "--i=0.24,0.17", "--t=-0.18,0.27"]
+        assert main(["construct", *readme, "-o", path]) == 0
+        out_path = tmp_path / "two_tile.svg"
+        assert main(["render", "svg", path, "--extent", str(extent), "-o", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert captured.err.splitlines() == [
+            f"error: extent {extent} draws {copies} tile copies, over the 131072 cap"
+        ]
+
     @pytest.mark.parametrize(
         "corners",
         [(0, 1, 1 + 1j, 1j), (0, 0.5, 1, 1 + 0.5j, 1 + 1j, 0.5 + 1j, 1j, 0.5j)],

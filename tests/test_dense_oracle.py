@@ -140,6 +140,20 @@ def test_broken_carriers_agree(kind, how):
     assert_agree(broken(cover, how, len(cover.tiles) // 3))
 
 
+@pytest.mark.parametrize("j", [3, 40])
+@pytest.mark.parametrize("how", ["nudge", "drop", "shift"])
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_rebased_broken_carriers_agree(kind, how, j):
+    # side matching reads the lattice shifts of the clustering's corner
+    # pairs, which the skewed basis beta + j*alpha makes large
+    cover = covering.build_cover(BASES[kind](), HnfTriple(*TRIPLES[kind][-2]))
+    t = broken(cover, how, len(cover.tiles) // 3)
+    t = carrier(t, beta=t.beta + j * t.alpha)
+    assert_agree(t)
+    dense = dense_oracle._Analysis(t, 1e-9)
+    assert validate._Analysis(t, 1e-9).pairs == int(np.triu(dense.matches).sum())
+
+
 @pytest.mark.parametrize("kind", sorted(BASES))
 def test_empty_carrier_agrees(kind):
     assert_agree(carrier(BASES[kind](), tiles=()))

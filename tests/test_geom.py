@@ -30,7 +30,6 @@ from hextorus.geom import (
     seg_point_dist,
     signed_area,
     simple_mask,
-    translation,
 )
 
 SQUARE = [0j, 1 + 0j, 1 + 1j, 1j]
@@ -243,11 +242,6 @@ class TestIsometry:
             assert np.allclose(m @ m.T, np.eye(2), atol=1e-12)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert det == pytest.approx(g.orientation, abs=1e-12)
-
-    def test_translation_factory(self):
-        g = translation(2 - 1j)
-        assert g(1j) == pytest.approx(2 + 0j)
-        assert g.translation == 2 - 1j
 
     def test_non_unit_multiplier_rejected(self):
         with pytest.raises(ValueError):

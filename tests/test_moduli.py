@@ -18,6 +18,7 @@ import hextorus
 from hextorus.cli import main
 from hextorus.construct import (
     B_POINT,
+    FAMILIES,
     G_PRIME,
     GenericityWarning,
     ModuliViolation,
@@ -31,7 +32,6 @@ from hextorus.construct import (
 from hextorus.covering import MINIMAL_TILE_COUNT, enumerate_coverings
 from hextorus.moduli import (
     Arc,
-    KINDS,
     RegionGrid,
     connected_components,
     membership,
@@ -96,7 +96,7 @@ class TestMembership:
 
     def test_matches_constructor_success(self):
         rng = np.random.default_rng(20260814)
-        for kind in KINDS:
+        for kind in FAMILIES:
             for _ in range(300):
                 free = complex(rng.uniform(-1.2, 1.8), rng.uniform(-1.2, 1.2))
                 assert membership(kind, FIXED[kind], free) == constructor_succeeds(
@@ -124,7 +124,7 @@ class TestMembership:
                 refused.append((alpha, beta, u))
         assert not refused, f"{len(refused)} refused, first (alpha, beta, u) = {refused[0]}"
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", tuple(FAMILIES))
     def test_mask_matches_scalar_membership(self, kind):
         """The array and the scalar simplicity paths agree cell for cell."""
         xs = np.linspace(-0.8, 1.4, 23)
@@ -136,14 +136,14 @@ class TestMembership:
             z = grid.flat[k]
             assert mask.flat[k] == membership(kind, FIXED[kind], z), z
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", tuple(FAMILIES))
     def test_non_finite_parameter_is_not_a_member(self, kind):
         for z in (complex(math.nan, 0.1), complex(0.1, math.inf)):
             assert not membership(kind, FIXED[kind], z)
             with np.errstate(invalid="ignore"):
                 assert not membership_mask(kind, FIXED[kind], np.array([z]))[0]
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", tuple(FAMILIES))
     def test_overflowing_parameter_is_not_a_member(self, kind):
         # hexagons with a side or distance too long for Python's abs: no
         # OverflowError and no numpy warning, from any form of the test
@@ -200,7 +200,7 @@ class TestMembership:
 
 class TestFamilyTable:
     @pytest.mark.filterwarnings("ignore::hextorus.construct.GenericityWarning")
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", tuple(FAMILIES))
     def test_table_matches_the_constructor(self, kind):
         """The constructor's lattice and tile count are the table's."""
         fam = family(kind)

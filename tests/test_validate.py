@@ -22,7 +22,7 @@ from hextorus.construct import (
     type_ii_minimal,
     type_iii_minimal,
 )
-from hextorus.covering import build_cover
+from hextorus.covering import build_cover, is_minimal
 from hextorus.geom import DegenerateError, Polygon
 from hextorus.lattice import HnfTriple
 from hextorus.validate import ToleranceAmbiguityError, census, validate
@@ -244,6 +244,18 @@ def test_a_flat_lattice_is_one_value_error(check, alpha, beta):
     assert str(raised.value) == (
         f"lattice generators {complex(alpha)} and {complex(beta)} are parallel or zero"
     )
+
+
+@pytest.mark.parametrize("check", [validate, census, is_minimal], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-3])
+def test_a_tolerance_not_finite_and_nonnegative_is_one_value_error(check, tol):
+    # a valid cover: nan and inf read its corners as coincident, and a
+    # negative tolerance made it look minimal and its vertices of degree 1
+    cover = build_cover(type_iii_minimal(0.05 + 0.22j), HnfTriple(2, 1, 0))
+    with pytest.raises(ValueError) as raised:
+        check(cover, tol)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"tolerance must be a finite number >= 0, got {tol!r}"
 
 
 def test_a_nan_lattice_still_gets_a_failure_report():

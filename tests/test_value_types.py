@@ -32,6 +32,8 @@ from hextorus import (
     ValidationReport,
     census,
     central_minimal,
+    rect_torus_mesh,
+    sample_region,
     type_iii_minimal,
     validate,
 )
@@ -137,6 +139,27 @@ def test_equality_within_one_class():
     assert TorusTiling(1, 1j, [Polygon(SQUARE)]) != TorusTiling(1, 1j, [Polygon(SQUARE)], {"kind": "x"})
     grid = VALUES[RegionGrid][1]()
     assert grid == grid  # the same array object: equal without comparing it
+
+
+def test_array_fields_compare_by_shape_and_values():
+    a, b = rect_torus_mesh(1, 8, 8), rect_torus_mesh(1, 8, 8)
+    assert a == b and not a != b
+    vertices = a.vertices.copy()
+    vertices[5, 2] += 1e-3
+    assert Mesh3(vertices, a.quads, a.groups, a.uv) != a
+    line = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    drawn = Mesh3(a.vertices, a.quads, a.groups, a.uv, (line,))
+    assert drawn == Mesh3(a.vertices, a.quads, a.groups, a.uv, (line.copy(),))
+    assert drawn != a  # one polyline against none
+    assert drawn != Mesh3(a.vertices, a.quads, a.groups, a.uv, (line[:1],))  # shape
+    moved = line.copy()
+    moved[1, 0] = 1.5
+    assert drawn != Mesh3(a.vertices, a.quads, a.groups, a.uv, (moved,))
+    grid = sample_region("iii", None, nx=8, ny=8)
+    assert grid == sample_region("iii", None, nx=8, ny=8)
+    bits = grid.bits.copy()
+    bits[3, 4] = not bits[3, 4]
+    assert RegionGrid(grid.bbox, grid.nx, grid.ny, bits) != grid
 
 
 def test_reprs():
