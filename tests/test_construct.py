@@ -262,11 +262,24 @@ class TestStrip:
         assert tiling.beta == 1.2j
         assert abs(total_area(tiling.tiles) - tiling.covolume) <= 1e-9
 
+    def refuses_as_non_string(self, signs):
+        message = rf"^sign word must be a string of \+ and -, got {re.escape(repr(signs))}$"
+        with pytest.raises(ValueError, match=message):
+            strip_tiling(1.2, 0.9, 0.15, self.SIGMA, signs)
+
     def test_signs_must_be_a_string(self):
-        for signs in ([1, -1], (1, -1), b"+-"):
-            message = rf"^sign word must be a string of \+ and -, got {re.escape(repr(signs))}$"
-            with pytest.raises(ValueError, match=message):
-                strip_tiling(1.2, 0.9, 0.15, self.SIGMA, signs)
+        self.refuses_as_non_string(b"+-")
+        assert len(strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+-").tiles) == 4
+
+    def test_signs_as_integer_sequence(self):
+        for signs in ([1, -1], (1, -1)):
+            self.refuses_as_non_string(signs)
+
+    def test_signs_must_equal_plus_or_minus_one(self):
+        # No sequence is read entry by entry: any non-string word, whatever its
+        # entries, is refused with the one message that names the string form.
+        for signs in ([1.5, -1.9], [1.0, -1.0], ("+", "-")):
+            self.refuses_as_non_string(signs)
 
     def test_empty_signs_raises(self):
         with pytest.raises(ValueError):
