@@ -221,13 +221,6 @@ def family(kind) -> Family:
     return FAMILIES[key]
 
 
-def hexagon_corners(kind: str, fixed, free) -> tuple:
-    """The six prototile corners of a family, or of "strip" at fixed (u, v, i),
-    at its normalized fixed parameters and the free one, t (P for "iii", u
-    for "cs"), a complex scalar or array; the corners follow suit."""
-    return _corners_i(*fixed, free) if kind == "strip" else family(kind).corners(*fixed, free)
-
-
 def _hexagon(corners) -> Polygon:
     """Build a simple hexagon, counterclockwise, or raise ModuliViolation."""
     violation = first_violation(corners)

@@ -89,12 +89,13 @@ def enumerate_coverings(
     so triples are canonicalized over its rotation symmetry and kept when
     the covering is isometric to the target.
 
-    ``bound`` (at least 1, for every kind) is used by family ii only: it
+    ``bound`` (1 to 1024, for every kind) is used by family ii only: it
     bounds the entries of the unimodular maps ``rectangular_solve`` searches.
     A triple missing from a family-ii list has no rectangular minimal modulus
     up to that bound, which is not a proof that it has none. The search
     table has about 1.2*bound**2 maps (5,040 at 64), so the cost and memory
-    grow with the square of the bound.
+    grow with the square of the bound. The triples are those of
+    ``enumerate_hnf``, which refuses an index with more than 2**20 of them.
     """
     fam = family(kind)
     target = check_modulus(target)

@@ -309,12 +309,12 @@ def _rect_v_samples(a: float, nv: int) -> np.ndarray:
     return (a * phi / (2.0 * np.pi))[::-1]
 
 
-def _rect_surface(a: float, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex grid of rect_embed over one fundamental rectangle and its (u, v)."""
-    u = np.linspace(0.0, 1.0, nu + 1)
-    v = _rect_v_samples(a, nv)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    return rect_embed(a, uu, vv), np.stack([uu, vv], axis=-1)
+def _resolutions(**counts) -> list[int]:
+    """The named resolutions as ints; ValueError unless each is at least 8."""
+    counts = [check_count(n, name) for name, n in counts.items()]
+    if min(counts) < 8:
+        raise ValueError("resolutions must be at least 8")
+    return counts
 
 
 def rect_torus_mesh(a: float, nu: int, nv: int) -> Mesh3:
@@ -323,22 +323,8 @@ def rect_torus_mesh(a: float, nu: int, nv: int) -> Mesh3:
     Uniform in u; v runs over one period [-a/2, a/2] at equal tube angle.
     The uv attribute records the true flat coordinates.
     """
-    nu, nv = check_count(nu, "nu"), check_count(nv, "nv")
-    if nu < 8 or nv < 8:
-        raise ValueError("resolutions must be at least 8")
-    return _grid_mesh(*_rect_surface(float(a), nu, nv))
-
-
-def _hopf_surface(
-    chart: _HopfChart, n_theta: int, n_phi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex grid of the Hopf torus over (theta, t) and its flat zeta as (re, im)."""
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta + 1)
-    t = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
-    tt_theta, tt_t = np.meshgrid(theta, t, indexing="ij")
-    points = chart.project(tt_theta, tt_t)
-    zeta = chart.zeta(tt_theta, tt_t)
-    return points, np.stack([zeta.real, zeta.imag], axis=-1)
+    nu, nv = _resolutions(nu=nu, nv=nv)
+    return _grid_mesh(*RectEmbedding(a).surface(nu, nv))
 
 
 def hopf_torus_mesh(
@@ -349,11 +335,9 @@ def hopf_torus_mesh(
     Flat coordinates zeta are recorded per vertex; the seam vertices at
     theta = 2 pi and t = 2 pi are duplicated rather than stitched.
     """
-    n_theta, n_phi = check_count(n_theta, "n_theta"), check_count(n_phi, "n_phi")
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("resolutions must be at least 8")
-    chart = _chart(curve)
-    return _grid_mesh(*_hopf_surface(chart, n_theta, n_phi)), chart.modulus
+    n_theta, n_phi = _resolutions(n_theta=n_theta, n_phi=n_phi)
+    target = HopfEmbedding(curve)
+    return _grid_mesh(*target.surface(n_theta, n_phi)), target.modulus
 
 
 def _grid_shape(quads: np.ndarray, nv: int) -> tuple[int, int] | None:
@@ -441,7 +425,12 @@ def conformality(mesh: Mesh3) -> float:
 
 @value_type("a")
 class RectEmbedding:
-    """Target surface rect_embed(a, ., .) of modulus ia."""
+    """Target surface rect_embed(a, ., .) of modulus ia over flat points w = u + iv.
+
+    ``surface(n1, n2)`` is its vertex grid and the grid's flat coordinates,
+    ``quad_centers(uv)`` the w at its quads' centres and ``place(w)`` the
+    surface's points at w.
+    """
 
     def __init__(self, a: float) -> None:
         self.__dict__.update(a=check_height(a, "a"))
@@ -450,14 +439,46 @@ class RectEmbedding:
     def modulus(self) -> complex:
         return 1j * self.a
 
+    def surface(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
+        u = np.linspace(0.0, 1.0, nu + 1)
+        v = _rect_v_samples(self.a, nv)
+        uu, vv = np.meshgrid(u, v, indexing="ij")
+        return rect_embed(self.a, uu, vv), np.stack([uu, vv], axis=-1)
+
+    def quad_centers(self, uv: np.ndarray) -> np.ndarray:
+        centers = (uv[:-1, :-1] + uv[1:, 1:]) / 2.0
+        return (centers[..., 0] + 1j * centers[..., 1]).ravel()
+
+    def place(self, w: np.ndarray) -> np.ndarray:
+        return rect_embed(self.a, w.real, w.imag)
+
 
 @value_type("curve")
 class HopfEmbedding:
-    """Target surface: Hopf torus over the given curve."""
+    """Target surface: Hopf torus over the given curve, over flat points
+    w = zeta / (2 pi), with the methods of RectEmbedding."""
 
     @property
     def modulus(self) -> complex:
         return _chart(self.curve).modulus
+
+    def surface(self, n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+        chart = _chart(self.curve)
+        theta = np.linspace(0.0, 2.0 * np.pi, n_theta + 1)
+        t = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
+        tt_theta, tt_t = np.meshgrid(theta, t, indexing="ij")
+        points = chart.project(tt_theta, tt_t)
+        zeta = chart.zeta(tt_theta, tt_t)
+        return points, np.stack([zeta.real, zeta.imag], axis=-1)
+
+    def quad_centers(self, uv: np.ndarray) -> np.ndarray:
+        zeta = uv[..., 0] + 1j * uv[..., 1]
+        return (zeta[:-1, :-1] + zeta[1:, 1:] + zeta[:-1, 1:] + zeta[1:, :-1]).ravel() / (4.0 * 2.0 * np.pi)
+
+    def place(self, w: np.ndarray) -> np.ndarray:
+        chart = _chart(self.curve)
+        th, ti = chart.theta_t_of_zeta(2.0 * np.pi * np.asarray(w))
+        return chart.project(th, ti)
 
 
 def _point_in_polygon(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -529,6 +550,8 @@ def drape_tiling(
     shift testing only the centers still unlabelled. The result is one
     _grid_mesh, so the mesh is checked once, with its polylines.
     """
+    if not isinstance(target, (RectEmbedding, HopfEmbedding)):
+        raise TypeError(f"unsupported embedding target {target!r}")
     subdivisions = check_count(subdivisions, "subdivisions")
     surface_res = check_count(surface_res, "surface resolution")
     if subdivisions < 32:
@@ -549,36 +572,9 @@ def drape_tiling(
     mu: UnimodularMap = g_e.inverse().compose(g_t)
     lam = 1.0 / (mu.a + mu.b * tau_t)
 
-    def to_flat(z: np.ndarray) -> np.ndarray:
-        return lam * (np.asarray(z, dtype=complex) / tiling.alpha)
-
-    if isinstance(target, RectEmbedding):
-        a = target.a
-        points, uv = _rect_surface(a, surface_res, surface_res)
-        centers = (uv[:-1, :-1] + uv[1:, 1:]) / 2.0
-        flat_centers = (centers[..., 0] + 1j * centers[..., 1]).ravel()
-
-        def chart_points(w: np.ndarray) -> np.ndarray:
-            return rect_embed(a, w.real, w.imag)
-
-    elif isinstance(target, HopfEmbedding):
-        chart = _chart(target.curve)
-        points, uv = _hopf_surface(chart, surface_res, surface_res)
-        zeta = uv[..., 0] + 1j * uv[..., 1]
-        flat_centers = (
-            zeta[:-1, :-1] + zeta[1:, 1:] + zeta[:-1, 1:] + zeta[1:, :-1]
-        ).ravel() / (4.0 * 2.0 * np.pi)
-
-        def chart_points(w: np.ndarray) -> np.ndarray:
-            th, ti = chart.theta_t_of_zeta(2.0 * np.pi * np.asarray(w))
-            return chart.project(th, ti)
-
-    else:
-        raise TypeError(f"unsupported embedding target {target!r}")
-
+    points, uv = target.surface(surface_res, surface_res)
     # Quad centers in tiling coordinates: invert w = lam * z / alpha.
-    z_centers = flat_centers / lam * tiling.alpha
-    groups = _assign_tiles(tiling, z_centers)
+    groups = _assign_tiles(tiling, target.quad_centers(uv) / lam * tiling.alpha)
 
     # each tile's boundary from corner 0, its sides cut into equal steps
     ts = np.linspace(0.0, 1.0, subdivisions + 1)[1:]
@@ -586,6 +582,6 @@ def drape_tiling(
     for tile in tiling.tiles:
         corners = np.array(tile.corners, dtype=complex)
         sides = corners[:, None] + ts * (np.roll(corners, -1) - corners)[:, None]
-        polylines.append(chart_points(to_flat(np.concatenate([corners[:1], sides.ravel()]))))
+        polylines.append(target.place(lam * (np.concatenate([corners[:1], sides.ravel()]) / tiling.alpha)))
 
     return _grid_mesh(points, uv, groups, tuple(polylines))

@@ -50,18 +50,6 @@ class Isometry:
             raise ValueError(f"linear part is not orthogonal: |mult|={abs(mult)}")
         self.__dict__.update(mult=mult, shift=shift, reflect=reflect)
 
-    @property
-    def orientation(self) -> int:
-        return -1 if self.reflect else 1
-
-    @property
-    def linear(self) -> np.ndarray:
-        """Linear part as a 2x2 orthogonal matrix acting on (x, y) columns."""
-        a, b = self.mult.real, self.mult.imag
-        if self.reflect:
-            return np.array([[a, b], [b, -a]])
-        return np.array([[a, -b], [b, a]])
-
     def __call__(self, z: Point2) -> Point2:
         return self.mult * (z.conjugate() if self.reflect else z) + self.shift
 

@@ -25,6 +25,8 @@ _BOUNDARY_EPS = 1e-12
 
 _CANDIDATES = 1 << 14  # candidate copies a NearPairs query tests at a time
 _COPIES = 1 << 20  # copies NearPairs may store past 25 per point
+_MAX_TRIPLES = 1 << 20  # HNF triples enumerate_hnf lists at most
+_MAX_BOUND = 1024  # largest search bound: rectangular_solve's table holds 1.2*bound**2 maps
 
 
 class SingularBasisError(ValueError):
@@ -62,10 +64,13 @@ def check_count(n, name: str) -> int:
 
 
 def check_bound(bound) -> int:
-    """A search bound as an int; ValueError unless it is an integer >= 1."""
+    """A search bound as an int; ValueError unless it is an integer from 1
+    to 1024."""
     bound = check_count(bound, "search bound")
     if bound < 1:
         raise ValueError(f"search bound must be at least 1, got {bound}")
+    if bound > _MAX_BOUND:
+        raise ValueError(f"search bound must be at most {_MAX_BOUND}, got {bound}")
     return bound
 
 
@@ -184,16 +189,20 @@ def hnf_of_basis(basis: IntBasis | tuple[int, int, int, int]) -> HnfTriple:
 
 
 def enumerate_hnf(index: int) -> list[HnfTriple]:
-    """All HNF triples of the given sublattice index, sorted by (m, l)."""
+    """All HNF triples of the given sublattice index, sorted by (m, l).
+
+    There are sigma(index) of them, the sum of the divisors of index; an
+    index with more than 2**20 raises ValueError. As sigma(index) > index
+    for index > 1, an index of 2**20 or more is refused before any search.
+    """
     index = check_count(index, "index")
     if index < 1:
         raise ValueError("index must be a positive integer")
-    triples = []
-    for m in range(1, index + 1):
-        if index % m == 0:
-            n = index // m
-            triples.extend(HnfTriple(m, n, l) for l in range(m))
-    return sorted(triples, key=lambda h: (h.m, h.l))
+    low = [m for m in range(1, math.isqrt(index) + 1) if index % m == 0] if index < _MAX_TRIPLES else []
+    divisors = low + [index // m for m in reversed(low) if m * m != index]
+    if not divisors or sum(divisors) > _MAX_TRIPLES:
+        raise ValueError(f"index {index} has more than {_MAX_TRIPLES} HNF triples")
+    return [HnfTriple(m, index // m, l) for m in divisors for l in range(m)]
 
 
 def covering_modulus(tau: complex, h: HnfTriple) -> complex:
@@ -290,12 +299,12 @@ def rectangular_solve(
     """Purely imaginary modulus x with covering_modulus(x, h) isometric to target.
 
     Searches the unimodular maps with all entries bounded by ``bound`` (an
-    integer, at least 1) and returns the modulus of the first one that fits
+    integer from 1 to 1024) and returns the modulus of the first one that fits
     (identity map first), or None when none does. A None is "none up to
     bound", not a nonexistence proof. The search table holds about
-    1.2*bound**2 maps (5,040 at the default 64), so time and memory grow with
-    the square of the bound. It is cached per (target, bound), so all triples
-    of one target share it.
+    1.2*bound**2 maps (5,040 at the default 64, 1.28 million at 1024), so
+    time and memory grow with the square of the bound. It is cached per
+    (target, bound), so all triples of one target share it.
     """
     target = check_modulus(target)
     # the same lattice, exactly: far from Re = 0 the images of the target

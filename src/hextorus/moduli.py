@@ -5,8 +5,8 @@ succeeds, i.e. its hexagon is simple. The family table
 (:data:`hextorus.construct.FAMILIES`) checks a family's fixed parameters,
 gives the lattice that frames its default box and the exact slopes of its
 corners, which bound the checks over blocks of cells. Membership applies the
-constructors' own corner formulas (:func:`hextorus.construct.hexagon_corners`)
-and simplicity test (:mod:`hextorus.geom`), to one parameter or a whole grid.
+constructors' own corner formulas (``Family.corners``) and simplicity test
+(:mod:`hextorus.geom`), to one parameter or a whole grid.
 :func:`sample_region` gives the bits of that test at every cell centre, but
 decides whole blocks of cells at once where certified bounds on its checks
 allow, and runs the per-cell test only on cells near a region boundary.
@@ -20,7 +20,7 @@ import math
 
 from ._np import np
 from ._value import value_type
-from .construct import B_POINT, FAMILIES, R_POINT, family, hexagon_corners
+from .construct import B_POINT, R_POINT, Family, family
 from .geom import MERGE_TOL, _cross, _rows, first_violation, seg_point_dist, simple_mask
 from .lattice import check_count, components
 
@@ -67,26 +67,21 @@ class RegionGrid:
         return xs[None, :] + 1j * ys[:, None]
 
 
-def _normalize_fixed(kind: str, fixed):
-    fam = family(kind)
-    return fam.kind, fam.check(fixed)
-
-
 def membership_mask(kind: str, fixed, free, tol: float = MERGE_TOL) -> np.ndarray:
     """Vectorized membership over an array of free parameters."""
-    key, fixed = _normalize_fixed(kind, fixed)
+    fam = family(kind)
     with np.errstate(all="ignore"):  # overflow and NaN just fail the tests
-        return simple_mask(hexagon_corners(key, fixed, np.asarray(free, complex)), tol)
+        return simple_mask(fam.corners(*fam.check(fixed), np.asarray(free, complex)), tol)
 
 
 def membership(kind: str, fixed, free: complex, tol: float = MERGE_TOL) -> bool:
     """True iff the constructor of the given kind succeeds at this parameter."""
-    key, fixed = _normalize_fixed(kind, fixed)
-    return first_violation(hexagon_corners(key, fixed, complex(free)), tol) is None
+    fam = family(kind)
+    return first_violation(fam.corners(*fam.check(fixed), complex(free)), tol) is None
 
 
-def _default_bbox(key: str, fixed) -> tuple[float, float, float, float]:
-    g1, g2 = FAMILIES[key].lattice(*fixed)
+def _default_bbox(fam: Family, fixed) -> tuple[float, float, float, float]:
+    g1, g2 = fam.lattice(*fixed)
     cell = (0j, g1, g2, g1 + g2)
     x0, x1 = min(z.real for z in cell), max(z.real for z in cell)
     y0, y1 = min(z.imag for z in cell), max(z.imag for z in cell)
@@ -127,16 +122,16 @@ class _Certificates:
     within rounding of a sign change or of tol stays undecided.
     """
 
-    def __init__(self, key, fixed, tol, xs, ys):
+    def __init__(self, fam: Family, fixed, tol, xs, ys):
         self.tol = tol
         rows, crossings, tests = _rows(6)
         self.roles = np.array(crossings).T  # roles[k, j]: the row of role k of crossing j
         sides = tuple((a, a, b) for kind, a, b, _ in tests if kind == "degenerate")
         self.dist = np.array(rows + sides).T  # the rows, then the sides as distances
-        b, c = (np.array(v, complex) for v in FAMILIES[key].slopes)
+        b, c = (np.array(v, complex) for v in fam.slopes)
         self.dx, self.dy = b + c, 1j * (b - c)
         self.x0, self.y0 = (xs[0] + xs[-1]) / 2, (ys[0] + ys[-1]) / 2
-        self.at = np.array(hexagon_corners(key, fixed, complex(self.x0, self.y0)), complex)
+        self.at = np.array(fam.corners(*fixed, complex(self.x0, self.y0)), complex)
         p, q, r = self.dist[:, : len(rows), None]  # one row per orientation, against the blocks
         u, pu, qu = (w[q] - w[p] for w in (self.at, self.dx, self.dy))
         v, pv, qv = (w[r] - w[p] for w in (self.at, self.dx, self.dy))
@@ -230,9 +225,10 @@ def sample_region(
     at a time, and member blocks are set through a block view of bits
     padded to whole 64-cell blocks, of which the grid's bits are a view.
     """
-    key, norm = _normalize_fixed(kind, fixed)
+    fam = family(kind)
+    norm = fam.check(fixed)
     if bbox is None:
-        bbox = _default_bbox(key, norm)
+        bbox = _default_bbox(fam, norm)
     nx, ny = check_count(nx, "nx"), check_count(ny, "ny")
     _check_resolution(nx, ny)
     # a zero-stride grid checks the box and gives the axes
@@ -240,7 +236,7 @@ def sample_region(
     bits = np.zeros((-(-ny // _BLOCK) * _BLOCK, -(-nx // _BLOCK) * _BLOCK), dtype=bool)
     low, high = _MARGIN_RANGE
     with np.errstate(all="ignore"):
-        sure = _Certificates(key, norm, tol, xs, ys)
+        sure = _Certificates(fam, norm, tol, xs, ys)
         if tol >= 0.0 and low <= sure.margin2 <= high:
             bk, bj = _open_blocks(sure, xs, ys, bits)
             per = _CHUNK // (_LEAF * _LEAF)
@@ -248,7 +244,7 @@ def sample_region(
         else:  # every cell, in raster order
             cells = (np.divmod(np.arange(at, min(at + _CHUNK, ny * nx)), nx) for at in range(0, ny * nx, _CHUNK))
         for ci, cj in cells:
-            bits[ci, cj] = simple_mask(hexagon_corners(key, norm, xs[cj] + 1j * ys[ci]), tol)
+            bits[ci, cj] = simple_mask(fam.corners(*norm, xs[cj] + 1j * ys[ci]), tol)
     return RegionGrid(tuple(bbox), nx, ny, bits[:ny, :nx])
 
 

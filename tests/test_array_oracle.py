@@ -40,7 +40,7 @@ from hextorus.construct import (
     OMEGA3,
     GenericityWarning,
     central_minimal,
-    hexagon_corners,
+    family,
     strip_tiling,
     type_i_minimal,
     type_ii_minimal,
@@ -77,7 +77,7 @@ from hextorus.lattice import (
     enumerate_hnf,
     rectangular_solve,
 )
-from hextorus.moduli import _normalize_fixed, sample_region
+from hextorus.moduli import sample_region
 
 warnings.simplefilter("ignore", GenericityWarning)
 
@@ -93,9 +93,14 @@ GRIDS = {
 TOLS = (0.0, 1e-9, 1e-3)
 
 
+def corners_of(kind, fixed, free):
+    """The prototile corners of a family at its fixed parameters and the free ones."""
+    fam = family(kind)
+    return fam.corners(*fam.check(fixed), free)
+
+
 def old_bits(kind, fixed, free, tol=1e-9):
-    key, norm = _normalize_fixed(kind, fixed)
-    return array_oracle.simple_mask(hexagon_corners(key, norm, free), tol)
+    return array_oracle.simple_mask(corners_of(kind, fixed, free), tol)
 
 
 def assert_same_bits(new, old):
@@ -129,30 +134,28 @@ def test_non_finite_parameters(name):
         free.imag[rng.random(free.shape) < 0.05] = value
     free[0, 0] = complex(np.nan, np.nan)
     free[0, 1] = complex(np.inf, -np.inf)
-    key, norm = _normalize_fixed(kind, fixed)
     with np.errstate(all="ignore"):
         for tol in TOLS:
-            corners = hexagon_corners(key, norm, free)
+            corners = corners_of(kind, fixed, free)
             assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_scalar_corners(name):
     kind, fixed = GRIDS[name]
-    key, norm = _normalize_fixed(kind, fixed)
     rng = np.random.default_rng(3)
     for z in rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-1.5, 1.5, 40):
         for free in (complex(z), np.asarray(z)):
-            corners = hexagon_corners(key, norm, free)
+            corners = corners_of(kind, fixed, free)
             assert_same_bits(simple_mask(corners), array_oracle.simple_mask(corners))
     # every corner a 0-d array
-    corners = tuple(np.asarray(c) for c in hexagon_corners(key, norm, np.asarray(0.1 + 0.2j)))
+    corners = tuple(np.asarray(c) for c in corners_of(kind, fixed, np.asarray(0.1 + 0.2j)))
     assert_same_bits(simple_mask(corners), array_oracle.simple_mask(corners))
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4, 2)])
 def test_empty_shapes(shape):
-    corners = hexagon_corners("iii", (), np.zeros(shape, dtype=complex))
+    corners = corners_of("iii", None, np.zeros(shape, dtype=complex))
     assert_same_bits(simple_mask(corners), array_oracle.simple_mask(corners))
 
 
@@ -190,7 +193,7 @@ def test_touching_and_degenerate_cells():
     for kind, fixed in GRIDS.values():
         for tol in TOLS:
             assert_same_bits(
-                simple_mask(hexagon_corners(*_normalize_fixed(kind, fixed), free), tol),
+                simple_mask(corners_of(kind, fixed, free), tol),
                 old_bits(kind, fixed, free, tol),
             )
 
@@ -621,7 +624,7 @@ def test_non_finite_parameters_at_negative_and_nan_tolerance(name, tol):
         free.real[rng.random(free.shape) < 0.05] = value
         free.imag[rng.random(free.shape) < 0.05] = value
     with np.errstate(all="ignore"):
-        corners = hexagon_corners(*_normalize_fixed(kind, fixed), free)
+        corners = corners_of(kind, fixed, free)
         assert_same_bits(simple_mask(corners, tol), array_oracle.simple_mask(corners, tol))
 
 

@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from hextorus import moduli
-from hextorus.construct import hexagon_corners
+from hextorus.construct import family
 from hextorus.geom import _rows, seg_point_dist, simple_mask
-from hextorus.moduli import _Certificates, _normalize_fixed, membership_mask, sample_region
+from hextorus.moduli import _Certificates, membership_mask, sample_region
 from test_array_oracle import GRIDS
 
 SIZES = [(2, 2), (7, 5), (96, 80), (333, 517), (512, 512)]
@@ -42,10 +42,11 @@ MASKED_SHARE = {"i": 0.02, "ii-one": 0.04, "ii-two": 0.08, "iii": 0.02, "cs": 0.
 
 def cell_bits(kind, fixed, grid, tol, rows=256):
     """simple_mask at every cell centre of grid, a band of rows at a time."""
-    key, norm = _normalize_fixed(kind, fixed)
+    fam = family(kind)
+    norm = fam.check(fixed)
     centers = grid.cell_centers()
     return np.concatenate(
-        [simple_mask(hexagon_corners(key, norm, centers[k : k + rows]), tol) for k in range(0, grid.ny, rows)]
+        [simple_mask(fam.corners(*norm, centers[k : k + rows]), tol) for k in range(0, grid.ny, rows)]
     )
 
 
@@ -122,13 +123,14 @@ def test_bounds_hold_over_blocks(name, tol):
     # every orientation sign and every distance a bound certifies over a
     # block holds at 9x9 points of it, in the per-cell arithmetic
     kind, fixed = GRIDS[name]
-    key, norm = _normalize_fixed(kind, fixed)
-    sure = _Certificates(key, norm, tol, np.array([-3.0, 3.0]), np.array([-3.0, 3.0]))
+    fam = family(kind)
+    norm = fam.check(fixed)
+    sure = _Certificates(fam, norm, tol, np.array([-3.0, 3.0]), np.array([-3.0, 3.0]))
     x, y, hx, hy = blocks(sure, np.random.default_rng(3))
     s = np.linspace(-1.0, 1.0, 9)
     px = (x + sure.x0)[:, None, None] + hx[:, None, None] * s[:, None]
     py = (y + sure.y0)[:, None, None] + hy[:, None, None] * s
-    c = np.broadcast_arrays(*hexagon_corners(key, norm, (px + 1j * py).reshape(len(x), -1)))
+    c = np.broadcast_arrays(*fam.corners(*norm, (px + 1j * py).reshape(len(x), -1)))
     rows, crossings, tests = _rows(6)
     pos, neg = sure.signs(x, y, hx, hy)
     for k, role in enumerate([(0, 1, 2), (0, 1, 3), (2, 3, 0), (2, 3, 1)]):
@@ -147,8 +149,9 @@ def test_bounds_hold_over_blocks(name, tol):
 
 def test_signs_come_by_role_crossing_and_block():
     kind, fixed = GRIDS["cs"]
-    key, norm = _normalize_fixed(kind, fixed)
-    sure = _Certificates(key, norm, 1e-9, np.array([-3.0, 3.0]), np.array([-3.0, 3.0]))
+    fam = family(kind)
+    norm = fam.check(fixed)
+    sure = _Certificates(fam, norm, 1e-9, np.array([-3.0, 3.0]), np.array([-3.0, 3.0]))
     x, y = np.linspace(-1.0, 1.0, 5), np.linspace(1.0, -1.0, 5)
     pos, neg = sure.signs(x, y, np.full(5, 0.01), np.full(5, 0.01))
     assert pos.shape == neg.shape == (4, len(_rows(6)[1]), 5)

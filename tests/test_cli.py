@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -362,6 +363,22 @@ class TestEnumerateCommand:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert lines == [f"error: search bound must be at least 1, got {bound}"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--type=cs", "--tau=0,1", "--tiles=1000000000000"], "index 1000000000000 has more than 1048576 HNF triples"),
+            (["--type=ii", f"--tau={TAU}", "--tiles=12", "--bound=2048"], "search bound must be at most 1024, got 2048"),
+        ],
+        ids=["tiles", "bound"],
+    )
+    def test_unbounded_work_is_one_error_line(self, capsys, args, message):
+        start = time.perf_counter()
+        assert main(["enumerate", *args]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 class TestModuliSampleCommand:

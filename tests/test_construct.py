@@ -131,8 +131,8 @@ class TestTypeII:
         for other in tiling.tiles[1:]:
             match = congruent(first, other)
             assert match is not None
-            orientations.append(match.isometry.orientation)
-        assert sorted(orientations) == [-1, -1, 1]
+            orientations.append(match.isometry.reflect)
+        assert sorted(orientations) == [False, True, True]
 
     def test_scaled_drawing_instance(self):
         y = 2.0 / 3.0
@@ -191,7 +191,7 @@ class TestTypeIII:
         for other in tiling.tiles[1:]:
             match = congruent(tiling.tiles[0], other)
             assert match is not None
-            assert match.isometry.orientation == 1
+            assert not match.isometry.reflect
             mult = match.isometry.mult
             assert min(abs(mult - third_turn), abs(mult - third_turn.conjugate())) <= 1e-9
 

@@ -188,6 +188,11 @@ class TestEnumerateCoverings:
                 enumerate_coverings(kind, TARGET, 12, bound)
 
     @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
+    def test_bound_above_the_cap_rejected(self, kind):
+        with pytest.raises(ValueError, match="^search bound must be at most 1024, got 1025$"):
+            enumerate_coverings(kind, TARGET, 12, 1025)
+
+    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
     def test_non_integral_bound_rejected(self, kind):
         with pytest.raises(ValueError, match="search bound must be an integer, got 2.5"):
             enumerate_coverings(kind, TARGET, 12, 2.5)

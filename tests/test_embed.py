@@ -372,3 +372,11 @@ class TestDrapeTiling:
         )
         with pytest.raises(ValueError, match="validate"):
             drape_tiling(broken, RectEmbedding(2.0), surface_res=48)
+
+    @pytest.mark.parametrize("target", ["rect", None, 0.6j])
+    def test_unsupported_target_is_a_type_error(self, target):
+        tiling = type_i_minimal(2j, self.sigma())
+        # the target is checked before the tiling is validated
+        for t in (tiling, None):
+            with pytest.raises(TypeError, match="^unsupported embedding target "):
+                drape_tiling(t, target)

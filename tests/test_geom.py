@@ -230,18 +230,9 @@ class TestIsometry:
 
     def test_orientation_multiplies(self):
         r = reflection(0j, 0.3)
-        assert r.orientation == -1
-        assert r.compose(r).orientation == 1
-        assert rotation(1.0).orientation == 1
-
-    def test_linear_part_orthogonal(self):
-        import numpy as np
-
-        for g in (rotation(0.93, 2j), reflection(1 + 1j, 0.4), Isometry()):
-            m = g.linear
-            assert np.allclose(m @ m.T, np.eye(2), atol=1e-12)
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            assert det == pytest.approx(g.orientation, abs=1e-12)
+        assert r.reflect
+        assert not r.compose(r).reflect
+        assert not rotation(1.0).reflect
 
     def test_non_unit_multiplier_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import cmath
 import importlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hextorus.lattice import (
     NearPairs,
     SingularBasisError,
     UnimodularMap,
+    check_bound,
     check_lattice,
     check_modulus,
     covering_modulus,
@@ -279,6 +281,29 @@ class TestEnumerateHnf:
         with pytest.raises(ValueError):
             enumerate_hnf(0)
 
+    def test_order_is_by_m_then_l(self):
+        for k in range(1, 400):
+            triples = (HnfTriple(m, k // m, l) for m in range(1, k + 1) if k % m == 0 for l in range(m))
+            assert enumerate_hnf(k) == sorted(triples, key=lambda h: (h.m, h.l))
+
+    @pytest.mark.parametrize("index", [720720, 1 << 20, (1 << 20) + 1, 10**12, 10**30])
+    def test_more_triples_than_the_cap_refused_at_once(self, index):
+        # sigma(720720) = 3,249,792; from 2**20 on, sigma(index) > index
+        # refuses the index before any search
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^index {index} has more than 1048576 HNF triples$"):
+            enumerate_hnf(index)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_cap_is_on_the_triple_count(self, monkeypatch):
+        # sigma(6) = sigma(11) = 12 and sigma(10) = 18; 12 is refused unsearched
+        lattice = importlib.import_module("hextorus.lattice")
+        monkeypatch.setattr(lattice, "_MAX_TRIPLES", 12)
+        assert len(enumerate_hnf(6)) == len(enumerate_hnf(11)) == 12
+        for index in (10, 12):
+            with pytest.raises(ValueError, match=f"^index {index} has more than 12 HNF triples$"):
+                enumerate_hnf(index)
+
 
 class TestCoveringModulus:
     def test_table_source_example(self):
@@ -407,6 +432,12 @@ class TestRectangularSolve:
     def test_bound_below_one_rejected(self, bound):
         with pytest.raises(ValueError, match="bound must be at least 1"):
             rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), bound)
+
+    def test_bound_above_the_cap_rejected(self):
+        assert check_bound(1024) == 1024
+        for bound in (1025, 1 << 40):
+            with pytest.raises(ValueError, match=f"^search bound must be at most 1024, got {bound}$"):
+                rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), bound)
 
     def test_bound_taken_as_a_count(self):
         with pytest.raises(ValueError, match=r"search bound must be an integer, got 2\.5"):

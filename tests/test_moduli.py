@@ -222,6 +222,19 @@ class TestFamilyTable:
                 refuse()
             assert str(info.value) == "kind must be one of ('i', 'ii', 'iii', 'cs')"
 
+    def test_a_kind_in_any_case_reaches_the_same_family(self):
+        rng = np.random.default_rng(29)
+        free = rng.uniform(-1.2, 1.8, 200) + 1j * rng.uniform(-1.2, 1.2, 200)
+        answers = [membership("iii", None, z) for z in free]
+        assert [membership("III", None, z) for z in free] == answers
+        assert any(answers) and not all(answers)
+        bits = membership_mask("ii", FIXED["ii"], free)
+        assert np.array_equal(membership_mask("II", FIXED["ii"], free), bits)
+        assert bits.any() and not bits.all()
+        grid = sample_region("cs", FIXED["cs"], nx=64, ny=64)
+        assert sample_region(" Cs ", FIXED["cs"], nx=64, ny=64) == grid
+        assert grid.bits.any() and not grid.bits.all()
+
 
 class TestSampleRegion:
     def test_deterministic_with_frozen_count(self):

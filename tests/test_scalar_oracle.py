@@ -26,12 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import array_oracle
-from hextorus import geom
+from hextorus import construct, geom
 from hextorus.construct import (
     GenericityWarning,
     ModuliViolation,
     central_minimal,
-    hexagon_corners,
     strip_tiling,
     type_i_minimal,
     type_ii_minimal,
@@ -149,7 +148,7 @@ def test_first_violation_on_the_family_grids():
     for kind, params in fixed.items():
         for x in axis:
             for y in axis:
-                corners = hexagon_corners(kind, params, complex(x, y))
+                corners = construct.family(kind).corners(*params, complex(x, y))
                 for tol in (1e-9, 0.05):
                     assert first_violation(corners, tol) == array_oracle.first_violation(corners, tol)
 
@@ -170,8 +169,8 @@ def counting(monkeypatch, name):
     "corners",
     [
         tuple(np.exp(2j * np.pi * np.arange(6) / 6)),
-        hexagon_corners("iii", (), 0.05 + 0.22j)[::-1],
-        hexagon_corners("cs", (1.0, 0.3 + 1j), 0.45 + 0.4j),
+        construct.family("iii").corners(0.05 + 0.22j)[::-1],
+        construct.family("cs").corners(1.0, 0.3 + 1j, 0.45 + 0.4j),
     ],
     ids=["regular", "iii", "cs"],
 )
@@ -215,7 +214,7 @@ def family_specs(seed: int, count: int = 8):
     fixed = {"i": (0.6j, 0.2 + 0.2j), "ii": (1.0, 0.35 + 0.05j), "iii": (), "cs": (1.0, 0.3 + 1j)}
     while count:
         kind = ("i", "ii", "iii", "cs")[int(rng.integers(4))]
-        corners = hexagon_corners(kind, fixed[kind], complex(*rng.uniform(-1.0, 1.5, 2)))
+        corners = construct.family(kind).corners(*fixed[kind], complex(*rng.uniform(-1.0, 1.5, 2)))
         if first_violation(corners) is None:
             count -= 1
             p = Polygon(tuple(corners))
@@ -309,7 +308,9 @@ def test_constructors_decide_as_the_reference(family):
         if key == "strip":
             z = complex(z.real, 0.525)
         got = outcome(build, z)
-        violation = array_oracle.first_violation(hexagon_corners(key, fixed, z))
+        # strip_tiling builds its prototile from construct._corners_i
+        corners = construct._corners_i(*fixed, z) if key == "strip" else construct.family(key).corners(*fixed, z)
+        violation = array_oracle.first_violation(corners)
         if violation is not None:
             kind, i, j = violation
             message = f"hexagon is not simple: {kind} involving corners/sides {i} and {j}"
@@ -317,7 +318,7 @@ def test_constructors_decide_as_the_reference(family):
             continue
         assert got[0] == "built", got
         built += 1
-        prototile = Polygon(hexagon_corners(key, fixed, z))
+        prototile = Polygon(corners)
         if geom.signed_area(prototile) <= 0:
             prototile = prototile.reversed()
         report = array_oracle.classify(spec_from_polygon(prototile))
