@@ -311,9 +311,7 @@ def _side_label(labels, j: int) -> int:
 
 def write_svg(tiling, extent: int = 1) -> str:
     """SVG drawing of extent x extent fundamental-domain translates: at most 2**17 tile copies."""
-    extent = check_count(extent, "extent")
-    if extent < 1:
-        raise ValueError("extent must be at least 1")
+    extent = check_count(extent, "extent", 1)
     if (copies := extent**2 * len(tiling.tiles)) > _SVG_COPIES:
         raise ValueError(f"extent {extent} draws {copies} tile copies, over the {_SVG_COPIES} cap")
     palette = _PALETTES.get(_doc_kind(tiling.provenance), {})

@@ -318,9 +318,9 @@ def strip_tiling(
     2*(2*extent+1) tiles per strip (extent 1 by default). Only patch mode
     takes an extent.
     """
-    h, w, s = float(h), float(w), float(s)
-    if not (h > 0 and w > 0):
-        raise ValueError("strip periods h and w must be positive")
+    h, w, s = check_height(h, "h"), check_height(w, "w"), float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if not isinstance(signs, str):
         raise ValueError(f"sign word must be a string of + and -, got {signs!r}")
     bad = [ch for ch in signs if ch not in "+-"]
@@ -332,9 +332,7 @@ def strip_tiling(
         raise ValueError(f"mode must be 'torus' or 'patch', got {mode!r}")
     if mode == "torus" and extent is not None:
         raise ValueError("mode 'torus' does not take an extent; mode 'patch' does")
-    extent = check_count(1 if extent is None else extent, "extent")
-    if extent < 0:
-        raise ValueError(f"extent must not be negative, got {extent}")
+    extent = check_count(1 if extent is None else extent, "extent", 0)
     sigma = _free_vector(sigma)
     i, t = sigma.i, sigma.t
     u = complex(w, s)
@@ -381,9 +379,7 @@ def strip_tiling(
 
 def planar_patch(t: TorusTiling, extent: int) -> PlanarPatch:
     """All lattice translates k*alpha + j*beta of the tiles for |k|,|j| <= extent."""
-    extent = check_count(extent, "extent")
-    if extent < 1:
-        raise ValueError("extent must be at least 1")
+    extent = check_count(extent, "extent", 1)
     shifts = range(-extent, extent + 1)
     return PlanarPatch(
         translates(t, shifts, shifts),

@@ -15,12 +15,14 @@ from .lattice import HnfTriple, LatticeFrame, NearPairs, check_bound, check_coun
 from .lattice import check_tolerance, enumerate_hnf
 
 MINIMAL_TILE_COUNT = {kind: f.tiles for kind, f in FAMILIES.items()}
+_MAX_TILES = 1 << 20  # tiles build_cover makes at most
 
 
 def build_cover(t: TorusTiling, h: HnfTriple) -> TorusTiling:
-    """Covering tiling of t along the sublattice (m, n; l)."""
+    """Covering tiling of t along the sublattice (m, n; l): at most 2**20 tiles."""
     if not isinstance(h, HnfTriple):
         h = HnfTriple(*h)
+    check_count(len(t.tiles) * h.index, "cover tile count", most=_MAX_TILES)
     return TorusTiling(
         h.m * t.alpha,
         h.l * t.alpha + h.n * t.beta,

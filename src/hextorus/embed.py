@@ -53,9 +53,7 @@ class CurveParams:
     """Colatitude curve alpha(theta) = a + b sin(k theta) on the 2-sphere."""
 
     def __init__(self, a: float, b: float, k: int) -> None:
-        a, b, k = float(a), float(b), check_count(k, "k")
-        if k < 1:
-            raise ValueError("k must be a positive integer")
+        a, b, k = float(a), float(b), check_count(k, "k", 1)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("curve parameters must be finite")
         if not (0.0 < a - abs(b) and a + abs(b) < math.pi):
@@ -309,21 +307,13 @@ def _rect_v_samples(a: float, nv: int) -> np.ndarray:
     return (a * phi / (2.0 * np.pi))[::-1]
 
 
-def _resolutions(**counts) -> list[int]:
-    """The named resolutions as ints; ValueError unless each is at least 8."""
-    counts = [check_count(n, name) for name, n in counts.items()]
-    if min(counts) < 8:
-        raise ValueError("resolutions must be at least 8")
-    return counts
-
-
 def rect_torus_mesh(a: float, nu: int, nv: int) -> Mesh3:
     """Quad mesh of rect_embed over one fundamental rectangle of T_ia.
 
     Uniform in u; v runs over one period [-a/2, a/2] at equal tube angle.
     The uv attribute records the true flat coordinates.
     """
-    nu, nv = _resolutions(nu=nu, nv=nv)
+    nu, nv = check_count(nu, "nu", 8), check_count(nv, "nv", 8)
     return _grid_mesh(*RectEmbedding(a).surface(nu, nv))
 
 
@@ -335,7 +325,7 @@ def hopf_torus_mesh(
     Flat coordinates zeta are recorded per vertex; the seam vertices at
     theta = 2 pi and t = 2 pi are duplicated rather than stitched.
     """
-    n_theta, n_phi = _resolutions(n_theta=n_theta, n_phi=n_phi)
+    n_theta, n_phi = check_count(n_theta, "n_theta", 8), check_count(n_phi, "n_phi", 8)
     target = HopfEmbedding(curve)
     return _grid_mesh(*target.surface(n_theta, n_phi)), target.modulus
 
@@ -552,12 +542,8 @@ def drape_tiling(
     """
     if not isinstance(target, (RectEmbedding, HopfEmbedding)):
         raise TypeError(f"unsupported embedding target {target!r}")
-    subdivisions = check_count(subdivisions, "subdivisions")
-    surface_res = check_count(surface_res, "surface resolution")
-    if subdivisions < 32:
-        raise ValueError("need at least 32 subdivisions per edge")
-    if surface_res < 1:
-        raise ValueError(f"surface resolution must be positive, got {surface_res}")
+    subdivisions = check_count(subdivisions, "subdivisions", 32)
+    surface_res = check_count(surface_res, "surface resolution", 1)
     report = validate(tiling)
     if not report.passed:
         raise ValueError(f"tiling does not validate: {report.failures[:3]}")

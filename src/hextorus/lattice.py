@@ -51,27 +51,28 @@ def check_height(y, name: str) -> float:
     return y
 
 
-def check_count(n, name: str) -> int:
-    """n as an int; ValueError unless it is integral (12.0 is 12)."""
-    if n.__class__ is int:  # the common case, without converting it twice
-        return n
-    try:
-        if int(n) == n:
-            return int(n)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
-        pass
-    raise ValueError(f"{name} must be an integer, got {n!r}")
+def check_count(n, name: str, least: int | None = None, most: int | None = None) -> int:
+    """n as an int; ValueError unless it is integral (12.0 is 12) and
+    least <= n <= most, where an end given as None is open."""
+    if n.__class__ is not int:  # an int, the common case, is not converted again
+        try:
+            whole = int(n) == n
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+            whole = False
+        if not whole:
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        n = int(n)
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise ValueError(f"{name} must be at most {most}, got {n}")
+    return n
 
 
 def check_bound(bound) -> int:
     """A search bound as an int; ValueError unless it is an integer from 1
     to 1024."""
-    bound = check_count(bound, "search bound")
-    if bound < 1:
-        raise ValueError(f"search bound must be at least 1, got {bound}")
-    if bound > _MAX_BOUND:
-        raise ValueError(f"search bound must be at most {_MAX_BOUND}, got {bound}")
-    return bound
+    return check_count(bound, "search bound", 1, _MAX_BOUND)
 
 
 def check_tolerance(tol) -> float:
@@ -195,9 +196,7 @@ def enumerate_hnf(index: int) -> list[HnfTriple]:
     index with more than 2**20 raises ValueError. As sigma(index) > index
     for index > 1, an index of 2**20 or more is refused before any search.
     """
-    index = check_count(index, "index")
-    if index < 1:
-        raise ValueError("index must be a positive integer")
+    index = check_count(index, "index", 1)
     low = [m for m in range(1, math.isqrt(index) + 1) if index % m == 0] if index < _MAX_TRIPLES else []
     divisors = low + [index // m for m in reversed(low) if m * m != index]
     if not divisors or sum(divisors) > _MAX_TRIPLES:
@@ -270,7 +269,7 @@ def _search_maps(bound: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(maps)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _search_images(target: complex, bound: int) -> tuple:
     """The maps of ``_search_maps(bound)`` and their images of target.
 

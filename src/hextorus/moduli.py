@@ -24,10 +24,6 @@ from .construct import B_POINT, R_POINT, Family, family
 from .geom import MERGE_TOL, _cross, _rows, first_violation, seg_point_dist, simple_mask
 from .lattice import check_count, components
 
-def _check_resolution(nx, ny) -> None:
-    if nx < 2 or ny < 2:
-        raise ValueError("grid resolution must be at least 2x2")
-
 
 @value_type("bbox", "nx", "ny", "bits")
 class RegionGrid:
@@ -46,7 +42,7 @@ class RegionGrid:
             raise ValueError(f"bbox must be finite, got {bbox}")
         if not (xmax > xmin and ymax > ymin):
             raise ValueError(f"degenerate bbox {bbox}")
-        _check_resolution(nx, ny)
+        nx, ny = check_count(nx, "nx", 2), check_count(ny, "ny", 2)
         bits = np.asarray(bits, dtype=bool)
         if bits.shape != (ny, nx):
             raise ValueError(f"bits shape {bits.shape} != (ny, nx)")
@@ -229,8 +225,7 @@ def sample_region(
     norm = fam.check(fixed)
     if bbox is None:
         bbox = _default_bbox(fam, norm)
-    nx, ny = check_count(nx, "nx"), check_count(ny, "ny")
-    _check_resolution(nx, ny)
+    nx, ny = check_count(nx, "nx", 2), check_count(ny, "ny", 2)
     # a zero-stride grid checks the box and gives the axes
     xs, ys = RegionGrid(tuple(bbox), nx, ny, np.broadcast_to(False, (ny, nx))).axes()
     bits = np.zeros((-(-ny // _BLOCK) * _BLOCK, -(-nx // _BLOCK) * _BLOCK), dtype=bool)
@@ -318,9 +313,7 @@ def type_iii_boundary(samples: int) -> list[Arc]:
     two are its rotations by +-120 degrees about the origin. Every P on the
     primary arc sees the chord G'R under the inscribed angle 5pi/6.
     """
-    samples = check_count(samples, "samples")
-    if samples < 2:
-        raise ValueError("need at least 2 samples per arc")
+    samples = check_count(samples, "samples", 2)
     radius = abs(R_POINT - B_POINT)
     arcs = []
     for k in range(3):

@@ -315,6 +315,21 @@ class TestCoverCommand:
         assert main(["validate", out_path]) == 0
         assert "census: f=6" in capsys.readouterr().out
 
+    def test_cover_past_the_cap_is_one_error_line(self, tmp_path, capsys):
+        # the README's 2-tile document: m = n = 10**4 asks for 2 * 10**8 tiles
+        path = str(tmp_path / "two_tile.json")
+        readme = ["--type=i", "--tau=0,0.6", "--i=0.24,0.17", "--t=-0.18,0.27"]
+        assert main(["construct", *readme, "-o", path]) == 0
+        out_path = tmp_path / "cover.json"
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["cover", path, "--m=10000", "--n=10000", "--l=1", "-o", str(out_path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert captured.err.splitlines() == [
+            "error: cover tile count must be at most 1048576, got 200000000"
+        ]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_provenance_is_one_error_line_and_no_file(self, tmp_path, capsys, value):
@@ -433,12 +448,14 @@ class TestModuliSampleCommand:
 
     @pytest.mark.parametrize("grid", ["0,0", "-3,4", "4,-3", "1,4"])
     def test_grid_below_two_by_two_is_one_error_line(self, tmp_path, capsys, grid):
+        nx, ny = map(int, grid.split(","))
+        name, value = ("nx", nx) if nx < 2 else ("ny", ny)
         out = tmp_path / "region.pgm"
         args = ["moduli", "sample", "--type=iii", f"--grid={grid}", "-o", str(out)]
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: grid resolution must be at least 2x2"]
+        assert captured.err.splitlines() == [f"error: {name} must be at least 2, got {value}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("slot", range(4))

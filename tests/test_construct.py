@@ -294,7 +294,26 @@ class TestStrip:
             strip_tiling(1.2, 0.9, 0.15, self.SIGMA, "+", mode="ring")
 
     @pytest.mark.parametrize(
-        "extent,message", [(-1, "must not be negative, got -1"), (0.5, "must be an integer, got 0.5")]
+        "slot,value,message",
+        [
+            (0, math.inf, "h must be positive, got inf"),
+            (0, math.nan, "h must be positive, got nan"),
+            (0, -1, "h must be positive, got -1.0"),
+            (1, math.inf, "w must be positive, got inf"),
+            (1, math.nan, "w must be positive, got nan"),
+            (2, math.inf, "s must be finite, got inf"),
+            (2, -math.inf, "s must be finite, got -inf"),
+            (2, math.nan, "s must be finite, got nan"),
+        ],
+    )
+    def test_periods_and_shear_not_finite_are_refused_as_such(self, slot, value, message):
+        args = [1.2, 0.9, 0.15]
+        args[slot] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            strip_tiling(*args, self.SIGMA, "+-")
+
+    @pytest.mark.parametrize(
+        "extent,message", [(-1, "extent must be at least 0, got -1"), (0.5, "must be an integer, got 0.5")]
     )
     def test_bad_extent_raises(self, extent, message):
         with pytest.raises(ValueError, match=message):

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from hextorus import covering
 from hextorus.construct import (
     GenericityWarning,
     OMEGA3,
@@ -54,6 +55,16 @@ class TestBuildCover:
         assert cover == build_cover(base, (2, 1, 0))
         with pytest.raises(ValueError, match=r"^m must be an integer, got 2\.5$"):
             build_cover(base, (2.5, 1, 0))
+
+    def test_more_tiles_than_the_cap_refused_before_building(self, monkeypatch):
+        base = base_type_i()  # 2 tiles
+        message = r"^cover tile count must be at most 1048576, got 1050624$"
+        with pytest.raises(ValueError, match=message):
+            build_cover(base, HnfTriple(1024, 513, 0))
+        monkeypatch.setattr(covering, "_MAX_TILES", 12)
+        assert len(build_cover(base, HnfTriple(2, 3, 1)).tiles) == 12
+        with pytest.raises(ValueError, match=r"^cover tile count must be at most 12, got 14$"):
+            build_cover(base, HnfTriple(7, 1, 0))
 
     def test_cover_lattice_generators(self):
         base = base_type_i()

@@ -281,7 +281,8 @@ class TestSampleRegion:
 
     @pytest.mark.parametrize("nx,ny", [(0, 0), (-3, 4), (4, -3), (1, 4)])
     def test_grid_below_two_by_two_rejected(self, nx, ny):
-        with pytest.raises(ValueError, match=r"^grid resolution must be at least 2x2$"):
+        name, value = ("nx", nx) if nx < 2 else ("ny", ny)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 2, got {value}$"):
             sample_region("iii", (), nx=nx, ny=ny)
 
     @pytest.mark.parametrize("nx,ny,name", [(64.9, 64, "nx"), (64, 2.5, "ny"), (64, "64", "ny")])
@@ -371,7 +372,10 @@ class TestTypeIiiBoundary:
             assert len(arc.points) == 33
 
     def test_sample_count_must_be_an_integer_of_at_least_two(self):
-        for samples, message in ((5.7, "samples must be an integer, got 5.7"), (1, "at least 2 samples")):
+        for samples, message in (
+            (5.7, "samples must be an integer, got 5.7"),
+            (1, "samples must be at least 2, got 1"),
+        ):
             with pytest.raises(ValueError, match=message):
                 type_iii_boundary(samples)
         assert len(type_iii_boundary(5.0)[0].points) == 5
