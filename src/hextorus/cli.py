@@ -529,7 +529,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rows = enumerate_coverings(args.type, args.tau, args.tiles, bound=args.bound)
+    rows = enumerate_coverings(args.type, args.tau, args.tiles)
     print(f"# type {args.type}: {len(rows)} covering(s) with {args.tiles} tiles")
     for triple, tau_min in rows:
         print(
@@ -631,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=list(FAMILIES))
     p.add_argument("--tau", type=_parse_tau, required=True)
     p.add_argument("--tiles", type=int, required=True)
-    p.add_argument("--bound", type=int, default=64)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("moduli", help="moduli space tools")

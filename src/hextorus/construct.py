@@ -139,11 +139,11 @@ def _orbit_ii(y, i) -> tuple[Isometry, ...]:
     return (Isometry(), rho, gamma, rho.compose(gamma))
 
 
-def _free_modulus(target: complex, h: HnfTriple, bound: int) -> complex:
+def _free_modulus(target: complex, h: HnfTriple) -> complex:
     return (h.m * target - h.l) / h.n
 
 
-def _cover_iii(target: complex, h: HnfTriple, bound: int) -> complex | None:
+def _cover_iii(target: complex, h: HnfTriple) -> complex | None:
     # one triple per orbit of the rotation by omega3, which multiplies the
     # sublattice of Z + Z*omega3 by omega3; with omega3^2 = -1 - omega3 its
     # coordinates map (x, y) -> (-y, x - y)
@@ -166,7 +166,7 @@ class Family:
     free parameter z (a complex scalar or array) are A + B*z + C*conj(z),
     with per-corner ``slopes`` (B, C).
     ``orbit`` carries the prototile to each tile (None: it is the tile).
-    ``cover(target, h, bound)`` is the minimal modulus whose covering along
+    ``cover(target, h)`` is the minimal modulus whose covering along
     the triple h is the target torus, or None.
     """
 

@@ -8,11 +8,13 @@ tile count, list the sublattice triples whose minimal tiling exists.
 
 from __future__ import annotations
 
+import cmath
+
 from ._np import np
 from .construct import FAMILIES, TorusTiling, family, translates
 from .geom import corner_table
-from .lattice import HnfTriple, LatticeFrame, NearPairs, check_bound, check_count, check_modulus
-from .lattice import check_tolerance, enumerate_hnf
+from .lattice import HnfTriple, LatticeFrame, NearPairs, check_count, check_modulus, check_tolerance
+from .lattice import enumerate_hnf
 
 MINIMAL_TILE_COUNT = {kind: f.tiles for kind, f in FAMILIES.items()}
 _MAX_TILES = 1 << 20  # tiles build_cover makes at most
@@ -78,7 +80,7 @@ def is_minimal(t: TorusTiling, tol: float = 1e-9) -> bool:
 
 
 def enumerate_coverings(
-    kind: str, target: complex, tile_count: int, bound: int = 64
+    kind: str, target: complex, tile_count: int
 ) -> list[tuple[HnfTriple, complex]]:
     """All (sublattice triple, minimal modulus) giving the target torus.
 
@@ -86,17 +88,12 @@ def enumerate_coverings(
     count must be a multiple of the family's minimal tile count (2, 4, 3, 1).
     Each triple is kept when the family's covering rule (``Family.cover``)
     gives a minimal modulus: families i and cs admit every triple (the
-    minimal modulus is free); ii keeps triples where a rectangular minimal
-    modulus exists up to the search bound; iii fixes the hexagonal lattice,
-    so triples are canonicalized over its rotation symmetry and kept when
-    the covering is isometric to the target.
-
-    ``bound`` (1 to 1024, for every kind) is used by family ii only: it
-    bounds the entries of the unimodular maps ``rectangular_solve`` searches.
-    A triple missing from a family-ii list has no rectangular minimal modulus
-    up to that bound, which is not a proof that it has none. The search
-    table has about 1.2*bound**2 maps (5,040 at 64), so the cost and memory
-    grow with the square of the bound. The triples are those of
+    minimal modulus is free); ii keeps the triples along which a rectangular
+    minimal modulus covers the target (``rectangular_solve``, exact), one
+    modulus each; iii fixes the hexagonal lattice, so triples are
+    canonicalized over its rotation symmetry and kept when the covering is
+    isometric to the target. A minimal modulus that is not finite (a target
+    near the float limit) raises OverflowError. The triples are those of
     ``enumerate_hnf``, which refuses an index with more than 2**20 of them.
     """
     fam = family(kind)
@@ -104,6 +101,9 @@ def enumerate_coverings(
     tile_count = check_count(tile_count, "tile count")
     if tile_count < 1 or tile_count % fam.tiles != 0:
         raise ValueError(f"tile count {tile_count} is not a positive multiple of {fam.tiles}")
-    bound = check_bound(bound)
     triples = enumerate_hnf(tile_count // fam.tiles)
-    return [(h, x) for h in triples if (x := fam.cover(target, h, bound)) is not None]
+    rows = [(h, x) for h in triples if (x := fam.cover(target, h)) is not None]
+    for h, x in rows:
+        if not cmath.isfinite(x):
+            raise OverflowError(f"the minimal modulus for ({h.m},{h.n};{h.l}) is not finite: {x}")
+    return rows

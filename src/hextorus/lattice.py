@@ -3,7 +3,7 @@
 A torus modulus is a complex number tau with Im(tau) > 0, standing for the
 lattice Z + Z*tau. This module provides the SL(2,Z) action and reduction,
 Hermite normal form for finite-index sublattices, sublattice enumeration,
-covering moduli, lattice isometry tests, a bounded search for rectangular
+covering moduli, lattice isometry tests, the exact rule for rectangular
 minimal moduli, the covolume of a lattice, the lattice frame that reduces
 points modulo a lattice, the hash that finds the lattice copies of points
 that lie close to other points, and the connected components of a graph on
@@ -26,7 +26,6 @@ _BOUNDARY_EPS = 1e-12
 _CANDIDATES = 1 << 14  # candidate copies a NearPairs query tests at a time
 _COPIES = 1 << 20  # copies NearPairs may store past 25 per point
 _MAX_TRIPLES = 1 << 20  # HNF triples enumerate_hnf lists at most
-_MAX_BOUND = 1024  # largest search bound: rectangular_solve's table holds 1.2*bound**2 maps
 
 
 class SingularBasisError(ValueError):
@@ -67,12 +66,6 @@ def check_count(n, name: str, least: int | None = None, most: int | None = None)
     if most is not None and n > most:
         raise ValueError(f"{name} must be at most {most}, got {n}")
     return n
-
-
-def check_bound(bound) -> int:
-    """A search bound as an int; ValueError unless it is an integer from 1
-    to 1024."""
-    return check_count(bound, "search bound", 1, _MAX_BOUND)
 
 
 def check_tolerance(tol) -> float:
@@ -251,81 +244,56 @@ def lattices_isometric(tau1: complex, tau2: complex, tol: float = TOL) -> bool:
     return abs(r1 - r2) <= tol
 
 
-@functools.lru_cache(maxsize=8)
-def _search_maps(bound: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(a, b, d0, c0) with a*d0 - b*c0 = 1, one per sign class of coprime
-    (a, b) with entries up to bound, ordered small entries first."""
-    pairs = [
-        (a, b)
-        for a in range(bound + 1)
-        for b in range(-bound, bound + 1)
-        if gcd(a, b) == 1 and (a > 0 or b > 0)
-    ]
-    pairs.sort(key=lambda p: (max(abs(p[0]), abs(p[1])), abs(p[1]), p[1]))
-    maps = []
-    for a, b in pairs:
-        _, x, y = _egcd(a, b)
-        maps.append((a, b, x, -y))
-    return tuple(maps)
+def rectangular_solve(target: complex, h: HnfTriple, bound=None) -> complex | None:
+    """Purely imaginary modulus x with covering_modulus(x, h) isometric to
+    target, or None when there is none.
 
+    x exists iff an SL(2,Z) image w of the target has Re w = l/m (mod 1), and
+    then x = i*m*Im(w)/n. The map back sends that vertical line to an
+    integral geodesic A*|z|^2 + B*Re(z) + C = 0 of discriminant
+    B^2 - 4AC = k^2, k = m/gcd(l, m), through the reduced target x0 + i*y0.
+    Its radius k/(2A) is at least y0, so A runs from 0 to k/(2*y0), and B is
+    a root of B^2 + 4*A*x0*B + 4*A^2*|x0 + i*y0|^2 - k^2 = 0. The map sends
+    one of the geodesic's two cusps p/q to infinity, so its bottom row is
+    (a, b) = (-p, q) on the reduced target. The list is complete, so None
+    means that no rectangular modulus covers the target along h. Of the
+    maps that fit, the one with the least (max(|a|, |b|), |b|, b, a) gives x.
 
-@functools.lru_cache(maxsize=1)
-def _search_images(target: complex, bound: int) -> tuple:
-    """The maps of ``_search_maps(bound)`` and their images of target.
-
-    Returns float64 columns a, b, c0, d0 and the real and imaginary parts of
-    tau0 = (c0 + d0*target)/(a + b*target), in table order, and an overflow
-    value. That is None, or for a target near the float limit the real part
-    of the first image that is not finite, where the columns then end.
-    """
-    maps = _search_maps(bound)
-    # Python's complex division: numpy's differs from it in the last ulp
-    tau0 = np.fromiter(
-        ((c0 + d0 * target) / (a + b * target) for a, b, d0, c0 in maps),
-        dtype=complex,
-        count=len(maps),
-    )
-    bad = np.flatnonzero(~np.isfinite(tau0.real))
-    end = bad[0] if len(bad) else len(maps)
-    a, b, d0, c0 = np.array(maps, dtype=float)[:end].T
-    overflow = float(tau0.real[end]) if len(bad) else None
-    return a, b, c0, d0, tau0.real[:end], tau0.imag[:end], overflow
-
-
-def rectangular_solve(
-    target: complex, h: HnfTriple, bound: int = 64
-) -> complex | None:
-    """Purely imaginary modulus x with covering_modulus(x, h) isometric to target.
-
-    Searches the unimodular maps with all entries bounded by ``bound`` (an
-    integer from 1 to 1024) and returns the modulus of the first one that fits
-    (identity map first), or None when none does. A None is "none up to
-    bound", not a nonexistence proof. The search table holds about
-    1.2*bound**2 maps (5,040 at the default 64, 1.28 million at 1024), so
-    time and memory grow with the square of the bound. It is cached per
-    (target, bound), so all triples of one target share it.
+    ``bound`` is ignored: perfbench's moduli_enumerate still passes a search
+    bound, and the benchmark change of ROADMAP item 1 drops it.
     """
     target = check_modulus(target)
     # the same lattice, exactly: far from Re = 0 the images of the target
     # would lose its imaginary part to rounding
-    target -= round(target.real)
-    bound = check_bound(bound)
-    a, b, c0, d0, re, im, overflow = _search_images(target, bound)
+    tau = target - round(target.real)
+    reduced, mu = sl2_reduce(tau)
+    x0, y0 = reduced.real, reduced.imag
     m, n, l = h.m, h.n, h.l
-    # adding t to (c, d) along (a, b) shifts the image by t; pick the one
-    # shot at Re = l/m
-    t = np.round(l / m - re)
-    near = np.flatnonzero(np.abs(re + t - l / m) <= TOL)
-    t = t[near]
-    # in float64, so that a huge t cannot wrap around as int64 would
-    size = np.maximum(np.abs(c0[near] + t * a[near]), np.abs(d0[near] + t * b[near]))
-    hit = near[size <= bound]
-    if len(hit):
-        return 1j * (m * float(im[hit[0]]) / n)
-    if overflow is not None:
-        # no shift t exists for the next image, so the search cannot go on
-        kind = ValueError if math.isnan(overflow) else OverflowError
-        raise kind(f"the search for {target} reaches an image with real part {overflow}")
+    k = m // gcd(l, m)
+    # (p, q) for each cusp p/q; A = 0 is the vertical line through x0
+    cusps = {(1, 0), (round(k * x0), k)}
+    # the factor 1 + TOL keeps A = k/(2*y0) whichever way y0 was rounded
+    for A in range(1, math.floor(k / (2.0 * y0) * (1.0 + TOL)) + 1):
+        s = math.sqrt(max(k * k - 4.0 * A * A * y0 * y0, 0.0))
+        for B in {round(-2.0 * A * x0 + s), round(-2.0 * A * x0 - s)}:
+            if (B * B - k * k) % (4 * A) == 0:  # C is an integer
+                cusps.update(((k - B, 2 * A), (-k - B, 2 * A)))
+    rows = set()
+    for p, q in cusps:
+        # the row (-p, q) on the reduced target, composed with mu, one sign
+        g = gcd(p, q)
+        a, b = (q * mu.c - p * mu.a) // g, (q * mu.d - p * mu.b) // g
+        rows.add((a, b) if (a, b) > (0, 0) else (-a, -b))
+    for a, b in sorted(rows, key=lambda r: (max(abs(r[0]), abs(r[1])), abs(r[1]), r[1], r[0])):
+        _, d, c = _egcd(a, b)  # a*d + b*c = 1: the map (-c + d*tau)/(a + b*tau)
+        w0 = (-c + d * tau) / (a + b * tau)
+        if not math.isfinite(w0.real):
+            continue
+        # adding t to the top row along (a, b) shifts the image by t; pick
+        # the one shot at Re = l/m
+        t = round(l / m - w0.real)
+        if abs(w0.real + t - l / m) <= TOL:
+            return 1j * (m * w0.imag / n)
     return None
 
 

@@ -11,13 +11,15 @@ These are ``hextorus.geom.simple_mask``, ``hextorus.geom.first_violation``,
 and ``classify`` as they were before the mask tested only the cells still
 live, the scalar walk worked out each distinct check once, the conformality
 stencils were built with numpy sorts, the OBJ faces were written in one pass,
-the rectangular search read a cached table of map images, the tile assignment
-tested only the points still unlabelled, the even-odd test only the points in
-the polygon's box and the classifier read index tables. They are copied
-unchanged, apart from this header and its imports, so that
-``test_array_oracle.py`` and ``test_scalar_oracle.py`` can compare the new
-code against them bit for bit. The scalar walk's ``seg_seg_dist`` and
-``seg_point_dist`` are the mask's, which do the same arithmetic on scalars.
+the rectangular search read a cached table of map images (and then gave way
+to the exact integral-geodesic rule, so its map table ``_search_maps`` is
+kept here too), the tile assignment tested only the points still unlabelled,
+the even-odd test only the points in the polygon's box and the classifier
+read index tables. They are copied unchanged, apart from this header and
+its imports, so that ``test_array_oracle.py`` and ``test_scalar_oracle.py``
+can compare the new code against them bit for bit. The scalar walk's
+``seg_seg_dist`` and ``seg_point_dist`` are the mask's, which do the same
+arithmetic on scalars.
 
 The tile assignment is the one changed copy. It tried the lattice shifts
 {-1, 0, 1} per axis and snapped a point no tile held to the nearest of nine
@@ -31,12 +33,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from math import gcd
 
 import numpy as np
 
 from hextorus.geom import MERGE_TOL
 from hextorus.hexagon import TWO_PI, TWO_THIRDS_PI, HexagonSpec, TypeReport
-from hextorus.lattice import TOL, HnfTriple, LatticeFrame, _search_maps, check_modulus
+from hextorus.lattice import TOL, HnfTriple, LatticeFrame, _egcd, check_modulus
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -269,6 +272,24 @@ def write_obj(mesh) -> str:
         lines.append("l " + " ".join(str(base + k + 1) for k in range(len(polyline))))
         base += len(polyline)
     return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=8)
+def _search_maps(bound: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(a, b, d0, c0) with a*d0 - b*c0 = 1, one per sign class of coprime
+    (a, b) with entries up to bound, ordered small entries first."""
+    pairs = [
+        (a, b)
+        for a in range(bound + 1)
+        for b in range(-bound, bound + 1)
+        if gcd(a, b) == 1 and (a > 0 or b > 0)
+    ]
+    pairs.sort(key=lambda p: (max(abs(p[0]), abs(p[1])), abs(p[1]), p[1]))
+    maps = []
+    for a, b in pairs:
+        _, x, y = _egcd(a, b)
+        maps.append((a, b, x, -y))
+    return tuple(maps)
 
 
 def rectangular_solve(

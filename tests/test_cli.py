@@ -369,23 +369,20 @@ class TestEnumerateCommand:
         assert main(["enumerate", "--type", "ii", "--tau", self.TAU, "--tiles", "10"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bound", ["0", "-3"])
-    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
-    def test_bound_below_one_is_one_error_line(self, capsys, kind, bound):
-        argv = ["enumerate", f"--type={kind}", f"--tau={self.TAU}", "--tiles=12"]
-        assert main([*argv, f"--bound={bound}"]) == 1
+    @pytest.mark.parametrize("kind, tiles", [("i", 4), ("cs", 2)])
+    def test_non_finite_minimal_modulus_is_one_error_line(self, capsys, kind, tiles):
+        assert main(["enumerate", f"--type={kind}", "--tau=0,1.7e308", f"--tiles={tiles}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert lines == [f"error: search bound must be at least 1, got {bound}"]
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: the minimal modulus for (2,1;0) is not finite")
 
     @pytest.mark.parametrize(
         "args, message",
         [
             (["--type=cs", "--tau=0,1", "--tiles=1000000000000"], "index 1000000000000 has more than 1048576 HNF triples"),
-            (["--type=ii", f"--tau={TAU}", "--tiles=12", "--bound=2048"], "search bound must be at most 1024, got 2048"),
         ],
-        ids=["tiles", "bound"],
+        ids=["tiles"],
     )
     def test_unbounded_work_is_one_error_line(self, capsys, args, message):
         start = time.perf_counter()

@@ -13,7 +13,7 @@ from hextorus.cli import write_svg
 from hextorus.construct import planar_patch, strip_tiling, type_i_minimal
 from hextorus.covering import build_cover
 from hextorus.embed import CurveParams, RectEmbedding, drape_tiling, hopf_torus_mesh, rect_torus_mesh
-from hextorus.lattice import HnfTriple, check_count, enumerate_hnf, rectangular_solve
+from hextorus.lattice import HnfTriple, check_count, enumerate_hnf
 from hextorus.moduli import RegionGrid, sample_region, type_iii_boundary
 
 SIGMA = (0.3 + 0.45j, 0.2 + 0.525j)  # the strip's equal-sides condition for h = 1.2
@@ -26,14 +26,6 @@ def two_tile():
 
 
 REFUSALS = {
-    "search bound low": (
-        lambda: rectangular_solve(2j, HnfTriple(1, 1, 0), bound=0),
-        "search bound must be at least 1, got 0",
-    ),
-    "search bound high": (
-        lambda: rectangular_solve(2j, HnfTriple(1, 1, 0), bound=1025),
-        "search bound must be at most 1024, got 1025",
-    ),
     "index": (lambda: enumerate_hnf(0), "index must be at least 1, got 0"),
     "strip extent": (
         lambda: strip_tiling(1.2, 0.9, 0.15, SIGMA, "+", mode="patch", extent=-1),

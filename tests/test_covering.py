@@ -192,22 +192,12 @@ class TestEnumerateCoverings:
                 enumerate_coverings("i", 1j, count)
         assert enumerate_coverings("ii", TARGET, 12.0) == enumerate_coverings("ii", TARGET, 12)
 
-    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
-    def test_bound_below_one_rejected(self, kind):
-        for bound in (0, -3):
-            with pytest.raises(ValueError, match="bound must be at least 1"):
-                enumerate_coverings(kind, TARGET, 12, bound)
-
-    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
-    def test_bound_above_the_cap_rejected(self, kind):
-        with pytest.raises(ValueError, match="^search bound must be at most 1024, got 1025$"):
-            enumerate_coverings(kind, TARGET, 12, 1025)
-
-    @pytest.mark.parametrize("kind", ["i", "ii", "iii", "cs"])
-    def test_non_integral_bound_rejected(self, kind):
-        with pytest.raises(ValueError, match="search bound must be an integer, got 2.5"):
-            enumerate_coverings(kind, TARGET, 12, 2.5)
-        assert enumerate_coverings(kind, TARGET, 12, 8.0) == enumerate_coverings(kind, TARGET, 12, 8)
+    @pytest.mark.parametrize("kind", ["i", "ii", "cs"])
+    def test_non_finite_minimal_modulus_rejected(self, kind):
+        # (2, 1; 0) doubles the height 1.7e308 past the float limit
+        tiles = 2 * MINIMAL_TILE_COUNT[kind]
+        with pytest.raises(OverflowError, match=r"^the minimal modulus for \(2,1;0\) is not finite"):
+            enumerate_coverings(kind, 1.7e308j, tiles)
 
     def test_minimal_tile_counts_table(self):
         assert MINIMAL_TILE_COUNT == {"i": 2, "ii": 4, "iii": 3, "cs": 1}

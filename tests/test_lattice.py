@@ -25,7 +25,6 @@ from hextorus.lattice import (
     NearPairs,
     SingularBasisError,
     UnimodularMap,
-    check_bound,
     check_lattice,
     check_modulus,
     covering_modulus,
@@ -400,6 +399,23 @@ class TestLatticesIsometric:
             assert lattices_isometric(t1, t3)
 
 
+def same_torus(tau1, tau2, tol):
+    """lattices_isometric, also where rounding leaves the two reduced moduli
+    on either side of a wall of the fundamental domain: Re = -1/2 meets
+    Re = 1/2, and on |tau| = 1 tau meets -conj(tau)."""
+    r1, r2 = sl2_reduce(tau1)[0], sl2_reduce(tau2)[0]
+    return min(abs(r1 - z) for z in (r2, r2 + 1, r2 - 1, -r2.conjugate())) <= tol
+
+
+@st.composite
+def planted_coverings(draw):
+    """A triple of index up to 10**4 and a height y from 1e-3 to 1e3."""
+    index = draw(st.integers(1, 10**4))
+    m = draw(st.sampled_from([d for d in range(1, index + 1) if index % d == 0]))
+    h = HnfTriple(m, index // m, draw(st.integers(0, m - 1)))
+    return h, 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
 class TestRectangularSolve:
     TARGET = 2 * math.sqrt(3) * 1j
 
@@ -428,23 +444,15 @@ class TestRectangularSolve:
         assert got is not None
         assert lattices_isometric(got, 1 + 4j)
 
-    @pytest.mark.parametrize("bound", [0, -3])
-    def test_bound_below_one_rejected(self, bound):
-        with pytest.raises(ValueError, match="bound must be at least 1"):
-            rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), bound)
-
-    def test_bound_above_the_cap_rejected(self):
-        assert check_bound(1024) == 1024
-        for bound in (1025, 1 << 40):
-            with pytest.raises(ValueError, match=f"^search bound must be at most 1024, got {bound}$"):
-                rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), bound)
-
-    def test_bound_taken_as_a_count(self):
-        with pytest.raises(ValueError, match=r"search bound must be an integer, got 2\.5"):
-            rectangular_solve(self.TARGET, HnfTriple(1, 3, 0), 2.5)
-        h = HnfTriple(1, 3, 0)
-        got = rectangular_solve(self.TARGET, h, 12.0)
-        assert got is not None and got == rectangular_solve(self.TARGET, h, 12)
+    @given(planted_coverings())
+    def test_every_planted_covering_is_found(self, planted):
+        # the target is planted through a covering and sl2_reduce only: a
+        # float SL(2,Z) move with large entries would lose its digits
+        h, y = planted
+        target, _ = sl2_reduce(covering_modulus(1j * y, h))
+        got = rectangular_solve(target, h)
+        assert got is not None and got.real == 0.0
+        assert same_torus(covering_modulus(got, h), target, 1e-9 * abs(target))
 
 
 def test_window_oracle_random_bases():

@@ -455,8 +455,8 @@ def test_labelling_does_not_load_numpy_ma():
 
 
 # numpy runs when hextorus first uses it: the README commands that work on
-# scalars alone (the constructors, classify, build_cover, write_svg) never
-# load it, so a module-level use of numpy fails here
+# scalars alone (the constructors, classify, build_cover, enumerate_coverings,
+# write_svg) never load it, so a module-level use of numpy fails here
 NUMPY_LOADED = "'numpy._core' in sys.modules"
 
 
@@ -580,10 +580,12 @@ def test_cli_after_numpy_started_leaves_the_environment(tmp_path):
 
 def test_scalar_commands_do_not_load_numpy(tmp_path, monkeypatch, capsys):
     commands = readme_commands()
-    scalar = [c for c in commands if c[0] in ("construct", "classify", "cover") or c[1] == "svg"]
-    assert [c[0] for c in scalar] == ["construct", "classify", "cover", "render", "construct"]
+    scalar = [
+        c for c in commands if c[0] in ("construct", "classify", "cover", "enumerate") or c[1] == "svg"
+    ]
+    assert [c[0] for c in scalar] == ["construct", "classify", "cover", "enumerate", "render", "construct"]
     out = fresh_python(RUN_COMMANDS, json.dumps(scalar), cwd=tmp_path)
-    assert json.loads(out.splitlines()[-1]) == [False] * 6
+    assert json.loads(out.splitlines()[-1]) == [False] * 7
     # validate loads numpy, and prints the report it prints with numpy loaded
     [check] = [c for c in commands if c[0] == "validate"]
     lazy = fresh_python(RUN_COMMANDS, json.dumps([check]), cwd=tmp_path).splitlines()
